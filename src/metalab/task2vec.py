@@ -14,7 +14,11 @@ Implementation choices that matter for comparing numbers:
   head is task-specific by construction;
 - the raw diagonal is used, with no per-layer normalization;
 - the data for both the head refit and the FIM is the task's support and
-  query sets concatenated.
+  query sets concatenated;
+- the refitted head is `fit_head`'s default: L2-penalized multinomial
+  logistic regression (penalty `learners.HEAD_L2`, bias included) solved
+  to max|grad| <= 1e-8, so the posterior weighting the FIM is that of
+  the converged head.
 
 The in-module FIM is a closed-form layer-by-layer computation (squared
 backprop signals); the test suite certifies it against a brute-force
@@ -190,8 +194,7 @@ def _fim_diag_body(model: Model, batch: Batch) -> np.ndarray:
     return flat
 
 
-def embed_task(probe: Probe, task: FewShotTask,
-               head_tol: float = 1e-8, head_max_iter: int = 5000) -> TaskEmbedding:
+def embed_task(probe: Probe, task: FewShotTask) -> TaskEmbedding:
     """Fingerprint a task: refit the probe's head, then take the FIM diagonal.
 
     The probe's body is untouched; a fresh n_way head is fitted on the
@@ -199,8 +202,7 @@ def embed_task(probe: Probe, task: FewShotTask,
     FIM diagonal restricted to body parameters.
     """
     data = _task_data(task)
-    fitted = fit_head(probe.model, data, n_classes=task.n_way,
-                      tol=head_tol, max_iter=head_max_iter)
+    fitted = fit_head(probe.model, data, n_classes=task.n_way)
     diag = _fim_diag_body(fitted, data)
     return TaskEmbedding(fim_diag=diag, task_id=task.task_id,
                          source_ids=task.source_ids)
