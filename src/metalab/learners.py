@@ -14,6 +14,15 @@ models take a few full-parameter descent steps on the support set
 (`adapt`). Training is deliberately plain (fixed-rate gradient descent,
 windowed-plateau stop) so runs are reproducible to the bit.
 
+Gradients come from two engines. Every first-order path runs on the
+closed-form numpy kernel `nets.MLPKernel`, built once per call with its
+buffers: `train_pt` (one full-batch call per epoch), first-order
+`train_maml` (each meta-batch stacked into `(B, n, d)` arrays, so the
+inner steps and the query gradient are one call each) and `adapt`, hence
+`meta_test`. The head refit and `episodic_vs_union_loss` use their own
+closed-form Newton solve. Only higher-order `train_maml` runs the autodiff
+tape, through `nets.loss_and_grad_through_updates`, one episode at a time.
+
 The head refit is the L2-penalized logistic-regression head of Tian et
 al. 2020 ("Rethinking Few-Shot Image Classification", arXiv 2003.11539):
 it minimizes mean cross-entropy + (HEAD_L2/2)*||[W; b]||^2, bias included,
@@ -32,19 +41,20 @@ cross-entropy while lowering the penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from metalab.nets import (
     Batch,
+    MLPKernel,
     NetSpec,
     NumericalError,
     ParamVector,
     cross_entropy,
     forward,
-    loss_and_grad,
     loss_and_grad_through_updates,
     net_loss,
 )
@@ -83,7 +93,7 @@ class Model:
         for name, shape in self.params.layout:
             if name == w_name:
                 return offset
-            offset += int(np.prod(shape))
+            offset += math.prod(shape)
         raise RuntimeError("head segment missing from layout")
 
     def body_values(self) -> np.ndarray:
@@ -204,17 +214,17 @@ def train_pt(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
     spec = NetSpec(benchmark.input_dim, config.hidden_dims, benchmark.total_classes)
     params = spec.init(config.seed)
     data = union_dataset(benchmark, "train", config.examples_per_class, config.seed)
-    loss_fn = net_loss(spec, data)
+    kernel = MLPKernel(spec, data.inputs.shape)
     curve: list[float] = []
     converged = False
     epoch = 0
     for epoch in range(1, config.max_epochs + 1):
         try:
-            value, g = loss_and_grad(loss_fn, params)
+            value, g = kernel.loss_and_grad(params.values, data.inputs, data.labels)
         except NumericalError as err:
             raise TrainingError(f"pre-training diverged at epoch {epoch}: {err}") from err
-        params = ParamVector(params.values - config.outer_lr * g.values, params.layout)
-        curve.append(value)
+        params = ParamVector(params.values - config.outer_lr * g, params.layout)
+        curve.append(float(value))
         if _plateaued(curve, config.convergence_tol):
             converged = True
             break
@@ -239,26 +249,32 @@ def train_maml(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
     first_order = config.method == "fo_maml"
     spec = NetSpec(benchmark.input_dim, config.hidden_dims, config.n_way)
     params = spec.init(config.seed)
+    kernels = None
+    if first_order:
+        kernels = tuple(
+            MLPKernel(spec, (config.meta_batch, config.n_way * rows, benchmark.input_dim))
+            for rows in (config.k_shot, config.q_query))
     curve: list[float] = []
     converged = False
     epoch = 0
     for epoch in range(1, config.max_epochs + 1):
-        grads = np.zeros_like(params.values)
+        tasks = [sample_task(benchmark, "train", config.n_way, config.k_shot,
+                             config.q_query, (config.seed, epoch, j))
+                 for j in range(config.meta_batch)]
+        try:
+            if first_order:
+                values, per_task = _first_order_meta_gradients(
+                    kernels, params, tasks, config.inner_steps_train, config.inner_lr)
+            else:
+                values, per_task = _higher_order_meta_gradients(
+                    spec, params, tasks, config.inner_steps_train, config.inner_lr)
+        except NumericalError as err:
+            raise TrainingError(
+                f"meta-training diverged at epoch {epoch}: {err}") from err
         total = 0.0
-        for j in range(config.meta_batch):
-            task = sample_task(benchmark, "train", config.n_way, config.k_shot,
-                               config.q_query, (config.seed, epoch, j))
-            try:
-                value, g = loss_and_grad_through_updates(
-                    net_loss(spec, task.query), params,
-                    config.inner_steps_train, config.inner_lr,
-                    inner_loss_fn=net_loss(spec, task.support),
-                    first_order=first_order)
-            except NumericalError as err:
-                raise TrainingError(
-                    f"meta-training diverged at epoch {epoch}: {err}") from err
-            grads += g.values
-            total += value
+        for value in values:  # episode order
+            total += float(value)
+        grads = per_task.sum(axis=0)
         params = ParamVector(
             params.values - config.outer_lr * grads / config.meta_batch, params.layout)
         curve.append(total / config.meta_batch)
@@ -271,6 +287,43 @@ def train_maml(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
                        epochs_run=epoch, converged=converged)
 
 
+def _first_order_meta_gradients(kernels: tuple[MLPKernel, MLPKernel], params: ParamVector,
+                                tasks: Sequence[FewShotTask], steps: int,
+                                lr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Query losses `(B,)` and first-order meta-gradients `(B, P)`, episodes stacked.
+
+    The first-order outer gradient is the query gradient at the adapted
+    parameters (Finn et al. 2017, arXiv 1703.03400), so every episode's
+    inner descent and query gradient run as one stacked kernel call per
+    step. The kernels check the loss and every gradient for finiteness at
+    each step, since the stacked iterates never become `ParamVector`s.
+    """
+    support_kernel, query_kernel = kernels
+    inputs = np.stack([t.support.inputs for t in tasks])
+    labels = np.stack([t.support.labels for t in tasks])
+    adapted = params.values
+    for _ in range(steps):
+        _, g = support_kernel.loss_and_grad(adapted, inputs, labels)
+        adapted = adapted - lr * g
+    return query_kernel.loss_and_grad(
+        adapted, np.stack([t.query.inputs for t in tasks]),
+        np.stack([t.query.labels for t in tasks]))
+
+
+def _higher_order_meta_gradients(spec: NetSpec, params: ParamVector,
+                                 tasks: Sequence[FewShotTask], steps: int,
+                                 lr: float) -> tuple[list[float], np.ndarray]:
+    """Query losses and meta-gradients `(B, P)` through the inner updates, per episode."""
+    values, grads = [], []
+    for task in tasks:
+        value, g = loss_and_grad_through_updates(
+            net_loss(spec, task.query), params, steps, lr,
+            inner_loss_fn=net_loss(spec, task.support), first_order=False)
+        values.append(value)
+        grads.append(g.values)
+    return values, np.stack(grads)
+
+
 def adapt(model: Model, support: Batch, steps: int, lr: float) -> Model:
     """Full-parameter descent on the support cross-entropy, exactly `steps`.
 
@@ -281,14 +334,14 @@ def adapt(model: Model, support: Batch, steps: int, lr: float) -> Model:
         raise ValueError("steps must be nonnegative")
     if steps == 0:
         return model
-    loss_fn = net_loss(model.spec, support)
+    kernel = MLPKernel(model.spec, support.inputs.shape)
     params = model.params
     for _ in range(steps):
         try:
-            _, g = loss_and_grad(loss_fn, params)
+            _, g = kernel.loss_and_grad(params.values, support.inputs, support.labels)
         except NumericalError as err:
             raise NumericalError(f"adaptation hit a non-finite loss: {err}") from err
-        params = ParamVector(params.values - lr * g.values, params.layout)
+        params = ParamVector(params.values - lr * g, params.layout)
     return Model(model.spec, params)
 
 

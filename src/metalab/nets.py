@@ -1,20 +1,30 @@
 """Parameter vectors, small feed-forward classifiers, and gradients.
 
 A network is described by a `NetSpec` (dims and nonlinearity) and a flat
-`ParamVector` whose layout names each weight matrix and bias. Losses for
-differentiation are expressed as callables over a dict of named parameter
-`Tensor`s; the factories at the bottom build the standard cross-entropy
-objectives from a spec and a batch. `grad` runs one reverse pass,
-`grad_through_updates` differentiates through a chain of inner gradient
-descent updates (the higher-order bilevel path), and `finite_diff_grad` is
-the central-difference oracle used to certify both.
+`ParamVector` whose layout names each weight matrix and bias.
+
+Two engines compute gradients of the mean cross-entropy:
+
+- `MLPKernel` is a closed-form numpy forward and backward pass in buffers
+  it allocates once, optionally stacked over batches of one shape. Every
+  first-order path runs on it: pre-training, first-order MAML and
+  test-time adaptation.
+- The autodiff tape (`metalab.autodiff`) serves the higher-order bilevel
+  path and is the reference the kernel is tested against. Losses for it
+  are callables over a dict of named parameter `Tensor`s; `net_loss`
+  builds the standard cross-entropy objective from a spec and a batch.
+  `grad` runs one reverse pass, `grad_through_updates` differentiates
+  through a chain of inner gradient descent updates, and
+  `finite_diff_grad` is the central-difference oracle used to certify
+  both.
 
 All arithmetic is float64; finite-difference tolerances need the headroom.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -50,7 +60,7 @@ class ParamVector:
         flat = np.asarray(self.values, dtype=np.float64).ravel()
         object.__setattr__(self, "values", flat)
         object.__setattr__(self, "layout", tuple((n, tuple(s)) for n, s in self.layout))
-        total = sum(int(np.prod(s)) for _, s in self.layout)
+        total = sum(math.prod(s) for _, s in self.layout)
         if flat.size != total:
             raise ShapeError(
                 f"flat length {flat.size} does not match layout total {total}")
@@ -65,7 +75,7 @@ class ParamVector:
         out: dict[str, np.ndarray] = {}
         offset = 0
         for name, shape in self.layout:
-            size = int(np.prod(shape))
+            size = math.prod(shape)
             out[name] = self.values[offset:offset + size].reshape(shape).copy()
             offset += size
         return out
@@ -138,7 +148,7 @@ class NetSpec:
         return (f"W{i}", f"b{i}")
 
     def param_count(self) -> int:
-        return sum(int(np.prod(s)) for _, s in self.layout())
+        return sum(math.prod(s) for _, s in self.layout())
 
     def init(self, seed: int) -> ParamVector:
         """He-scaled normal weights, zero biases, from the "init" stream."""
@@ -219,6 +229,126 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     shift = logits.max(axis=1, keepdims=True)
     lse = shift[:, 0] + np.log(np.exp(logits - shift).sum(axis=1))
     return float(np.mean(lse - logits[np.arange(len(labels)), labels]))
+
+
+class MLPKernel:
+    """Mean cross-entropy of a relu MLP and its exact gradient, in reused buffers.
+
+    Built once per spec and input shape `(..., n, input_dim)`. Leading
+    axes, if any, stack independent batches of one shape (the episodes of
+    a meta-batch). The activation, logit and backprop buffers, each
+    `(..., n, width)`, are allocated here and refilled in place by every
+    `loss_and_grad` call, so a training loop allocates no large temporary
+    per step. A kernel holds no state between calls beyond those buffers.
+
+    The arithmetic is that of `net_loss` under `loss_and_grad`: the same
+    stabilized log-sum-exp, the rectifier as a multiplication by its 0/1
+    mask, and the mean as a sum times 1/n.
+    """
+
+    def __init__(self, spec: NetSpec, shape: tuple[int, ...]):
+        shape = tuple(int(s) for s in shape)
+        if len(shape) < 2 or shape[-1] != spec.input_dim:
+            raise ShapeError(
+                f"input shape {shape} does not end in input_dim {spec.input_dim}")
+        self.spec = spec
+        self.shape = shape
+        self._lead = shape[:-2]
+        rows = shape[:-1]
+        # (segment name, flat slice, segment shape) in layout order
+        self._segments = []
+        offset = 0
+        for name, seg_shape in spec.layout():
+            size = math.prod(seg_shape)
+            self._segments.append((name, slice(offset, offset + size), seg_shape))
+            offset += size
+        self.size = offset
+        # _out[i] holds layer i's output (rectified below the top, logits at
+        # the top); the backward pass overwrites it with its backprop signal
+        self._out = [np.empty((*rows, width)) for width in spec.dims[1:]]
+        self._mask = [np.empty((*rows, width)) for width in spec.dims[1:-1]]
+        self._shift = np.empty((*rows, 1))
+        self._sumexp = np.empty(rows)
+        # flat index of each row's first logit in the raveled logit buffer
+        self._row_start = np.arange(math.prod(rows)) * spec.output_dim
+
+    def loss_and_grad(self, flat: np.ndarray, inputs: np.ndarray,
+                      labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-batch mean cross-entropy and its gradient at `flat`.
+
+        `flat` is `(P,)`, shared by every stacked batch, or `(..., P)`, one
+        parameter vector per batch, in `spec.layout()` order. Returns the
+        loss with shape `...` (0-d when unstacked) and a freshly allocated
+        gradient `(..., P)`, never a view of a buffer. A non-finite loss or
+        gradient segment raises `NumericalError`.
+        """
+        spec = self.spec
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape[-1:] != (self.size,) or flat.shape[:-1] not in ((), self._lead):
+            raise ShapeError(
+                f"parameters of shape {flat.shape} do not fit {self.size} per batch "
+                f"over leading shape {self._lead}")
+        inputs = np.asarray(inputs, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
+        if inputs.shape != self.shape or labels.shape != self.shape[:-1]:
+            raise ShapeError(
+                f"inputs {inputs.shape} and labels {labels.shape} do not match the "
+                f"kernel's shape {self.shape}")
+        n = self.shape[-2]
+        if n == 0:
+            raise ValueError("cross_entropy of an empty batch is undefined")
+        if labels.min() < 0 or labels.max() >= spec.output_dim:
+            raise ValueError(
+                f"labels outside [0, {spec.output_dim}) for logits width {spec.output_dim}")
+        lead = flat.shape[:-1]
+        segs = [flat[..., part].reshape(*lead, *seg_shape)
+                for _, part, seg_shape in self._segments]
+        last = spec.num_layers - 1
+        h = inputs
+        for i in range(spec.num_layers):
+            out = self._out[i]
+            np.matmul(h, segs[2 * i], out=out)
+            np.add(out, segs[2 * i + 1][..., None, :], out=out)
+            if i < last:
+                np.greater(out, 0.0, out=self._mask[i])
+                np.multiply(out, self._mask[i], out=out)
+            h = out
+
+        logits = self._out[last]
+        raveled = logits.reshape(-1)
+        picks = self._row_start + labels.reshape(-1)
+        picked = raveled[picks].reshape(self.shape[:-1])
+        np.max(logits, axis=-1, keepdims=True, out=self._shift)
+        np.subtract(logits, self._shift, out=logits)
+        np.exp(logits, out=logits)
+        np.sum(logits, axis=-1, out=self._sumexp)
+        per_row = np.log(self._sumexp) + self._shift[..., 0] - picked
+        loss = per_row.sum(axis=-1) * (1.0 / n)
+        if not np.all(np.isfinite(loss)):
+            raise NumericalError("loss evaluated to a non-finite value")
+
+        # d loss / d logits = (softmax - onehot) / n, built in the logit buffer
+        signal = logits
+        np.divide(signal, self._sumexp[..., None], out=signal)
+        raveled[picks] -= 1.0
+        np.multiply(signal, 1.0 / n, out=signal)
+        grad = np.empty((*self._lead, self.size))
+        for i in range(last, -1, -1):
+            below = inputs if i == 0 else self._out[i - 1]
+            (_, w_part, w_shape), (_, b_part, _) = self._segments[2 * i:2 * i + 2]
+            np.matmul(np.swapaxes(below, -1, -2), signal,
+                      out=grad[..., w_part].reshape(*self._lead, *w_shape))
+            np.sum(signal, axis=-2, out=grad[..., b_part])
+            if i > 0:
+                # the activations below are spent: their buffer takes the signal
+                np.matmul(signal, np.swapaxes(segs[2 * i], -1, -2), out=below)
+                np.multiply(below, self._mask[i - 1], out=below)
+                signal = below
+        if not np.all(np.isfinite(grad)):
+            for name, part, _ in self._segments:
+                if not np.all(np.isfinite(grad[..., part])):
+                    raise NumericalError(f"non-finite gradient in segment {name}")
+        return loss, grad
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 The logistic head fit is checked against scipy's L-BFGS on the same convex
 objective (plain and L2-regularized) from a different starting point;
-adaptation against a manual numpy descent loop; and the episodic-vs-union
-pooled-loss inequality on random bodies, where it must hold for structural
-reasons.
+adaptation and first-order MAML against manual loops through the kernel and
+through the autodiff tape; and the episodic-vs-union pooled-loss inequality
+on random bodies, where it must hold for structural reasons.
 """
 
 import subprocess
@@ -22,6 +22,7 @@ from metalab.learners import (
     Model,
     TrainConfig,
     TrainingError,
+    _first_order_meta_gradients,
     _plateaued,
     adapt,
     episodic_vs_union_loss,
@@ -34,11 +35,13 @@ from metalab.learners import (
 from metalab.harness import low_diversity_preset
 from metalab.nets import (
     Batch,
+    MLPKernel,
     NetSpec,
     NumericalError,
     ParamVector,
     forward,
     loss_and_grad,
+    loss_and_grad_through_updates,
     net_loss,
 )
 from metalab.tasks import benchmark_from_sources, make_source, sample_task
@@ -260,12 +263,25 @@ def test_adapt_matches_manual_descent_bitwise():
     model = _tiny_model()
     _, task = _tiny_task()
     adapted = adapt(model, task.support, 4, 0.07)
-    loss_fn = net_loss(model.spec, task.support)
+    kernel = MLPKernel(model.spec, task.support.inputs.shape)
     params = model.params
     for _ in range(4):
-        _, g = loss_and_grad(loss_fn, params)
-        params = ParamVector(params.values - 0.07 * g.values, params.layout)
+        _, g = kernel.loss_and_grad(params.values, task.support.inputs, task.support.labels)
+        params = ParamVector(params.values - 0.07 * g, params.layout)
     assert np.array_equal(adapted.params.values, params.values)
+
+
+def test_adapt_matches_autodiff_descent():
+    model = _tiny_model(2)
+    _, task = _tiny_task(2)
+    adapted = adapt(model, task.support, 6, 0.1)
+    loss_fn = net_loss(model.spec, task.support)
+    params = model.params
+    for _ in range(6):
+        _, g = loss_and_grad(loss_fn, params)
+        params = ParamVector(params.values - 0.1 * g.values, params.layout)
+    assert np.abs(adapted.params.values - params.values).max() <= (
+        1e-12 * np.abs(params.values).max())
 
 
 def test_adapt_zero_steps_is_the_identity():
@@ -392,6 +408,94 @@ def test_divergent_runs_raise_training_error():
             train_maml(_bench(), TrainConfig(
                 method="fo_maml", hidden_dims=(8,), inner_lr=1e100, max_epochs=5,
                 meta_batch=1, n_way=3, k_shot=2, q_query=2))
+
+
+def test_first_order_meta_gradients_match_autodiff():
+    # The stacked kernel path against loss_and_grad_through_updates, one
+    # episode at a time, with and without inner steps; the outer gradient of
+    # FO-MAML is the query gradient at the adapted parameters.
+    spec = NetSpec(3, (8,), 3)
+    params = spec.init(4)
+    tasks = [sample_task(_bench(), "train", 3, 2, 4, (4, 1, j)) for j in range(5)]
+    kernels = tuple(MLPKernel(spec, (5, 3 * rows, 3)) for rows in (2, 4))
+    for steps in (0, 1, 3):
+        values, grads = _first_order_meta_gradients(kernels, params, tasks, steps, 0.3)
+        for task, value, g in zip(tasks, values, grads):
+            want_value, want = loss_and_grad_through_updates(
+                net_loss(spec, task.query), params, steps, 0.3,
+                inner_loss_fn=net_loss(spec, task.support), first_order=True)
+            assert abs(value - want_value) <= 1e-12 * abs(want_value)
+            assert np.abs(g - want.values).max() <= 1e-12 * np.abs(want.values).max()
+
+
+def test_fo_maml_training_matches_an_autodiff_loop():
+    # Episode draws, the episode-order sum and the outer step, end to end.
+    cfg = TrainConfig(method="fo_maml", hidden_dims=(8,), max_epochs=6, meta_batch=3,
+                      n_way=3, k_shot=2, q_query=3, seed=5)
+    bench = _bench()
+    got = train_maml(bench, cfg)
+    spec = got.model.spec
+    params = spec.init(cfg.seed)
+    curve = []
+    for epoch in range(1, cfg.max_epochs + 1):
+        grads = np.zeros_like(params.values)
+        total = 0.0
+        for j in range(cfg.meta_batch):
+            task = sample_task(bench, "train", 3, 2, 3, (cfg.seed, epoch, j))
+            value, g = loss_and_grad_through_updates(
+                net_loss(spec, task.query), params, cfg.inner_steps_train, cfg.inner_lr,
+                inner_loss_fn=net_loss(spec, task.support), first_order=True)
+            grads += g.values
+            total += value
+        params = ParamVector(params.values - cfg.outer_lr * grads / cfg.meta_batch,
+                             params.layout)
+        curve.append(total / cfg.meta_batch)
+    assert np.abs(got.model.params.values - params.values).max() <= (
+        1e-12 * np.abs(params.values).max())
+    np.testing.assert_allclose(got.loss_curve, curve, rtol=1e-12)
+
+
+def test_first_order_paths_never_run_the_tape(monkeypatch):
+    # Autodiff is the higher-order engine and the test oracle only. The
+    # counter is bound wherever `backward` is bound in a metalab module,
+    # since `nets` imports it by name.
+    import metalab.autodiff
+    from metalab.task2vec import build_probe, embed_task
+
+    original = metalab.autodiff.backward
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "metalab" or name.startswith("metalab."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counted)
+
+    bench = _bench()
+    model = _tiny_model()
+    _, task = _tiny_task()
+    small = dict(hidden_dims=(8,), max_epochs=3, meta_batch=2, n_way=3, k_shot=2,
+                 q_query=3, seed=1)
+    runs = {
+        "train_pt": lambda: train_pt(bench, TrainConfig(method="pt", **small)),
+        "fo train_maml": lambda: train_maml(bench, TrainConfig(method="fo_maml", **small)),
+        "adapt": lambda: adapt(model, task.support, 3, 0.1),
+        "meta_test maml_adapt": lambda: meta_test(model, "maml_adapt", [task], steps=2),
+        "meta_test pt_head_refit": lambda: meta_test(model, "pt_head_refit", [task]),
+        "fit_head": lambda: fit_head(model, task.support),
+        "embed_task": lambda: embed_task(
+            build_probe(bench, 0, config=TrainConfig(method="pt", **small)),
+            sample_task(bench, "train", 3, 2, 3, (0, 0))),
+    }
+    for label, run in runs.items():
+        run()
+        assert not calls, f"{label} ran autodiff.backward {len(calls)} times"
+    train_maml(bench, TrainConfig(method="ho_maml", **small))
+    assert calls
 
 
 def test_plateau_detector_window_semantics():

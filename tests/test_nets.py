@@ -2,8 +2,9 @@
 
 The forward pass is checked against nested pure-python loops, the loss
 against scipy's log_softmax, plain gradients against central differences,
-and the unrolled adaptation gradients against both closed forms (quadratic
-objective) and a manual numpy SGD loop.
+the closed-form kernel against the autodiff tape, and the unrolled
+adaptation gradients against both closed forms (quadratic objective) and a
+manual numpy SGD loop.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from metalab.autodiff import add, constant, exp, mul, tsum
 from metalab.nets import (
     Batch,
+    MLPKernel,
     NetSpec,
     NumericalError,
     ParamVector,
@@ -191,6 +193,98 @@ def test_finite_diff_grad_rejects_bad_step():
     params = _random_params(spec, 0)
     with pytest.raises(ValueError):
         finite_diff_grad(net_loss(spec, _random_batch(spec, 3, 1)), params, step=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form kernel against the autodiff oracle
+# ---------------------------------------------------------------------------
+
+
+def _assert_close_to_oracle(spec, flat, inputs, labels, value, g):
+    """Kernel value and gradient within 1e-12 of autodiff, relative to scale."""
+    params = ParamVector(flat, spec.layout())
+    want_value, want = loss_and_grad(net_loss(spec, Batch(inputs, labels)), params)
+    assert abs(float(value) - want_value) <= 1e-12 * abs(want_value)
+    assert np.abs(g - want.values).max() <= 1e-12 * np.abs(want.values).max()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kernel_matches_autodiff_value_and_gradient(seed):
+    # Random relu MLPs of depth 0-2; every fourth draw stacks three batches,
+    # alternating a shared parameter vector and one vector per batch.
+    gen = np.random.default_rng(seed)
+    spec = NetSpec(int(gen.integers(1, 6)),
+                   tuple(int(w) for w in gen.integers(1, 7, size=seed % 3)),
+                   int(gen.integers(2, 6)))
+    n = int(gen.integers(1, 9))
+    lead = (3,) if seed % 4 == 0 else ()
+    inputs = gen.normal(size=(*lead, n, spec.input_dim))
+    labels = gen.integers(0, spec.output_dim, size=(*lead, n))
+    shared = seed % 8 == 0
+    flat = gen.normal(0.0, 0.7, size=(() if shared else lead) + (spec.param_count(),))
+    value, g = MLPKernel(spec, inputs.shape).loss_and_grad(flat, inputs, labels)
+    assert value.shape == lead and g.shape == (*lead, spec.param_count())
+    if not lead:
+        _assert_close_to_oracle(spec, flat, inputs, labels, value, g)
+    for b in range(lead[0] if lead else 0):
+        _assert_close_to_oracle(spec, flat if shared else flat[b], inputs[b], labels[b],
+                                value[b], g[b])
+
+
+def test_kernel_reuses_buffers_but_returns_fresh_gradients():
+    spec = NetSpec(4, (6,), 3)
+    kernel = MLPKernel(spec, (10, 4))
+    first, second = _random_batch(spec, 10, 1), _random_batch(spec, 10, 2)
+    params = _random_params(spec, 3).values
+    v1, g1 = kernel.loss_and_grad(params, first.inputs, first.labels)
+    kept = g1.copy()
+    v2, g2 = kernel.loss_and_grad(params, second.inputs, second.labels)
+    assert np.array_equal(g1, kept) and not np.shares_memory(g1, g2)
+    _assert_close_to_oracle(spec, params, second.inputs, second.labels, v2, g2)
+    again, g3 = kernel.loss_and_grad(params, first.inputs, first.labels)
+    assert again == v1 and np.array_equal(g3, g1)
+
+
+def test_kernel_validates_shapes_and_labels():
+    spec = NetSpec(3, (4,), 2)
+    with pytest.raises(ShapeError):
+        MLPKernel(spec, (5, 4))
+    kernel = MLPKernel(spec, (2, 5, 3))
+    params = _random_params(spec, 0).values
+    inputs, labels = np.zeros((2, 5, 3)), np.zeros((2, 5), dtype=int)
+    with pytest.raises(ShapeError):
+        kernel.loss_and_grad(params[:-1], inputs, labels)
+    with pytest.raises(ShapeError):
+        kernel.loss_and_grad(np.stack([params] * 3), inputs, labels)
+    with pytest.raises(ShapeError):
+        kernel.loss_and_grad(params, inputs[0], labels[0])
+    with pytest.raises(ValueError):
+        kernel.loss_and_grad(params, inputs, labels + 2)
+    with pytest.raises(ValueError):
+        MLPKernel(spec, (0, 3)).loss_and_grad(params, np.zeros((0, 3)),
+                                              np.zeros(0, dtype=int))
+
+
+def test_kernel_flags_nonfinite_loss_and_gradient_like_autodiff():
+    spec = NetSpec(2, (2,), 3)
+    batch = Batch(np.ones((1, 2)), np.array([0]))
+    kernel = MLPKernel(spec, (1, 2))
+    overflow = ParamVector(np.full(spec.param_count(), 1e200), spec.layout())
+    # Both hidden units are held dead by their bias, so the logits are b1 and
+    # the loss is finite; the backprop signal (-1, 0.5, 0.5) against head
+    # rows of +-1.7e308 overflows, and inf * 0 = nan reaches W0 through the
+    # rectifier mask.
+    big = 1.7e308
+    dead = ParamVector(np.concatenate([np.ones(4), [-1e3, -1e3],
+                                       np.tile([-big, big, big], 2), [-1e3, 0.0, 0.0]]),
+                       spec.layout())
+    with np.errstate(over="ignore", invalid="ignore"):
+        for params, message in ((overflow, "non-finite value"),
+                                (dead, "non-finite gradient in segment W0")):
+            with pytest.raises(NumericalError, match=message):
+                kernel.loss_and_grad(params.values, batch.inputs, batch.labels)
+            with pytest.raises(NumericalError, match=message):
+                loss_and_grad(net_loss(spec, batch), params)
 
 
 # ---------------------------------------------------------------------------
