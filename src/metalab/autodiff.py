@@ -24,7 +24,7 @@ Conventions:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -379,10 +379,3 @@ def backward(out: Tensor, wrt: Sequence[Tensor]) -> list[Tensor]:
             held = cots.get(id(parent))
             cots[id(parent)] = pc if held is None else add(held, pc)
     return [cots.get(id(w), zeros_like(w)) for w in wrt]
-
-
-def value_and_grad(fn: Callable[..., Tensor], params: Iterable[Tensor]):
-    """Evaluate `fn(*params)` and return (value, cotangent list)."""
-    params = list(params)
-    out = fn(*params)
-    return out, backward(out, params)

@@ -11,7 +11,10 @@ Verbs:
   write ``reproduction.csv``; exits nonzero if any verifiable verdict
   disagrees.
 - ``report RUN_DIR...``: render saved run records into a report bundle.
-- ``diversity CONFIG``: just the benchmark-diversity stage of a config.
+- ``diversity CONFIG``: just the diversity stage of ``run``
+  (``harness.measure_diversity``); ``--meta-batch`` sets the number of
+  embedded tasks, and ``--out`` a directory for ``diversity.csv``, written
+  like the report's table.
 
 Flags: ``--seed`` (reseeds the whole experiment), ``--out``,
 ``--meta-batch``, ``--eval-steps`` (comma-separated). Exit code 0 on
@@ -144,35 +147,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_diversity(args: argparse.Namespace) -> int:
-    from metalab.learners import TrainConfig
-    from metalab.task2vec import build_probe, distance_histogram, diversity_coefficient
-
     config = _load_config(args.config, args)
     num_tasks = args.meta_batch if args.meta_batch is not None else config.diversity_tasks
     if num_tasks < 2:
         raise HarnessError("config", "diversity needs at least 2 tasks")
-    stage = "build-benchmark"
-    try:
+    with harness._stage("build-benchmark"):
         benchmark = config.benchmark.build()
-        stage = "probe"
-        probe_cfg = TrainConfig(method="pt", seed=config.diversity_seed,
-                                hidden_dims=config.probe_hidden_dims)
-        probe = build_probe(benchmark, config.diversity_seed,
-                            config=probe_cfg, method=config.probe_method)
-        stage = "diversity"
-        report = diversity_coefficient(
-            probe, benchmark, num_tasks, config.diversity_seed,
-            n_way=config.n_way, k_shot=config.k_shot, q_query=config.q_query)
-        histogram = None
-        if config.histogram_tasks >= 2:
-            histogram = distance_histogram(
-                probe, benchmark, config.histogram_tasks, config.histogram_bins,
-                config.diversity_seed, n_way=config.n_way,
-                k_shot=config.k_shot, q_query=config.q_query)
-    except HarnessError:
-        raise
-    except Exception as exc:
-        raise HarnessError(stage, str(exc)) from exc
+    with harness._stage("diversity"):
+        report, histogram = harness.measure_diversity(config, benchmark, num_tasks)
     print(f"diversity: {report.coefficient:.6f} +/- {report.ci95_halfwidth:.6f} "
           f"({report.num_tasks} tasks, {report.num_pairs} pairs)")
     print(f"probe: {report.probe_provenance}")
@@ -182,11 +164,7 @@ def _cmd_diversity(args: argparse.Namespace) -> int:
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "diversity.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("run,coefficient,ci95_halfwidth,num_tasks,num_pairs,probe\n")
-            fh.write(f"{config.name},{sig6(report.coefficient)},"
-                     f"{sig6(report.ci95_halfwidth)},{report.num_tasks},"
-                     f"{report.num_pairs},{report.probe_provenance}\n")
+        harness.write_diversity_table(out_dir / "diversity.csv", [(config.name, report)])
         print(f"table: {out_dir / 'diversity.csv'}")
     return 0
 

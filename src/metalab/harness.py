@@ -11,6 +11,13 @@ any number of records into decision tables, grouped summaries, histogram
 files, and a plain-text digest; `reproduce_decisions` replays the
 effect-size rule over externally reported tables and flags mismatches.
 
+The pipeline's stages, in order: persist (a run directory that already
+holds record.json is refused before any training), build-benchmark,
+train-pt, train-maml, meta-test, diversity (`measure_diversity`, which the
+CLI's diversity verb also runs), decide, persist (the record is written).
+Each runs under one guard that turns a failure into a HarnessError naming
+the stage.
+
 Configuration document (YAML) schema, with defaults:
 
     name: lowdiv-0         # required; also names the run directory
@@ -52,15 +59,18 @@ Persistence: one directory per run holding config.yaml, record.json (the
 authority; every reported number traces back to it), decisions.csv, and
 accuracies.csv. Records are append-only: saving over an existing
 record.json raises. Re-running the same config reproduces record.json
-byte-for-byte except the wall_clock_seconds field.
+byte-for-byte except the wall_clock_seconds field. Both documents are
+derived from the dataclass fields: config.yaml lists keys in field order,
+record.json sorts them.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
-import math
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -71,19 +81,16 @@ import yaml
 from metalab import stats
 from metalab.learners import (
     EvalResult,
-    Model,
     TrainConfig,
-    TrainResult,
     meta_test,
     model_l2_norm,
     train_maml,
     train_pt,
 )
-from metalab.stats import Decision, SampleStats, decide_ci, decide_es, sig6
+from metalab.stats import Decision, decide_ci, decide_es, sig6
 from metalab.task2vec import (
     DistanceHistogram,
     DiversityReport,
-    Probe,
     build_probe,
     distance_histogram,
     diversity_coefficient,
@@ -105,9 +112,11 @@ __all__ = [
     "RunRecord",
     "ReproducedDecision",
     "run_comparison",
+    "measure_diversity",
     "run_suite",
     "reproduce_decisions",
     "write_reproduction_table",
+    "write_diversity_table",
     "emit_report",
     "low_diversity_preset",
     "high_diversity_preset",
@@ -129,6 +138,48 @@ class HarnessError(RuntimeError):
 # ---------------------------------------------------------------------------
 # configuration
 # ---------------------------------------------------------------------------
+
+
+def _plain(value):
+    """`value` as JSON/YAML data, the one serialized form of every record.
+
+    Dataclasses become dicts in field order, mappings dicts in sorted key
+    order, tuples, lists and arrays lists, numpy scalars Python numbers.
+    """
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in dataclasses.fields(value)}
+    if isinstance(value, Mapping):
+        return {k: _plain(value[k]) for k in sorted(value)}
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+def _from_plain(cls, d: Mapping, where: str, **convert):
+    """Rebuild dataclass `cls` from its `_plain` form.
+
+    Keys must be field names, and every field without a default must be
+    present. `convert` maps a field name to the function that turns its
+    plain value back into the field's type; other values pass unchanged.
+    """
+    fields = dataclasses.fields(cls)
+    unknown = set(d) - {f.name for f in fields}
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+    missing = [f.name for f in fields if f.name not in d
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ValueError(f"{where} needs {missing}")
+    return cls(**{k: convert[k](v) if k in convert else v for k, v in d.items()})
+
+
+def _or_empty(overrides: Mapping | None) -> Mapping:
+    """A YAML `pt:` or `maml:` key with no value means no overrides."""
+    return {} if overrides is None else overrides
 
 
 @dataclass(frozen=True)
@@ -158,37 +209,24 @@ class SourceSpec:
         return src
 
     def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "input_dim": self.input_dim,
-            "mean_scale": self.mean_scale,
-            "class_spread": self.class_spread,
-            "seed": self.seed,
-            "offset": list(self.offset) if self.offset is not None else None,
-            "name": self.name,
-        }
+        return _plain(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SourceSpec":
-        _check_keys(d, {"num_classes", "input_dim", "mean_scale", "class_spread",
-                        "seed", "offset", "name"}, "benchmark source")
-        return cls(
-            num_classes=int(d["num_classes"]),
-            input_dim=int(d["input_dim"]),
-            mean_scale=float(d["mean_scale"]),
-            class_spread=float(d["class_spread"]),
-            seed=None if d.get("seed") is None else int(d["seed"]),
-            offset=None if d.get("offset") is None else tuple(d["offset"]),
-            name=d.get("name"),
-        )
+        return _from_plain(cls, d, "benchmark source", num_classes=int,
+                           input_dim=int, mean_scale=float, class_spread=float,
+                           seed=lambda v: None if v is None else int(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BenchmarkSpec:
-    """Recipe for a benchmark: sources plus a seed for unseeded ones."""
+    """Recipe for a benchmark: sources plus a seed for unseeded ones.
 
-    sources: tuple[SourceSpec, ...]
+    Fields are declared in the order config.yaml lists them.
+    """
+
     seed: int = 0
+    sources: tuple[SourceSpec, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
@@ -201,32 +239,25 @@ class BenchmarkSpec:
         return benchmark_from_sources(built)
 
     def to_dict(self) -> dict:
-        return {"seed": self.seed, "sources": [s.to_dict() for s in self.sources]}
+        return _plain(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "BenchmarkSpec":
-        _check_keys(d, {"seed", "sources"}, "benchmark")
-        return cls(sources=tuple(SourceSpec.from_dict(s) for s in d["sources"]),
-                   seed=int(d.get("seed", 0)))
+        return _from_plain(cls, d, "benchmark", seed=int, sources=lambda ss: tuple(
+            SourceSpec.from_dict(s) for s in ss))
 
 
-def _check_keys(d: Mapping, allowed: set[str], where: str) -> None:
-    unknown = set(d) - allowed
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """Everything one comparison run needs; round-trips through YAML.
 
     The three specific seeds default to the root `seed`; distinct RNG
     streams keep init, training episodes, meta-test episodes, and
     diversity episodes independent even when all three share one value.
+    Fields are declared in the order config.yaml lists them.
     """
 
     name: str
-    benchmark: BenchmarkSpec
     regime: str = "all"
     seed: int = 0
     init_seed: int | None = None
@@ -246,6 +277,7 @@ class ExperimentConfig:
     histogram_bins: int = 20
     pt: Mapping = field(default_factory=dict)
     maml: Mapping = field(default_factory=dict)
+    benchmark: BenchmarkSpec
 
     def __post_init__(self):
         if not self.name:
@@ -285,49 +317,12 @@ class ExperimentConfig:
                            k_shot=self.k_shot, q_query=self.q_query, **self.maml)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "regime": self.regime,
-            "seed": self.seed,
-            "init_seed": self.init_seed,
-            "task_seed": self.task_seed,
-            "diversity_seed": self.diversity_seed,
-            "maml_order": self.maml_order,
-            "hidden_dims": list(self.hidden_dims),
-            "n_way": self.n_way,
-            "k_shot": self.k_shot,
-            "q_query": self.q_query,
-            "meta_batch": self.meta_batch,
-            "eval_steps": list(self.eval_steps),
-            "diversity_tasks": self.diversity_tasks,
-            "probe_method": self.probe_method,
-            "probe_hidden_dims": list(self.probe_hidden_dims),
-            "histogram_tasks": self.histogram_tasks,
-            "histogram_bins": self.histogram_bins,
-            "pt": {k: self.pt[k] for k in sorted(self.pt)},
-            "maml": {k: self.maml[k] for k in sorted(self.maml)},
-            "benchmark": self.benchmark.to_dict(),
-        }
+        return _plain(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "ExperimentConfig":
-        allowed = {"name", "regime", "seed", "init_seed", "task_seed",
-                   "diversity_seed", "maml_order", "hidden_dims", "n_way",
-                   "k_shot", "q_query", "meta_batch", "eval_steps",
-                   "diversity_tasks", "probe_method", "probe_hidden_dims",
-                   "histogram_tasks", "histogram_bins", "pt", "maml", "benchmark"}
-        _check_keys(d, allowed, "config")
-        if "name" not in d or "benchmark" not in d:
-            raise ValueError("config needs at least 'name' and 'benchmark'")
-        kwargs = dict(d)
-        kwargs["benchmark"] = BenchmarkSpec.from_dict(d["benchmark"])
-        for key in ("hidden_dims", "probe_hidden_dims", "eval_steps"):
-            if key in kwargs and kwargs[key] is not None:
-                kwargs[key] = tuple(kwargs[key])
-        for key in ("pt", "maml"):
-            if kwargs.get(key) is None:
-                kwargs[key] = {}
-        return cls(**kwargs)
+        return _from_plain(cls, d, "config", benchmark=BenchmarkSpec.from_dict,
+                           pt=_or_empty, maml=_or_empty)
 
     @classmethod
     def from_yaml(cls, path: str | Path) -> "ExperimentConfig":
@@ -381,94 +376,25 @@ class RunRecord:
         return ("pt",) + tuple(f"maml{s}" for s in self.config.eval_steps)
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "status": self.status,
-            "task_ids": list(self.task_ids),
-            "evals": {
-                k: {
-                    "per_task_accuracy": list(v.per_task_accuracy),
-                    "mean": v.mean,
-                    "ci95_halfwidth": v.ci95_halfwidth,
-                    "meta_batch": v.meta_batch,
-                }
-                for k, v in sorted(self.evals.items())
-            },
-            "loss_curves": {k: list(v) for k, v in sorted(self.loss_curves.items())},
-            "epochs_run": dict(sorted(self.epochs_run.items())),
-            "converged": dict(sorted(self.converged.items())),
-            "l2_norms": dict(sorted(self.l2_norms.items())),
-            "diversity": None if self.diversity is None else {
-                "coefficient": self.diversity.coefficient,
-                "ci95_halfwidth": self.diversity.ci95_halfwidth,
-                "num_tasks": self.diversity.num_tasks,
-                "num_pairs": self.diversity.num_pairs,
-                "probe_provenance": self.diversity.probe_provenance,
-            },
-            "histogram": None if self.histogram is None else {
-                "bin_edges": list(self.histogram.bin_edges),
-                "counts": {k: [int(c) for c in v]
-                           for k, v in sorted(self.histogram.counts.items())},
-                "partition_means": dict(sorted(self.histogram.partition_means.items())),
-                "distances": {k: list(map(float, v))
-                              for k, v in sorted(self.histogram.distances.items())},
-                "num_tasks": self.histogram.num_tasks,
-                "num_pairs": self.histogram.num_pairs,
-            },
-            "decisions": [
-                {
-                    "verdict": d.verdict,
-                    "effect_size": d.effect_size,
-                    "delta": d.delta,
-                    "maml_variant": d.maml_variant,
-                    "rule": d.rule,
-                }
-                for d in self.decisions
-            ],
-            "decision_ids": list(self.decision_ids),
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
+        return _plain(self)
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "RunRecord":
-        return cls(
-            config=ExperimentConfig.from_dict(d["config"]),
-            status=d["status"],
-            task_ids=tuple(d["task_ids"]),
-            evals={
-                k: EvalResult(per_task_accuracy=tuple(v["per_task_accuracy"]),
-                              mean=v["mean"], ci95_halfwidth=v["ci95_halfwidth"],
-                              meta_batch=v["meta_batch"])
-                for k, v in d["evals"].items()
-            },
-            loss_curves={k: tuple(v) for k, v in d["loss_curves"].items()},
-            epochs_run=dict(d["epochs_run"]),
-            converged=dict(d["converged"]),
-            l2_norms=dict(d["l2_norms"]),
-            diversity=None if d["diversity"] is None else DiversityReport(
-                coefficient=d["diversity"]["coefficient"],
-                ci95_halfwidth=d["diversity"]["ci95_halfwidth"],
-                num_tasks=d["diversity"]["num_tasks"],
-                num_pairs=d["diversity"]["num_pairs"],
-                probe_provenance=d["diversity"]["probe_provenance"]),
-            histogram=None if d["histogram"] is None else DistanceHistogram(
-                bin_edges=np.asarray(d["histogram"]["bin_edges"]),
-                counts={k: np.asarray(v, dtype=np.int64)
-                        for k, v in d["histogram"]["counts"].items()},
-                partition_means=dict(d["histogram"]["partition_means"]),
-                distances={k: np.asarray(v)
-                           for k, v in d["histogram"]["distances"].items()},
-                num_tasks=d["histogram"]["num_tasks"],
-                num_pairs=d["histogram"]["num_pairs"]),
-            decisions=tuple(
-                Decision(verdict=x["verdict"], effect_size=x["effect_size"],
-                         delta=x["delta"], maml_variant=x["maml_variant"],
-                         rule=x["rule"])
-                for x in d["decisions"]
-            ),
-            decision_ids=tuple(d["decision_ids"]),
-            wall_clock_seconds=d["wall_clock_seconds"],
-        )
+        return _from_plain(
+            cls, d, "record", config=ExperimentConfig.from_dict,
+            task_ids=tuple, decision_ids=tuple,
+            evals=lambda m: {k: _from_plain(EvalResult, v, "eval")
+                             for k, v in m.items()},
+            loss_curves=lambda m: {k: tuple(v) for k, v in m.items()},
+            diversity=lambda v: None if v is None else _from_plain(
+                DiversityReport, v, "diversity"),
+            histogram=lambda v: None if v is None else _from_plain(
+                DistanceHistogram, v, "histogram", bin_edges=np.asarray,
+                counts=lambda m: {k: np.asarray(c, dtype=np.int64)
+                                  for k, c in m.items()},
+                distances=lambda m: {k: np.asarray(x) for k, x in m.items()}),
+            decisions=lambda xs: tuple(_from_plain(Decision, x, "decision")
+                                       for x in xs))
 
     def save(self, run_dir: str | Path) -> Path:
         """Persist config.yaml, record.json, and the per-run tables.
@@ -478,9 +404,7 @@ class RunRecord:
         """
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
-        record_path = run_dir / "record.json"
-        if record_path.exists():
-            raise FileExistsError(f"{record_path} already written (append-only)")
+        record_path = _new_record_path(run_dir)
         self.config.to_yaml(run_dir / "config.yaml")
         stats.write_decision_table(
             run_dir / "decisions.csv",
@@ -504,6 +428,14 @@ class RunRecord:
             return cls.from_dict(json.load(fh))
 
 
+def _new_record_path(run_dir: Path) -> Path:
+    """run_dir/record.json, refused if it exists: records are append-only."""
+    path = run_dir / "record.json"
+    if path.exists():
+        raise FileExistsError(f"{path} already written (append-only)")
+    return path
+
+
 # ---------------------------------------------------------------------------
 # the comparison pipeline
 # ---------------------------------------------------------------------------
@@ -513,54 +445,58 @@ def _variant_label(steps: int) -> str:
     return f"maml{steps}"
 
 
+@contextmanager
+def _stage(name: str, run_dir: Path | None = None):
+    """Run one pipeline stage; any exception becomes HarnessError(name, ...).
+
+    With a `run_dir`, a failed.json marker naming the stage and the error
+    is written there first.
+    """
+    try:
+        yield
+    except Exception as exc:
+        if run_dir is not None:
+            marker = {"status": "failed", "stage": name, "error": str(exc)}
+            with open(run_dir / "failed.json", "w", encoding="utf-8") as fh:
+                json.dump(marker, fh, sort_keys=True, indent=1)
+                fh.write("\n")
+        raise HarnessError(name, str(exc)) from exc
+
+
 def run_comparison(config: ExperimentConfig,
                    out_dir: str | Path | None = None) -> RunRecord:
     """Train both methods, evaluate on shared episodes, decide, persist.
 
-    Stages run in order: build-benchmark, train-pt, train-maml, meta-test,
-    diversity, decide, persist. A failure raises HarnessError naming the
-    stage; when `out_dir` is given, a failed.json marker with the stage
-    name is left there and partial artifacts are retained.
+    Stages run in order: persist (with `out_dir` only: refuse a directory
+    that already holds a record.json, before any training), build-benchmark,
+    train-pt, train-maml, meta-test, diversity, decide, persist. A failure
+    raises HarnessError naming the stage; when `out_dir` is given, a
+    failed.json marker with the stage name is left there and partial
+    artifacts are retained.
     """
     t0 = time.perf_counter()
     run_dir = None
     if out_dir is not None:
         run_dir = Path(out_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
+        with _stage("persist", run_dir):
+            _new_record_path(run_dir)
 
-    def fail(stage: str, exc: Exception) -> HarnessError:
-        if run_dir is not None:
-            marker = {"status": "failed", "stage": stage, "error": str(exc)}
-            with open(run_dir / "failed.json", "w", encoding="utf-8") as fh:
-                json.dump(marker, fh, sort_keys=True, indent=1)
-                fh.write("\n")
-        return HarnessError(stage, str(exc))
-
-    stage = "build-benchmark"
-    try:
+    with _stage("build-benchmark", run_dir):
         benchmark = config.benchmark.build()
         if len(benchmark.split_pool("test")) < config.n_way:
             raise ValueError(
                 f"test pool has {len(benchmark.split_pool('test'))} classes, "
                 f"fewer than n_way={config.n_way}")
-    except Exception as exc:
-        raise fail(stage, exc) from exc
 
-    stage = "train-pt"
-    try:
+    with _stage("train-pt", run_dir):
         pt_result = train_pt(benchmark, config.pt_config())
-    except Exception as exc:
-        raise fail(stage, exc) from exc
 
-    stage = "train-maml"
-    try:
+    with _stage("train-maml", run_dir):
         maml_cfg = config.maml_config()
         maml_result = train_maml(benchmark, maml_cfg)
-    except Exception as exc:
-        raise fail(stage, exc) from exc
 
-    stage = "meta-test"
-    try:
+    with _stage("meta-test", run_dir):
         tasks = [sample_task(benchmark, "test", config.n_way, config.k_shot,
                              config.q_query, (config.task_seed, i))
                  for i in range(config.meta_batch)]
@@ -571,34 +507,11 @@ def run_comparison(config: ExperimentConfig,
             evals[_variant_label(steps)] = meta_test(
                 maml_result.model, "maml_adapt", tasks,
                 steps=steps, lr=maml_cfg.inner_lr)
-    except Exception as exc:
-        raise fail(stage, exc) from exc
 
-    stage = "diversity"
-    diversity = None
-    histogram = None
-    try:
-        if config.diversity_tasks >= 2 or config.histogram_tasks >= 2:
-            probe_cfg = TrainConfig(method="pt", seed=config.diversity_seed,
-                                    hidden_dims=config.probe_hidden_dims)
-            probe = build_probe(benchmark, config.diversity_seed,
-                                config=probe_cfg, method=config.probe_method)
-            if config.diversity_tasks >= 2:
-                diversity = diversity_coefficient(
-                    probe, benchmark, config.diversity_tasks,
-                    config.diversity_seed, n_way=config.n_way,
-                    k_shot=config.k_shot, q_query=config.q_query)
-            if config.histogram_tasks >= 2:
-                histogram = distance_histogram(
-                    probe, benchmark, config.histogram_tasks,
-                    config.histogram_bins, config.diversity_seed,
-                    n_way=config.n_way, k_shot=config.k_shot,
-                    q_query=config.q_query)
-    except Exception as exc:
-        raise fail(stage, exc) from exc
+    with _stage("diversity", run_dir):
+        diversity, histogram = measure_diversity(config, benchmark)
 
-    stage = "decide"
-    try:
+    with _stage("decide", run_dir):
         pt_accs = evals["pt"].per_task_accuracy
         decisions: list[Decision] = []
         decision_ids: list[str] = []
@@ -615,8 +528,6 @@ def run_comparison(config: ExperimentConfig,
             ):
                 decisions.append(decision)
                 decision_ids.append(f"{label}/{rule_name}")
-    except Exception as exc:
-        raise fail(stage, exc) from exc
 
     record = RunRecord(
         config=config,
@@ -635,13 +546,40 @@ def run_comparison(config: ExperimentConfig,
         wall_clock_seconds=time.perf_counter() - t0,
     )
 
-    stage = "persist"
-    try:
-        if run_dir is not None:
+    if run_dir is not None:
+        with _stage("persist", run_dir):
             record.save(run_dir)
-    except Exception as exc:
-        raise fail(stage, exc) from exc
     return record
+
+
+def measure_diversity(config: ExperimentConfig, benchmark: Benchmark,
+                      num_tasks: int | None = None,
+                      ) -> tuple[DiversityReport | None, DistanceHistogram | None]:
+    """The diversity stage: one frozen probe, the coefficient, the histogram.
+
+    `num_tasks` (default `config.diversity_tasks`) episodes are embedded
+    for the coefficient and `config.histogram_tasks` source-pure ones for
+    the histogram; a count below 2 skips that result (None), and the probe
+    is built only if one of them runs. Everything draws from
+    `config.diversity_seed`.
+    """
+    if num_tasks is None:
+        num_tasks = config.diversity_tasks
+    if num_tasks < 2 and config.histogram_tasks < 2:
+        return None, None
+    seed = config.diversity_seed
+    probe_cfg = TrainConfig(method="pt", seed=seed,
+                            hidden_dims=config.probe_hidden_dims)
+    probe = build_probe(benchmark, seed, config=probe_cfg,
+                        method=config.probe_method)
+    episode = dict(n_way=config.n_way, k_shot=config.k_shot, q_query=config.q_query)
+    diversity = histogram = None
+    if num_tasks >= 2:
+        diversity = diversity_coefficient(probe, benchmark, num_tasks, seed, **episode)
+    if config.histogram_tasks >= 2:
+        histogram = distance_histogram(probe, benchmark, config.histogram_tasks,
+                                       config.histogram_bins, seed, **episode)
+    return diversity, histogram
 
 
 def run_suite(configs: Sequence[ExperimentConfig],
@@ -760,12 +698,23 @@ def _mean_ci(values: Sequence[float]) -> tuple[float | None, float | None]:
     mean = float(np.mean(values))
     if len(values) < 2:
         return mean, None
-    half = float(1.96 * np.std(values, ddof=1) / math.sqrt(len(values)))
-    return mean, half
+    return mean, stats.ci95_halfwidth(values)
 
 
 def _fmt(x: float | None, na: str = "no-data") -> str:
     return na if x is None else sig6(x)
+
+
+def write_diversity_table(path: str | Path,
+                          rows: Iterable[tuple[str, DiversityReport]]) -> None:
+    """Emit (run name, diversity report) rows as UTF-8 CSV."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["run", "coefficient", "ci95_halfwidth",
+                         "num_tasks", "num_pairs", "probe"])
+        for name, dv in rows:
+            writer.writerow([name, sig6(dv.coefficient), sig6(dv.ci95_halfwidth),
+                             dv.num_tasks, dv.num_pairs, dv.probe_provenance])
 
 
 def emit_report(records: Sequence[RunRecord], out_dir: str | Path) -> Path:
@@ -801,17 +750,9 @@ def emit_report(records: Sequence[RunRecord], out_dir: str | Path) -> Path:
                 writer.writerow([rec.config.name, label, sig6(ev.mean),
                                  sig6(ev.ci95_halfwidth), ev.meta_batch])
 
-    with open(out_dir / "diversity.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "coefficient", "ci95_halfwidth",
-                         "num_tasks", "num_pairs", "probe"])
-        for rec in records:
-            if rec.diversity is None:
-                continue
-            dv = rec.diversity
-            writer.writerow([rec.config.name, sig6(dv.coefficient),
-                             sig6(dv.ci95_halfwidth), dv.num_tasks,
-                             dv.num_pairs, dv.probe_provenance])
+    write_diversity_table(out_dir / "diversity.csv",
+                          [(rec.config.name, rec.diversity) for rec in records
+                           if rec.diversity is not None])
 
     with open(out_dir / "norms.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)

@@ -58,6 +58,7 @@ from metalab.nets import (
     loss_and_grad_through_updates,
     net_loss,
 )
+from metalab.stats import ci95_halfwidth
 from metalab.tasks import Benchmark, FewShotTask, sample_task, union_dataset
 
 PLATEAU_WINDOW = 20
@@ -182,9 +183,7 @@ class EvalResult:
         accs = tuple(float(a) for a in accs)
         n = len(accs)
         mean = float(np.mean(accs))
-        half = 0.0
-        if n >= 2:
-            half = float(1.96 * np.std(accs, ddof=1) / np.sqrt(n))
+        half = ci95_halfwidth(accs) if n >= 2 else 0.0
         return cls(per_task_accuracy=accs, mean=mean, ci95_halfwidth=half, meta_batch=n)
 
 

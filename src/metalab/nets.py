@@ -80,12 +80,6 @@ class ParamVector:
             offset += size
         return out
 
-    def segment(self, name: str) -> np.ndarray:
-        for key, value in self.segments().items():
-            if key == name:
-                return value
-        raise KeyError(name)
-
     @classmethod
     def from_segments(cls, layout: Layout, segments: Mapping[str, np.ndarray]) -> "ParamVector":
         parts = []
@@ -95,11 +89,6 @@ class ParamVector:
                 raise ShapeError(f"segment {name}: expected shape {shape}, got {arr.shape}")
             parts.append(arr.ravel())
         return cls(np.concatenate(parts) if parts else np.zeros(0), layout)
-
-    def replace_segments(self, updates: Mapping[str, np.ndarray]) -> "ParamVector":
-        segs = self.segments()
-        segs.update({k: np.asarray(v, dtype=np.float64) for k, v in updates.items()})
-        return ParamVector.from_segments(self.layout, segs)
 
 
 @dataclass(frozen=True)

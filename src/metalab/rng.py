@@ -13,10 +13,12 @@ stream's generator is numpy's counter-based Philox engine seeded with
 (tag, indices) pairs give statistically independent streams; identical
 pairs give identical streams on every platform numpy supports.
 
-Tags in use: "source-means" (class mean clouds), "episode" (task
-sampling), "union-data" (flat dataset sampling), "init" (parameter
-initialization), "probe" (probe training data), "embed" (embedding task
-draws), "body" (random fixed bodies in property tests).
+Tags the package draws: "source-means" (class mean clouds, `tasks`),
+"episode" (every few-shot episode, for training, meta-test, diversity
+and histogram alike, keyed by a seed and an index, `tasks.sample_task`),
+"union-data" (flat pre-training datasets, `tasks.union_dataset`) and
+"init" (parameter initialization, including a random probe's body,
+`nets.NetSpec.init`).
 """
 
 from __future__ import annotations

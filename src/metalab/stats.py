@@ -17,6 +17,7 @@ deviations (n-1 denominators), not the spread of element-wise differences.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -27,6 +28,8 @@ H0 = "H0_no_diff"
 H1_PT = "H1_pt"
 H1_MAML = "H1_maml"
 VERDICTS = (H0, H1_PT, H1_MAML)
+
+Z95 = 1.96  # two-sided 95% normal quantile behind every CI in the package
 
 
 class DegenerateSampleError(ValueError):
@@ -56,8 +59,8 @@ class SampleStats:
 
     @classmethod
     def from_ci_halfwidth(cls, mean: float, halfwidth: float, n: int) -> "SampleStats":
-        """Invert mean +/- 1.96 sd / sqrt(n) back to the sample sd."""
-        return cls(n=n, mean=mean, sd=float(halfwidth * np.sqrt(n) / 1.96))
+        """Invert mean +/- Z95 sd / sqrt(n) back to the sample sd."""
+        return cls(n=n, mean=mean, sd=float(halfwidth * np.sqrt(n) / Z95))
 
 
 @dataclass(frozen=True)
@@ -140,14 +143,26 @@ def decide_es(a: Sequence[float], b: Sequence[float],
                     delta=delta, maml_variant=maml_variant, rule="es")
 
 
+def ci95_halfwidth(values: Sequence[float]) -> float:
+    """Normal-approximation 95% half-width Z95 * sd / sqrt(n).
+
+    sd has the n-1 denominator, so n >= 2 is required; callers decide
+    what a shorter sample means for them before calling.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size < 2:
+        raise ValueError("a CI half-width needs n >= 2")
+    return float(Z95 * arr.std(ddof=1) / math.sqrt(arr.size))
+
+
 def confidence_interval(a: Sequence[float], level: float = 0.95) -> tuple[float, float]:
-    """Normal-approximation interval mean +/- 1.96 sd / sqrt(n)."""
+    """Normal-approximation interval mean +/- Z95 sd / sqrt(n)."""
     if level != 0.95:
-        raise ValueError("only the 95% level (z = 1.96) is supported")
+        raise ValueError(f"only the 95% level (z = {Z95}) is supported")
     arr = np.asarray(a, dtype=np.float64)
     if arr.size < 2:
         raise ValueError("a confidence interval needs n >= 2")
-    half = 1.96 * arr.std(ddof=1) / np.sqrt(arr.size)
+    half = ci95_halfwidth(arr)
     return float(arr.mean() - half), float(arr.mean() + half)
 
 

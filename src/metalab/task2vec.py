@@ -34,6 +34,7 @@ import numpy as np
 
 from metalab.learners import Model, TrainConfig, fit_head, train_pt
 from metalab.nets import Batch, softmax
+from metalab.stats import ci95_halfwidth
 from metalab.tasks import Benchmark, FewShotTask, sample_task
 
 
@@ -237,9 +238,7 @@ def diversity_coefficient(probe: Probe, benchmark: Benchmark, num_tasks: int,
              for i in range(num_tasks)]
     embeddings = [embed_task(probe, t) for t in tasks]
     dists = np.array([d for _, _, d in _pairwise_distances(embeddings)])
-    half = 0.0
-    if dists.size >= 2:
-        half = float(1.96 * np.std(dists, ddof=1) / np.sqrt(dists.size))
+    half = ci95_halfwidth(dists) if dists.size >= 2 else 0.0
     return DiversityReport(coefficient=float(dists.mean()),
                            ci95_halfwidth=half,
                            num_tasks=num_tasks, num_pairs=int(dists.size),

@@ -3,8 +3,10 @@
 A `Source` is a cloud of isotropic Gaussian class-conditionals (one mean
 per class, shared spread). A `Benchmark` is a list of sources under one
 contiguous global label space, partitioned into train/validation/test class
-pools; `union` concatenates benchmarks label-table-and-all, which is how
-the high-diversity presets are built (several sources translated apart).
+pools. `benchmark_from_sources` assembles one, splitting each source on its
+own; the high-diversity presets are built that way from several sources
+translated apart. `union` concatenates finished benchmarks
+label-table-and-all.
 Episodes are n-way k-shot `FewShotTask`s with support and query batches
 relabeled 0..n_way-1.
 
@@ -136,9 +138,6 @@ class Benchmark:
         if split not in self.splits:
             raise ValueError(f"unknown split {split!r}")
         return self.splits[split]
-
-    def global_label(self, source_index: int, local_class: int) -> int:
-        return self.class_table.index((source_index, local_class))
 
     def class_mean(self, global_class: int) -> np.ndarray:
         si, ci = self.class_table[global_class]

@@ -310,15 +310,3 @@ def test_first_order_truncation_via_detach():
     outer = ad.tsum(cur * cur) * 0.5
     (gp,) = ad.backward(outer, [p])
     np.testing.assert_allclose(gp.data, (1 - eta) * p.data, rtol=1e-12)
-
-
-def test_value_and_grad_wrapper():
-    def fn(a, b):
-        return ad.tsum(a * b) + ad.tsum(a)
-
-    a = ad.leaf(np.array([1.0, 2.0]))
-    b = ad.leaf(np.array([3.0, 4.0]))
-    val, (ga, gb) = ad.value_and_grad(fn, [a, b])
-    assert val.item() == pytest.approx(11.0 + 3.0)
-    np.testing.assert_array_equal(ga.data, b.data + 1.0)
-    np.testing.assert_array_equal(gb.data, a.data)

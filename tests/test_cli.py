@@ -192,6 +192,21 @@ def test_diversity_verb_prints_and_writes_table(tmp_path, capsys):
     assert float(rows[0]["coefficient"]) > 0
 
 
+def test_diversity_table_keeps_a_pt_probe_provenance_in_one_cell(tmp_path, capsys):
+    # "pt(seed=0, classes=10, epochs=...)" holds commas; the table must quote it
+    cfg_path = _write_yaml(tmp_path, _tiny_config(probe_method="pt"))
+    out = tmp_path / "div"
+    assert main(["diversity", str(cfg_path), "--out", str(out)]) == 0
+    printed = [line.removeprefix("probe: ")
+               for line in capsys.readouterr().out.splitlines()
+               if line.startswith("probe: ")]
+    with open(out / "diversity.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert printed[0].startswith("pt(seed=0, ")
+    assert rows[0]["probe"] == printed[0]
+    assert None not in rows[0]  # no overflow columns
+
+
 def test_diversity_verb_rejects_single_task(tmp_path, capsys):
     cfg_path = _write_yaml(tmp_path, _tiny_config())
     assert main(["diversity", str(cfg_path), "--meta-batch", "1"]) == 1

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from metalab import harness
 from metalab.harness import (
     BenchmarkSpec,
     ExperimentConfig,
@@ -23,6 +24,8 @@ from metalab.harness import (
     write_reproduction_table,
 )
 from metalab.tasks import make_source
+
+GOLDEN = Path(__file__).parent / "data" / "golden_tiny"
 
 
 def _tiny_config(name: str = "tiny", **overrides) -> ExperimentConfig:
@@ -196,6 +199,20 @@ def test_record_save_load_round_trip(tiny_record, tmp_path):
         tiny_record.save(run_dir)  # append-only
 
 
+def test_saved_files_reproduce_the_golden_bytes(tmp_path):
+    # The golden run directory was written by `save` for `_tiny_config()`:
+    # reloading and saving again must give the same bytes (key order,
+    # int/float rendering, nulls).
+    loaded = RunRecord.load(GOLDEN)
+    assert loaded.config == _tiny_config()
+    loaded.save(tmp_path / "again")
+    names = ("record.json", "config.yaml", "decisions.csv", "accuracies.csv")
+    for name in names:
+        assert (tmp_path / "again" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    ExperimentConfig.from_yaml(GOLDEN / "config.yaml").to_yaml(tmp_path / "config.yaml")
+    assert (tmp_path / "config.yaml").read_bytes() == (GOLDEN / "config.yaml").read_bytes()
+
+
 def test_failed_stage_leaves_a_marker(tmp_path):
     # n_way larger than the single source's 2-class test pool
     bad = _tiny_config(name="bad", n_way=5, k_shot=1, q_query=1)
@@ -217,6 +234,22 @@ def test_persist_failure_is_its_own_stage(tiny_record, tmp_path):
         run_comparison(_tiny_config(), out_dir=out)
     assert err.value.stage == "persist"
     assert json.loads((out / "failed.json").read_text())["stage"] == "persist"
+
+
+def test_duplicate_run_is_refused_before_training(tiny_record, tmp_path, monkeypatch):
+    out = tmp_path / "dup"
+    tiny_record.save(out)
+    written = (out / "record.json").read_bytes()
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained into a directory that already holds a record")
+
+    monkeypatch.setattr(harness, "train_pt", no_training)
+    with pytest.raises(HarnessError) as err:
+        run_comparison(_tiny_config(), out_dir=out)
+    assert err.value.stage == "persist"
+    assert "already written" in err.value.message
+    assert (out / "record.json").read_bytes() == written
 
 
 def test_run_suite_demands_unique_names_and_writes_run_dirs(tmp_path):

@@ -1,6 +1,7 @@
 """Effect sizes, thresholds, decision rules and summaries, on hand values."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from metalab.stats import (
     Decision,
     DegenerateSampleError,
     SampleStats,
+    ci95_halfwidth,
     ci_overlap,
     cohens_d,
     cohens_d_from_stats,
@@ -105,6 +107,15 @@ def test_confidence_interval_hand_value_and_validation():
         confidence_interval([0.0, 1.0], level=0.99)
     with pytest.raises(ValueError):
         confidence_interval([0.5])
+    with pytest.raises(ValueError):
+        ci95_halfwidth([0.5])
+
+
+@given(a=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_ci95_halfwidth_is_bitwise_the_formula_each_caller_spelled_out(a):
+    assert ci95_halfwidth(a) == float(1.96 * np.std(a, ddof=1) / np.sqrt(len(a)))
+    assert ci95_halfwidth(a) == float(1.96 * np.std(a, ddof=1) / math.sqrt(len(a)))
 
 
 # ---------------------------------------------------------------------------

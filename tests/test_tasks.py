@@ -106,7 +106,7 @@ def test_benchmark_structure_and_lookups():
     assert bench.input_dim == 4
     assert bench.class_table[:3] == ((0, 0), (0, 1), (0, 2))
     assert bench.class_table[10] == (1, 0)  # b starts after a's 10 classes
-    assert bench.global_label(1, 3) == 13
+    assert bench.class_table[13] == (1, 3)
     assert np.array_equal(bench.class_mean(13), b.class_means[3])
     assert bench.class_spread_of(13) == 0.5
     assert bench.source_of(13) == 1
