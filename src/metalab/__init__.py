@@ -10,9 +10,10 @@ confidence-interval decision rules.
 Module map:
 
 - ``autodiff``: reverse-mode engine over numpy arrays with second-order
-  support (gradients of gradients).
-- ``nets``: parameter layouts, MLP forward pass, cross-entropy, gradient
-  entry points including differentiation through inner-loop updates.
+  support (gradients of gradients); the test oracle.
+- ``nets``: parameter layouts, MLP forward pass, cross-entropy, the numpy
+  gradient and Hessian-vector kernel, and the tape-based oracle entry
+  points including differentiation through inner-loop updates.
 - ``rng``: the named, splittable random-stream scheme used everywhere.
 - ``tasks``: synthetic Gaussian sources, benchmark unions, episode sampling.
 - ``learners``: MAML / pre-training loops, adaptation, head refits,

@@ -13,8 +13,9 @@ Verbs:
 - ``report RUN_DIR...``: render saved run records into a report bundle.
 - ``diversity CONFIG``: just the diversity stage of ``run``
   (``harness.measure_diversity``); ``--meta-batch`` sets the number of
-  embedded tasks, and ``--out`` a directory for ``diversity.csv``, written
-  like the report's table.
+  embedded tasks (and not the config's meta-test ``meta_batch``), and
+  ``--out`` a directory for ``diversity.csv``, written like the report's
+  table.
 
 Flags: ``--seed`` (reseeds the whole experiment), ``--out``,
 ``--meta-batch``, ``--eval-steps`` (comma-separated). Exit code 0 on
@@ -27,6 +28,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+
+import yaml
 
 from metalab import harness
 from metalab.harness import ExperimentConfig, HarnessError, RunRecord
@@ -46,7 +49,7 @@ def _parse_steps(text: str) -> tuple[int, ...]:
 def _load_config(path: str, args: argparse.Namespace) -> ExperimentConfig:
     try:
         config = ExperimentConfig.from_yaml(path)
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, yaml.YAMLError) as exc:
         raise HarnessError("config", f"{path}: {exc}") from exc
     return _apply_overrides(config, args)
 
@@ -148,7 +151,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_diversity(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args)
-    num_tasks = args.meta_batch if args.meta_batch is not None else config.diversity_tasks
+    num_tasks = args.num_tasks if args.num_tasks is not None else config.diversity_tasks
     if num_tasks < 2:
         raise HarnessError("config", "diversity needs at least 2 tasks")
     with harness._stage("build-benchmark"):
@@ -210,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     div.add_argument("config")
     div.add_argument("--out", default=None)
     div.add_argument("--seed", type=int, default=None)
-    div.add_argument("--meta-batch", type=int, default=None, dest="meta_batch",
+    # its own dest, so the config's meta-test `meta_batch` is left alone
+    div.add_argument("--meta-batch", type=int, default=None, dest="num_tasks",
                      help="override the number of embedded tasks")
     div.set_defaults(func=_cmd_diversity)
     return parser

@@ -470,16 +470,17 @@ def run_comparison(config: ExperimentConfig,
     Stages run in order: persist (with `out_dir` only: refuse a directory
     that already holds a record.json, before any training), build-benchmark,
     train-pt, train-maml, meta-test, diversity, decide, persist. A failure
-    raises HarnessError naming the stage; when `out_dir` is given, a
-    failed.json marker with the stage name is left there and partial
-    artifacts are retained.
+    raises HarnessError naming the stage. When `out_dir` is given, a
+    failure after the early check leaves a failed.json marker with the
+    stage name there and keeps partial artifacts. A directory refused by the
+    early check is left untouched, so its record.json gets no marker.
     """
     t0 = time.perf_counter()
     run_dir = None
     if out_dir is not None:
         run_dir = Path(out_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
-        with _stage("persist", run_dir):
+        with _stage("persist"):  # no marker: a refused directory keeps its record
             _new_record_path(run_dir)
 
     with _stage("build-benchmark", run_dir):

@@ -14,14 +14,14 @@ models take a few full-parameter descent steps on the support set
 (`adapt`). Training is deliberately plain (fixed-rate gradient descent,
 windowed-plateau stop) so runs are reproducible to the bit.
 
-Gradients come from two engines. Every first-order path runs on the
-closed-form numpy kernel `nets.MLPKernel`, built once per call with its
-buffers: `train_pt` (one full-batch call per epoch), first-order
-`train_maml` (each meta-batch stacked into `(B, n, d)` arrays, so the
-inner steps and the query gradient are one call each) and `adapt`, hence
-`meta_test`. The head refit and `episodic_vs_union_loss` use their own
-closed-form Newton solve. Only higher-order `train_maml` runs the autodiff
-tape, through `nets.loss_and_grad_through_updates`, one episode at a time.
+Every gradient runs on the closed-form numpy kernel `nets.MLPKernel`,
+built once per call with its buffers: `train_pt` (one full-batch call per
+epoch), `train_maml` (each meta-batch stacked into `(B, n, d)` arrays, so
+each inner step and the query gradient are one call each, and the
+higher-order meta-gradient is a reverse sweep of `MLPKernel.hvp` calls)
+and `adapt`, hence `meta_test`. The head refit and `episodic_vs_union_loss`
+use their own closed-form Newton solve. No path here runs the autodiff
+tape; it is the oracle the tests check these paths against.
 
 The head refit is the L2-penalized logistic-regression head of Tian et
 al. 2020 ("Rethinking Few-Shot Image Classification", arXiv 2003.11539):
@@ -55,8 +55,6 @@ from metalab.nets import (
     ParamVector,
     cross_entropy,
     forward,
-    loss_and_grad_through_updates,
-    net_loss,
 )
 from metalab.stats import ci95_halfwidth
 from metalab.tasks import Benchmark, FewShotTask, sample_task, union_dataset
@@ -245,14 +243,13 @@ def train_maml(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
     """
     if config.method not in ("fo_maml", "ho_maml"):
         raise ValueError(f"train_maml requires a maml method, got {config.method!r}")
-    first_order = config.method == "fo_maml"
+    meta_gradients = (_first_order_meta_gradients if config.method == "fo_maml"
+                      else _higher_order_meta_gradients)
     spec = NetSpec(benchmark.input_dim, config.hidden_dims, config.n_way)
     params = spec.init(config.seed)
-    kernels = None
-    if first_order:
-        kernels = tuple(
-            MLPKernel(spec, (config.meta_batch, config.n_way * rows, benchmark.input_dim))
-            for rows in (config.k_shot, config.q_query))
+    kernels = tuple(
+        MLPKernel(spec, (config.meta_batch, config.n_way * rows, benchmark.input_dim))
+        for rows in (config.k_shot, config.q_query))
     curve: list[float] = []
     converged = False
     epoch = 0
@@ -261,12 +258,8 @@ def train_maml(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
                              config.q_query, (config.seed, epoch, j))
                  for j in range(config.meta_batch)]
         try:
-            if first_order:
-                values, per_task = _first_order_meta_gradients(
-                    kernels, params, tasks, config.inner_steps_train, config.inner_lr)
-            else:
-                values, per_task = _higher_order_meta_gradients(
-                    spec, params, tasks, config.inner_steps_train, config.inner_lr)
+            values, per_task = meta_gradients(
+                kernels, params, tasks, config.inner_steps_train, config.inner_lr)
         except NumericalError as err:
             raise TrainingError(
                 f"meta-training diverged at epoch {epoch}: {err}") from err
@@ -286,6 +279,12 @@ def train_maml(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
                        epochs_run=epoch, converged=converged)
 
 
+def _stacked(tasks: Sequence[FewShotTask], part: str) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs `(B, n, d)` and labels `(B, n)` of each episode's support or query."""
+    batches = [getattr(t, part) for t in tasks]
+    return np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches])
+
+
 def _first_order_meta_gradients(kernels: tuple[MLPKernel, MLPKernel], params: ParamVector,
                                 tasks: Sequence[FewShotTask], steps: int,
                                 lr: float) -> tuple[np.ndarray, np.ndarray]:
@@ -298,29 +297,47 @@ def _first_order_meta_gradients(kernels: tuple[MLPKernel, MLPKernel], params: Pa
     each step, since the stacked iterates never become `ParamVector`s.
     """
     support_kernel, query_kernel = kernels
-    inputs = np.stack([t.support.inputs for t in tasks])
-    labels = np.stack([t.support.labels for t in tasks])
+    inputs, labels = _stacked(tasks, "support")
     adapted = params.values
     for _ in range(steps):
         _, g = support_kernel.loss_and_grad(adapted, inputs, labels)
         adapted = adapted - lr * g
-    return query_kernel.loss_and_grad(
-        adapted, np.stack([t.query.inputs for t in tasks]),
-        np.stack([t.query.labels for t in tasks]))
+    return query_kernel.loss_and_grad(adapted, *_stacked(tasks, "query"))
 
 
-def _higher_order_meta_gradients(spec: NetSpec, params: ParamVector,
+def _higher_order_meta_gradients(kernels: tuple[MLPKernel, MLPKernel], params: ParamVector,
                                  tasks: Sequence[FewShotTask], steps: int,
-                                 lr: float) -> tuple[list[float], np.ndarray]:
-    """Query losses and meta-gradients `(B, P)` through the inner updates, per episode."""
-    values, grads = [], []
-    for task in tasks:
-        value, g = loss_and_grad_through_updates(
-            net_loss(spec, task.query), params, steps, lr,
-            inner_loss_fn=net_loss(spec, task.support), first_order=False)
-        values.append(value)
-        grads.append(g.values)
-    return values, np.stack(grads)
+                                 lr: float) -> tuple[np.ndarray, np.ndarray]:
+    """Query losses `(B,)` and meta-gradients `(B, P)` through the inner updates.
+
+    With support loss S, query loss Q and iterates
+    theta_{k+1} = theta_k - lr * grad S(theta_k) from theta_0 = `params`,
+    the chain rule through the K inner steps is a reverse sweep of
+    Hessian-vector products with the support Hessian H_S (MAML: Finn et
+    al. 2017, arXiv 1703.03400):
+
+        v_K = grad Q(theta_K),
+        v_k = v_{k+1} - lr * H_S(theta_k) v_{k+1}   for k = K-1, ..., 0,
+
+    and the meta-gradient is v_0. Episodes are stacked as in the
+    first-order path: the inner steps keep every iterate (`params`, then
+    one `(B, P)` array per step), and each sweep step is one
+    `MLPKernel.hvp` call. The kernels check every loss,
+    gradient and product for finiteness; a non-finite meta-gradient left
+    by the sweep raises `NumericalError` too.
+    """
+    support_kernel, query_kernel = kernels
+    inputs, labels = _stacked(tasks, "support")
+    iterates = [params.values]
+    for _ in range(steps):
+        _, g = support_kernel.loss_and_grad(iterates[-1], inputs, labels)
+        iterates.append(iterates[-1] - lr * g)
+    values, v = query_kernel.loss_and_grad(iterates.pop(), *_stacked(tasks, "query"))
+    for theta in reversed(iterates):
+        v = v - lr * support_kernel.hvp(theta, v, inputs, labels)
+    if not np.all(np.isfinite(v)):
+        raise NumericalError("non-finite meta-gradient after the Hessian-vector sweep")
+    return values, v
 
 
 def adapt(model: Model, support: Batch, steps: int, lr: float) -> Model:

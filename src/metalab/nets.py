@@ -3,20 +3,20 @@
 A network is described by a `NetSpec` (dims and nonlinearity) and a flat
 `ParamVector` whose layout names each weight matrix and bias.
 
-Two engines compute gradients of the mean cross-entropy:
+Gradients of the mean cross-entropy come from `MLPKernel`, a closed-form
+numpy forward and backward pass in buffers it allocates once, optionally
+stacked over batches of one shape. Its `hvp` multiplies the Hessian by a
+vector in one more forward and backward pass (Pearlmutter's R-operator).
+Every training and evaluation path runs on it: pre-training, first- and
+higher-order MAML and test-time adaptation.
 
-- `MLPKernel` is a closed-form numpy forward and backward pass in buffers
-  it allocates once, optionally stacked over batches of one shape. Every
-  first-order path runs on it: pre-training, first-order MAML and
-  test-time adaptation.
-- The autodiff tape (`metalab.autodiff`) serves the higher-order bilevel
-  path and is the reference the kernel is tested against. Losses for it
-  are callables over a dict of named parameter `Tensor`s; `net_loss`
-  builds the standard cross-entropy objective from a spec and a batch.
-  `grad` runs one reverse pass, `grad_through_updates` differentiates
-  through a chain of inner gradient descent updates, and
-  `finite_diff_grad` is the central-difference oracle used to certify
-  both.
+The autodiff tape (`metalab.autodiff`) is the oracle the kernel is tested
+against, and demo 01 shows it. Losses for it are callables over a dict of
+named parameter `Tensor`s; `net_loss` builds the standard cross-entropy
+objective from a spec and a batch. `grad` runs one reverse pass,
+`grad_through_updates` differentiates through a chain of inner gradient
+descent updates, and `finite_diff_grad` is the central-difference oracle
+used to certify both. No library path calls them.
 
 All arithmetic is float64; finite-difference tolerances need the headroom.
 """
@@ -221,14 +221,15 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 class MLPKernel:
-    """Mean cross-entropy of a relu MLP and its exact gradient, in reused buffers.
+    """Mean cross-entropy of a relu MLP, its gradient and Hessian-vector products.
 
     Built once per spec and input shape `(..., n, input_dim)`. Leading
     axes, if any, stack independent batches of one shape (the episodes of
     a meta-batch). The activation, logit and backprop buffers, each
-    `(..., n, width)`, are allocated here and refilled in place by every
-    `loss_and_grad` call, so a training loop allocates no large temporary
-    per step. A kernel holds no state between calls beyond those buffers.
+    `(..., n, width)`, and their R-operator twins are allocated here and
+    refilled in place by every `loss_and_grad` and `hvp` call, so a
+    training loop allocates no large temporary per step. A kernel holds no
+    state between calls beyond those buffers.
 
     The arithmetic is that of `net_loss` under `loss_and_grad`: the same
     stabilized log-sum-exp, the rectifier as a multiplication by its 0/1
@@ -255,11 +256,99 @@ class MLPKernel:
         # _out[i] holds layer i's output (rectified below the top, logits at
         # the top); the backward pass overwrites it with its backprop signal
         self._out = [np.empty((*rows, width)) for width in spec.dims[1:]]
+        # the R-operator's twins of _out: R(z), then R(delta), for `hvp`
+        self._rout = [np.empty((*rows, width)) for width in spec.dims[1:]]
         self._mask = [np.empty((*rows, width)) for width in spec.dims[1:-1]]
         self._shift = np.empty((*rows, 1))
         self._sumexp = np.empty(rows)
         # flat index of each row's first logit in the raveled logit buffer
         self._row_start = np.arange(math.prod(rows)) * spec.output_dim
+
+    def _checked_flat(self, flat: np.ndarray) -> np.ndarray:
+        """`flat` as float64, `(P,)` or one `(P,)` per stacked batch."""
+        flat = np.asarray(flat, dtype=np.float64)
+        if flat.shape[-1:] != (self.size,) or flat.shape[:-1] not in ((), self._lead):
+            raise ShapeError(
+                f"parameters of shape {flat.shape} do not fit {self.size} per batch "
+                f"over leading shape {self._lead}")
+        return flat
+
+    def _checked(self, flat: np.ndarray, inputs: np.ndarray,
+                 labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`flat`, `inputs` and `labels` as float64/int64 arrays, shapes checked."""
+        flat = self._checked_flat(flat)
+        inputs = np.asarray(inputs, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
+        if inputs.shape != self.shape or labels.shape != self.shape[:-1]:
+            raise ShapeError(
+                f"inputs {inputs.shape} and labels {labels.shape} do not match the "
+                f"kernel's shape {self.shape}")
+        if self.shape[-2] == 0:
+            raise ValueError("cross_entropy of an empty batch is undefined")
+        if labels.min() < 0 or labels.max() >= self.spec.output_dim:
+            raise ValueError(
+                f"labels outside [0, {self.spec.output_dim}) for logits width "
+                f"{self.spec.output_dim}")
+        return flat, inputs, labels
+
+    def _segments_of(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of each layout segment of `flat` (`(P,)` or `(..., P)`)."""
+        lead = flat.shape[:-1]
+        return [flat[..., part].reshape(*lead, *seg_shape)
+                for _, part, seg_shape in self._segments]
+
+    def _layer_views(self, out: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Layer i's weight and bias blocks of a `(..., P)` output, as views."""
+        (_, w_part, w_shape), (_, b_part, _) = self._segments[2 * i:2 * i + 2]
+        return out[..., w_part].reshape(*self._lead, *w_shape), out[..., b_part]
+
+    def _forward(self, segs: list[np.ndarray], inputs: np.ndarray,
+                 labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-batch loss; leaves the softmax in the logit buffer.
+
+        Returns the loss and the flat indices of the true-class logits in
+        the raveled logit buffer. Raises `NumericalError` on a non-finite
+        loss.
+        """
+        last = self.spec.num_layers - 1
+        h = inputs
+        for i in range(self.spec.num_layers):
+            out = self._out[i]
+            np.matmul(h, segs[2 * i], out=out)
+            np.add(out, segs[2 * i + 1][..., None, :], out=out)
+            if i < last:
+                np.greater(out, 0.0, out=self._mask[i])
+                np.multiply(out, self._mask[i], out=out)
+            h = out
+
+        logits = self._out[last]
+        picks = self._row_start + labels.reshape(-1)
+        picked = logits.reshape(-1)[picks].reshape(self.shape[:-1])
+        np.max(logits, axis=-1, keepdims=True, out=self._shift)
+        np.subtract(logits, self._shift, out=logits)
+        np.exp(logits, out=logits)
+        np.sum(logits, axis=-1, out=self._sumexp)
+        per_row = np.log(self._sumexp) + self._shift[..., 0] - picked
+        loss = per_row.sum(axis=-1) * (1.0 / self.shape[-2])
+        if not np.all(np.isfinite(loss)):
+            raise NumericalError("loss evaluated to a non-finite value")
+        np.divide(logits, self._sumexp[..., None], out=logits)
+        return loss, picks
+
+    def _logit_signal(self, picks: np.ndarray) -> np.ndarray:
+        """d loss / d logits = (softmax - onehot) / n, built in the logit buffer."""
+        signal = self._out[-1]
+        signal.reshape(-1)[picks] -= 1.0
+        np.multiply(signal, 1.0 / self.shape[-2], out=signal)
+        return signal
+
+    def _checked_output(self, out: np.ndarray, what: str) -> np.ndarray:
+        """`out`, or `NumericalError` naming its first non-finite segment."""
+        if not np.all(np.isfinite(out)):
+            for name, part, _ in self._segments:
+                if not np.all(np.isfinite(out[..., part])):
+                    raise NumericalError(f"non-finite {what} in segment {name}")
+        return out
 
     def loss_and_grad(self, flat: np.ndarray, inputs: np.ndarray,
                       labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -271,74 +360,85 @@ class MLPKernel:
         gradient `(..., P)`, never a view of a buffer. A non-finite loss or
         gradient segment raises `NumericalError`.
         """
-        spec = self.spec
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape[-1:] != (self.size,) or flat.shape[:-1] not in ((), self._lead):
-            raise ShapeError(
-                f"parameters of shape {flat.shape} do not fit {self.size} per batch "
-                f"over leading shape {self._lead}")
-        inputs = np.asarray(inputs, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
-        if inputs.shape != self.shape or labels.shape != self.shape[:-1]:
-            raise ShapeError(
-                f"inputs {inputs.shape} and labels {labels.shape} do not match the "
-                f"kernel's shape {self.shape}")
-        n = self.shape[-2]
-        if n == 0:
-            raise ValueError("cross_entropy of an empty batch is undefined")
-        if labels.min() < 0 or labels.max() >= spec.output_dim:
-            raise ValueError(
-                f"labels outside [0, {spec.output_dim}) for logits width {spec.output_dim}")
-        lead = flat.shape[:-1]
-        segs = [flat[..., part].reshape(*lead, *seg_shape)
-                for _, part, seg_shape in self._segments]
-        last = spec.num_layers - 1
-        h = inputs
-        for i in range(spec.num_layers):
-            out = self._out[i]
-            np.matmul(h, segs[2 * i], out=out)
-            np.add(out, segs[2 * i + 1][..., None, :], out=out)
-            if i < last:
-                np.greater(out, 0.0, out=self._mask[i])
-                np.multiply(out, self._mask[i], out=out)
-            h = out
-
-        logits = self._out[last]
-        raveled = logits.reshape(-1)
-        picks = self._row_start + labels.reshape(-1)
-        picked = raveled[picks].reshape(self.shape[:-1])
-        np.max(logits, axis=-1, keepdims=True, out=self._shift)
-        np.subtract(logits, self._shift, out=logits)
-        np.exp(logits, out=logits)
-        np.sum(logits, axis=-1, out=self._sumexp)
-        per_row = np.log(self._sumexp) + self._shift[..., 0] - picked
-        loss = per_row.sum(axis=-1) * (1.0 / n)
-        if not np.all(np.isfinite(loss)):
-            raise NumericalError("loss evaluated to a non-finite value")
-
-        # d loss / d logits = (softmax - onehot) / n, built in the logit buffer
-        signal = logits
-        np.divide(signal, self._sumexp[..., None], out=signal)
-        raveled[picks] -= 1.0
-        np.multiply(signal, 1.0 / n, out=signal)
+        flat, inputs, labels = self._checked(flat, inputs, labels)
+        segs = self._segments_of(flat)
+        loss, picks = self._forward(segs, inputs, labels)
+        signal = self._logit_signal(picks)
+        last = self.spec.num_layers - 1
         grad = np.empty((*self._lead, self.size))
         for i in range(last, -1, -1):
             below = inputs if i == 0 else self._out[i - 1]
-            (_, w_part, w_shape), (_, b_part, _) = self._segments[2 * i:2 * i + 2]
-            np.matmul(np.swapaxes(below, -1, -2), signal,
-                      out=grad[..., w_part].reshape(*self._lead, *w_shape))
-            np.sum(signal, axis=-2, out=grad[..., b_part])
+            w_grad, b_grad = self._layer_views(grad, i)
+            np.matmul(np.swapaxes(below, -1, -2), signal, out=w_grad)
+            np.sum(signal, axis=-2, out=b_grad)
             if i > 0:
                 # the activations below are spent: their buffer takes the signal
                 np.matmul(signal, np.swapaxes(segs[2 * i], -1, -2), out=below)
                 np.multiply(below, self._mask[i - 1], out=below)
                 signal = below
-        if not np.all(np.isfinite(grad)):
-            for name, part, _ in self._segments:
-                if not np.all(np.isfinite(grad[..., part])):
-                    raise NumericalError(f"non-finite gradient in segment {name}")
-        return loss, grad
+        return loss, self._checked_output(grad, "gradient")
 
+    def hvp(self, flat: np.ndarray, vec: np.ndarray, inputs: np.ndarray,
+            labels: np.ndarray) -> np.ndarray:
+        """Hessian of the per-batch mean cross-entropy at `flat`, times `vec`.
+
+        Pearlmutter's R-operator ("Fast Exact Multiplication by the
+        Hessian", Neural Computation 1994): one forward pass carries
+        R(z) = d z(flat + r vec)/dr at r = 0 next to each pre-activation z,
+        and one backward pass carries R(delta) next to each backprop signal
+        delta. The rectifier contributes only its 0/1 mask, so the terms
+        are the softmax curvature at the logits,
+        R(delta_top) = p * (R(z) - <p, R(z)>) / n, and the bilinear terms
+        of each layer, R(a)^T delta + a^T R(delta) for the weights and
+        (R(delta) W^T + delta V^T) * mask for the signal below, with V the
+        weight segment of `vec`. The result is exact, not a difference.
+
+        `flat` and `vec` are each `(P,)` or `(..., P)` as in
+        `loss_and_grad`. Returns a freshly allocated `(..., P)` array; a
+        non-finite loss or product segment raises `NumericalError`.
+        """
+        flat, inputs, labels = self._checked(flat, inputs, labels)
+        vec = self._checked_flat(vec)
+        segs = self._segments_of(flat)
+        dirs = self._segments_of(vec)
+        _, picks = self._forward(segs, inputs, labels)
+        last = self.spec.num_layers - 1
+        # R pass: _rout[i] holds R(z_i), then R(a_{i+1}) = R(z_i) * mask below the top
+        below = inputs
+        for i in range(self.spec.num_layers):
+            r_out = self._rout[i]
+            np.matmul(below, dirs[2 * i], out=r_out)
+            np.add(r_out, dirs[2 * i + 1][..., None, :], out=r_out)
+            if i > 0:
+                r_out += self._rout[i - 1] @ segs[2 * i]
+            if i < last:
+                np.multiply(r_out, self._mask[i], out=r_out)
+            below = self._out[i]
+
+        # the softmax curvature turns R(logits) into R(delta_top)
+        probs = self._out[last]
+        r_signal = self._rout[last]
+        r_signal -= np.sum(probs * r_signal, axis=-1, keepdims=True)
+        r_signal *= probs
+        r_signal *= 1.0 / self.shape[-2]
+        signal = self._logit_signal(picks)
+        out = np.empty((*self._lead, self.size))
+        for i in range(last, -1, -1):
+            below = inputs if i == 0 else self._out[i - 1]
+            w_out, b_out = self._layer_views(out, i)
+            np.matmul(np.swapaxes(below, -1, -2), r_signal, out=w_out)
+            np.sum(r_signal, axis=-2, out=b_out)
+            if i > 0:
+                r_below = self._rout[i - 1]
+                w_out += np.swapaxes(r_below, -1, -2) @ signal
+                # R(a) and a below are spent: their buffers take R(delta) and delta
+                np.matmul(r_signal, np.swapaxes(segs[2 * i], -1, -2), out=r_below)
+                r_below += signal @ np.swapaxes(dirs[2 * i], -1, -2)
+                np.multiply(r_below, self._mask[i - 1], out=r_below)
+                np.matmul(signal, np.swapaxes(segs[2 * i], -1, -2), out=below)
+                np.multiply(below, self._mask[i - 1], out=below)
+                signal, r_signal = below, r_below
+        return self._checked_output(out, "Hessian-vector product")
 
 # ---------------------------------------------------------------------------
 # differentiable path

@@ -87,6 +87,13 @@ def test_run_missing_config_fails_at_config_stage(tmp_path, capsys):
     assert "failed at stage 'config'" in capsys.readouterr().err
 
 
+def test_run_malformed_yaml_fails_at_config_stage(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("benchmark: [unclosed\n", encoding="utf-8")
+    assert main(["run", str(bad), "--out", str(tmp_path / "runs")]) == 1
+    assert "failed at stage 'config'" in capsys.readouterr().err
+
+
 def test_run_reports_failing_stage(tmp_path, capsys):
     bad = _tiny_config(name="bad", n_way=5, k_shot=1, q_query=1)
     cfg_path = _write_yaml(tmp_path, bad)
@@ -210,7 +217,8 @@ def test_diversity_table_keeps_a_pt_probe_provenance_in_one_cell(tmp_path, capsy
 def test_diversity_verb_rejects_single_task(tmp_path, capsys):
     cfg_path = _write_yaml(tmp_path, _tiny_config())
     assert main(["diversity", str(cfg_path), "--meta-batch", "1"]) == 1
-    assert "failed at stage 'config'" in capsys.readouterr().err
+    assert ("failed at stage 'config': diversity needs at least 2 tasks"
+            in capsys.readouterr().err)
 
 
 def test_console_entry_point_runs_in_a_subprocess(tmp_path):

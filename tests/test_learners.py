@@ -2,14 +2,15 @@
 
 The logistic head fit is checked against scipy's L-BFGS on the same convex
 objective (plain and L2-regularized) from a different starting point;
-adaptation and first-order MAML against manual loops through the kernel and
-through the autodiff tape; and the episodic-vs-union pooled-loss inequality
-on random bodies, where it must hold for structural reasons.
+adaptation and first- and higher-order MAML against manual loops through the
+kernel and through the autodiff tape; and the episodic-vs-union pooled-loss
+inequality on random bodies, where it must hold for structural reasons.
 """
 
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from metalab.learners import (
     TrainConfig,
     TrainingError,
     _first_order_meta_gradients,
+    _higher_order_meta_gradients,
     _plateaued,
     adapt,
     episodic_vs_union_loss,
@@ -408,56 +410,97 @@ def test_divergent_runs_raise_training_error():
             train_maml(_bench(), TrainConfig(
                 method="fo_maml", hidden_dims=(8,), inner_lr=1e100, max_epochs=5,
                 meta_batch=1, n_way=3, k_shot=2, q_query=2))
+        with pytest.raises(TrainingError, match="at epoch 1"):
+            train_maml(_bench(), TrainConfig(
+                method="ho_maml", hidden_dims=(8,), inner_lr=1e100, max_epochs=5,
+                meta_batch=1, n_way=3, k_shot=2, q_query=2))
 
 
-def test_first_order_meta_gradients_match_autodiff():
+def _assert_meta_gradients_match_autodiff(meta_gradients, first_order: bool):
     # The stacked kernel path against loss_and_grad_through_updates, one
-    # episode at a time, with and without inner steps; the outer gradient of
-    # FO-MAML is the query gradient at the adapted parameters.
+    # episode at a time, with and without inner steps.
     spec = NetSpec(3, (8,), 3)
     params = spec.init(4)
     tasks = [sample_task(_bench(), "train", 3, 2, 4, (4, 1, j)) for j in range(5)]
     kernels = tuple(MLPKernel(spec, (5, 3 * rows, 3)) for rows in (2, 4))
     for steps in (0, 1, 3):
-        values, grads = _first_order_meta_gradients(kernels, params, tasks, steps, 0.3)
+        values, grads = meta_gradients(kernels, params, tasks, steps, 0.3)
+        assert values.shape == (5,) and grads.shape == (5, spec.param_count())
         for task, value, g in zip(tasks, values, grads):
             want_value, want = loss_and_grad_through_updates(
                 net_loss(spec, task.query), params, steps, 0.3,
-                inner_loss_fn=net_loss(spec, task.support), first_order=True)
+                inner_loss_fn=net_loss(spec, task.support), first_order=first_order)
             assert abs(value - want_value) <= 1e-12 * abs(want_value)
             assert np.abs(g - want.values).max() <= 1e-12 * np.abs(want.values).max()
 
 
-def test_fo_maml_training_matches_an_autodiff_loop():
-    # Episode draws, the episode-order sum and the outer step, end to end.
-    cfg = TrainConfig(method="fo_maml", hidden_dims=(8,), max_epochs=6, meta_batch=3,
-                      n_way=3, k_shot=2, q_query=3, seed=5)
-    bench = _bench()
-    got = train_maml(bench, cfg)
-    spec = got.model.spec
+def test_first_order_meta_gradients_match_autodiff():
+    # The outer gradient of FO-MAML is the query gradient at the adapted
+    # parameters.
+    _assert_meta_gradients_match_autodiff(_first_order_meta_gradients, first_order=True)
+
+
+def test_higher_order_meta_gradients_match_autodiff():
+    # The Hessian-vector sweep against the tape's backward pass through
+    # the whole inner update chain.
+    _assert_meta_gradients_match_autodiff(_higher_order_meta_gradients, first_order=False)
+
+
+def test_higher_order_sweep_flags_a_nonfinite_meta_gradient(monkeypatch):
+    # Finite but huge products overflow v - lr * Hv; the sweep's own check
+    # must catch what no kernel call sees.
+    spec = NetSpec(3, (8,), 3)
+    tasks = [sample_task(_bench(), "train", 3, 2, 4, (4, 1, j)) for j in range(2)]
+    kernels = tuple(MLPKernel(spec, (2, 3 * rows, 3)) for rows in (2, 4))
+    monkeypatch.setattr(MLPKernel, "hvp", lambda self, flat, vec, *a: np.full_like(vec, 1e308))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalError, match="non-finite meta-gradient"):
+            _higher_order_meta_gradients(kernels, spec.init(4), tasks, 1, 10.0)
+
+
+def _autodiff_maml_loop(bench, cfg: TrainConfig, spec: NetSpec):
+    """train_maml's episode draws, episode-order sum and outer step, on the tape."""
     params = spec.init(cfg.seed)
     curve = []
     for epoch in range(1, cfg.max_epochs + 1):
         grads = np.zeros_like(params.values)
         total = 0.0
         for j in range(cfg.meta_batch):
-            task = sample_task(bench, "train", 3, 2, 3, (cfg.seed, epoch, j))
+            task = sample_task(bench, "train", cfg.n_way, cfg.k_shot, cfg.q_query,
+                               (cfg.seed, epoch, j))
             value, g = loss_and_grad_through_updates(
                 net_loss(spec, task.query), params, cfg.inner_steps_train, cfg.inner_lr,
-                inner_loss_fn=net_loss(spec, task.support), first_order=True)
+                inner_loss_fn=net_loss(spec, task.support),
+                first_order=cfg.method == "fo_maml")
             grads += g.values
             total += value
         params = ParamVector(params.values - cfg.outer_lr * grads / cfg.meta_batch,
                              params.layout)
         curve.append(total / cfg.meta_batch)
+    return params, curve
+
+
+def _assert_training_matches_an_autodiff_loop(method: str):
+    cfg = TrainConfig(method=method, hidden_dims=(8,), max_epochs=6, meta_batch=3,
+                      n_way=3, k_shot=2, q_query=3, seed=5)
+    bench = _bench()
+    got = train_maml(bench, cfg)
+    params, curve = _autodiff_maml_loop(bench, cfg, got.model.spec)
     assert np.abs(got.model.params.values - params.values).max() <= (
         1e-12 * np.abs(params.values).max())
     np.testing.assert_allclose(got.loss_curve, curve, rtol=1e-12)
 
 
-def test_first_order_paths_never_run_the_tape(monkeypatch):
-    # Autodiff is the higher-order engine and the test oracle only. The
-    # counter is bound wherever `backward` is bound in a metalab module,
+def test_fo_maml_training_matches_an_autodiff_loop():
+    _assert_training_matches_an_autodiff_loop("fo_maml")
+
+
+def test_ho_maml_training_matches_an_autodiff_loop():
+    _assert_training_matches_an_autodiff_loop("ho_maml")
+
+
+def test_no_training_path_runs_the_tape(monkeypatch):
+    # Autodiff is the test oracle only. The counter is bound wherever `backward` is bound in a metalab module,
     # since `nets` imports it by name.
     import metalab.autodiff
     from metalab.task2vec import build_probe, embed_task
@@ -495,7 +538,38 @@ def test_first_order_paths_never_run_the_tape(monkeypatch):
         run()
         assert not calls, f"{label} ran autodiff.backward {len(calls)} times"
     train_maml(bench, TrainConfig(method="ho_maml", **small))
-    assert calls
+    assert not calls, f"ho train_maml ran autodiff.backward {len(calls)} times"
+
+
+def test_tracing_the_benchmark_spans_leaves_ho_training_bit_identical(monkeypatch):
+    # The benchmark's tracer binds wrappers in place of named metalab
+    # functions (`nets.loss_and_grad`, `nets.loss_and_grad_through_updates`,
+    # `autodiff.backward`, ...), looked up in each module's namespace. It must
+    # still install over this library, and a traced run must reproduce an
+    # untraced one bit for bit without entering the tape.
+    import metalab.autodiff  # noqa: F401  the tracer looks these modules up
+    import metalab.harness  # noqa: F401
+    import metalab.learners
+    import metalab.stats  # noqa: F401
+    import metalab.task2vec  # noqa: F401
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import spans
+
+    cfg = TrainConfig(method="ho_maml", hidden_dims=(8,), max_epochs=3, meta_batch=2,
+                      n_way=3, k_shot=2, q_query=3, seed=2)
+    untraced = train_maml(_bench(), cfg)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        traced = metalab.learners.train_maml(_bench(), cfg)
+    finally:
+        tracer.uninstall()
+    assert np.array_equal(traced.model.params.values, untraced.model.params.values)
+    assert traced.loss_curve == untraced.loss_curve
+    names = {span[3] for span in tracer.spans}
+    assert "learners.train_maml" in names
+    assert not names & {"autodiff.backward", "nets.loss_and_grad_through_updates"}
 
 
 def test_plateau_detector_window_semantics():

@@ -2,7 +2,9 @@
 
 The forward pass is checked against nested pure-python loops, the loss
 against scipy's log_softmax, plain gradients against central differences,
-the closed-form kernel against the autodiff tape, and the unrolled
+the closed-form kernel and its Hessian-vector product against the autodiff
+tape (single and double backward), the product also against central
+differences of the kernel gradient, and the unrolled
 adaptation gradients against both closed forms (quadratic objective) and a
 manual numpy SGD loop.
 """
@@ -13,7 +15,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metalab.autodiff import add, constant, exp, mul, tsum
+from metalab.autodiff import add, backward, constant, exp, mul, tsum
 from metalab.nets import (
     Batch,
     MLPKernel,
@@ -285,6 +287,75 @@ def test_kernel_flags_nonfinite_loss_and_gradient_like_autodiff():
                 kernel.loss_and_grad(params.values, batch.inputs, batch.labels)
             with pytest.raises(NumericalError, match=message):
                 loss_and_grad(net_loss(spec, batch), params)
+
+
+def _tape_hvp(spec: NetSpec, flat: np.ndarray, vec: np.ndarray, batch: Batch) -> np.ndarray:
+    """H(flat) @ vec as the tape's gradient of <grad loss, vec> (double backward)."""
+    leaves = params_to_leaves(ParamVector(flat, spec.layout()))
+    ordered = [leaves[name] for name, _ in spec.layout()]
+    cots = backward(net_loss(spec, batch)(leaves), ordered)
+    direction = ParamVector(vec, spec.layout()).segments()
+    inner = constant(0.0)
+    for (name, _), cot in zip(spec.layout(), cots):
+        inner = add(inner, tsum(mul(cot, constant(direction[name]))))
+    return np.concatenate([t.data.ravel() for t in backward(inner, ordered)])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kernel_hvp_matches_tape_double_backward(seed):
+    # Random relu MLPs of depth 0-2; every other draw stacks three batches,
+    # with the parameters and the direction each either shared or per batch.
+    gen = np.random.default_rng(seed)
+    spec = NetSpec(int(gen.integers(1, 6)),
+                   tuple(int(w) for w in gen.integers(1, 7, size=seed % 3)),
+                   int(gen.integers(2, 6)))
+    n = int(gen.integers(1, 9))
+    lead = (3,) if seed % 2 == 0 else ()
+    inputs = gen.normal(size=(*lead, n, spec.input_dim))
+    labels = gen.integers(0, spec.output_dim, size=(*lead, n))
+    flat = gen.normal(0.0, 0.7, size=(() if seed % 4 == 0 else lead) + (spec.param_count(),))
+    vec = gen.normal(size=(() if seed % 3 == 0 else lead) + (spec.param_count(),))
+    hv = MLPKernel(spec, inputs.shape).hvp(flat, vec, inputs, labels)
+    assert hv.shape == (*lead, spec.param_count())
+    for b in range(lead[0]) if lead else (None,):
+        def pick(a, stacked):
+            return a[b] if b is not None and stacked else a
+        want = _tape_hvp(spec, pick(flat, flat.ndim == 2), pick(vec, vec.ndim == 2),
+                         Batch(pick(inputs, True), pick(labels, True)))
+        assert np.abs(pick(hv, True) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+def test_kernel_hvp_matches_central_differences_of_the_kernel_gradient(hidden):
+    spec = NetSpec(3, hidden, 4)
+    batch = _random_batch(spec, 7, 71)
+    flat = _random_params(spec, 72).values
+    vec = np.random.default_rng(73).normal(size=spec.param_count())
+    kernel = MLPKernel(spec, batch.inputs.shape)
+    eps = 1e-6
+    up = kernel.loss_and_grad(flat + eps * vec, batch.inputs, batch.labels)[1]
+    down = kernel.loss_and_grad(flat - eps * vec, batch.inputs, batch.labels)[1]
+    want = (up - down) / (2 * eps)
+    got = kernel.hvp(flat, vec, batch.inputs, batch.labels)
+    assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
+
+
+def test_kernel_hvp_validates_and_flags_nonfinite_products():
+    spec = NetSpec(2, (2,), 3)
+    batch = Batch(np.ones((1, 2)), np.array([0]))
+    kernel = MLPKernel(spec, (1, 2))
+    params = _random_params(spec, 0).values
+    with pytest.raises(ShapeError):
+        kernel.hvp(params, params[:-1], batch.inputs, batch.labels)
+    # Dead hidden units and a finite loss, as in the gradient case above: the
+    # direction's head rows of +-1.7e308 overflow the R-signal below the
+    # head, and inf * 0 = nan reaches W0 through the rectifier mask.
+    big = 1.7e308
+    dead = np.concatenate([np.ones(4), [-1e3, -1e3], np.ones(6), [-1e3, 0.0, 0.0]])
+    vec = np.concatenate([np.zeros(6), np.tile([-big, big, big], 2), np.zeros(3)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError, match="non-finite Hessian-vector product in segment W0"):
+            kernel.hvp(dead, vec, batch.inputs, batch.labels)
 
 
 # ---------------------------------------------------------------------------
