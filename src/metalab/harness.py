@@ -69,6 +69,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -400,8 +401,11 @@ class RunRecord:
         """Persist config.yaml, record.json, and the per-run tables.
 
         Records are append-only: an existing record.json is never
-        overwritten.
+        overwritten. record.json appears whole or not at all (serialized
+        first, written to a temp file, renamed into place), and a save
+        clears a failed.json left by an earlier failed attempt.
         """
+        text = json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n"
         run_dir = Path(run_dir)
         run_dir.mkdir(parents=True, exist_ok=True)
         record_path = _new_record_path(run_dir)
@@ -417,9 +421,10 @@ class RunRecord:
                 ev = self.evals[label]
                 writer.writerow([label, sig6(ev.mean), sig6(ev.ci95_halfwidth),
                                  ev.meta_batch])
-        with open(record_path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        partial = run_dir / "record.json.partial"
+        partial.write_text(text, encoding="utf-8")
+        os.replace(partial, record_path)
+        (run_dir / "failed.json").unlink(missing_ok=True)
         return record_path
 
     @classmethod

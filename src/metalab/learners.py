@@ -16,12 +16,15 @@ windowed-plateau stop) so runs are reproducible to the bit.
 
 Every gradient runs on the closed-form numpy kernel `nets.MLPKernel`,
 built once per call with its buffers: `train_pt` (one full-batch call per
-epoch), `train_maml` (each meta-batch stacked into `(B, n, d)` arrays, so
-each inner step and the query gradient are one call each, and the
-higher-order meta-gradient is a reverse sweep of `MLPKernel.hvp` calls)
-and `adapt`, hence `meta_test`. The head refit and `episodic_vs_union_loss`
-use their own closed-form Newton solve. No path here runs the autodiff
-tape; it is the oracle the tests check these paths against.
+epoch), `train_maml` and `adapt`, hence `meta_test`. MAML's inner loop is
+written once, `_descend`, and both MAML orders share `_meta_gradients`:
+each meta-batch is stacked into `(B, n, d)` arrays, so each inner step
+and the query gradient are one kernel call each, and the higher-order
+method adds a reverse sweep of `MLPKernel.hvp` calls. Plain forward
+passes (features for the head, logits for accuracy) come from
+`nets.activations`. The head refit and `episodic_vs_union_loss` use their
+own closed-form Newton solve. No path here runs the autodiff tape; it is
+the oracle the tests check these paths against.
 
 The head refit is the L2-penalized logistic-regression head of Tian et
 al. 2020 ("Rethinking Few-Shot Image Classification", arXiv 2003.11539):
@@ -53,6 +56,7 @@ from metalab.nets import (
     NetSpec,
     NumericalError,
     ParamVector,
+    activations,
     cross_entropy,
     forward,
 )
@@ -105,12 +109,7 @@ class Model:
 
     def body_features(self, inputs: np.ndarray) -> np.ndarray:
         """Activations entering the head (identity for a single layer)."""
-        inputs = np.asarray(inputs, dtype=np.float64)
-        segs = self.params.segments()
-        h = inputs
-        for i in range(self.spec.num_layers - 1):
-            h = np.maximum(h @ segs[f"W{i}"] + segs[f"b{i}"], 0.0)
-        return h
+        return activations(self.spec, self.params, inputs)[-2]
 
 
 @dataclass(frozen=True)
@@ -225,8 +224,6 @@ def train_pt(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
         if _plateaued(curve, config.convergence_tol):
             converged = True
             break
-    if config.max_epochs == 0:
-        epoch = 0
     return TrainResult(model=Model(spec, params), loss_curve=tuple(curve),
                        epochs_run=epoch, converged=converged)
 
@@ -243,8 +240,6 @@ def train_maml(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
     """
     if config.method not in ("fo_maml", "ho_maml"):
         raise ValueError(f"train_maml requires a maml method, got {config.method!r}")
-    meta_gradients = (_first_order_meta_gradients if config.method == "fo_maml"
-                      else _higher_order_meta_gradients)
     spec = NetSpec(benchmark.input_dim, config.hidden_dims, config.n_way)
     params = spec.init(config.seed)
     kernels = tuple(
@@ -258,8 +253,9 @@ def train_maml(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
                              config.q_query, (config.seed, epoch, j))
                  for j in range(config.meta_batch)]
         try:
-            values, per_task = meta_gradients(
-                kernels, params, tasks, config.inner_steps_train, config.inner_lr)
+            values, per_task = _meta_gradients(
+                kernels, params, tasks, config.inner_steps_train, config.inner_lr,
+                higher_order=config.method == "ho_maml")
         except NumericalError as err:
             raise TrainingError(
                 f"meta-training diverged at epoch {epoch}: {err}") from err
@@ -273,8 +269,6 @@ def train_maml(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
         if _plateaued(curve, config.convergence_tol):
             converged = True
             break
-    if config.max_epochs == 0:
-        epoch = 0
     return TrainResult(model=Model(spec, params), loss_curve=tuple(curve),
                        epochs_run=epoch, converged=converged)
 
@@ -285,58 +279,55 @@ def _stacked(tasks: Sequence[FewShotTask], part: str) -> tuple[np.ndarray, np.nd
     return np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches])
 
 
-def _first_order_meta_gradients(kernels: tuple[MLPKernel, MLPKernel], params: ParamVector,
-                                tasks: Sequence[FewShotTask], steps: int,
-                                lr: float) -> tuple[np.ndarray, np.ndarray]:
-    """Query losses `(B,)` and first-order meta-gradients `(B, P)`, episodes stacked.
+def _descend(kernel: MLPKernel, flat: np.ndarray, inputs: np.ndarray, labels: np.ndarray,
+             steps: int, lr: float) -> list[np.ndarray]:
+    """Plain gradient descent on the kernel's loss: `flat`, then each of `steps` iterates.
 
-    The first-order outer gradient is the query gradient at the adapted
-    parameters (Finn et al. 2017, arXiv 1703.03400), so every episode's
-    inner descent and query gradient run as one stacked kernel call per
-    step. The kernels check the loss and every gradient for finiteness at
-    each step, since the stacked iterates never become `ParamVector`s.
+    theta_{k+1} = theta_k - lr * grad(theta_k) from theta_0 = `flat`, in
+    `(P,)` or stacked `(B, P)` arrays. The inner loop of MAML, in training
+    (`_meta_gradients`) and at test time (`adapt`). The kernel checks every
+    loss and gradient for finiteness, since the iterates never become
+    `ParamVector`s.
     """
-    support_kernel, query_kernel = kernels
-    inputs, labels = _stacked(tasks, "support")
-    adapted = params.values
+    iterates = [flat]
     for _ in range(steps):
-        _, g = support_kernel.loss_and_grad(adapted, inputs, labels)
-        adapted = adapted - lr * g
-    return query_kernel.loss_and_grad(adapted, *_stacked(tasks, "query"))
-
-
-def _higher_order_meta_gradients(kernels: tuple[MLPKernel, MLPKernel], params: ParamVector,
-                                 tasks: Sequence[FewShotTask], steps: int,
-                                 lr: float) -> tuple[np.ndarray, np.ndarray]:
-    """Query losses `(B,)` and meta-gradients `(B, P)` through the inner updates.
-
-    With support loss S, query loss Q and iterates
-    theta_{k+1} = theta_k - lr * grad S(theta_k) from theta_0 = `params`,
-    the chain rule through the K inner steps is a reverse sweep of
-    Hessian-vector products with the support Hessian H_S (MAML: Finn et
-    al. 2017, arXiv 1703.03400):
-
-        v_K = grad Q(theta_K),
-        v_k = v_{k+1} - lr * H_S(theta_k) v_{k+1}   for k = K-1, ..., 0,
-
-    and the meta-gradient is v_0. Episodes are stacked as in the
-    first-order path: the inner steps keep every iterate (`params`, then
-    one `(B, P)` array per step), and each sweep step is one
-    `MLPKernel.hvp` call. The kernels check every loss,
-    gradient and product for finiteness; a non-finite meta-gradient left
-    by the sweep raises `NumericalError` too.
-    """
-    support_kernel, query_kernel = kernels
-    inputs, labels = _stacked(tasks, "support")
-    iterates = [params.values]
-    for _ in range(steps):
-        _, g = support_kernel.loss_and_grad(iterates[-1], inputs, labels)
+        _, g = kernel.loss_and_grad(iterates[-1], inputs, labels)
         iterates.append(iterates[-1] - lr * g)
+    return iterates
+
+
+def _meta_gradients(kernels: tuple[MLPKernel, MLPKernel], params: ParamVector,
+                    tasks: Sequence[FewShotTask], steps: int, lr: float,
+                    higher_order: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Query losses `(B,)` and meta-gradients `(B, P)`, episodes stacked.
+
+    The B episodes' support and query sets are stacked into `(B, n, d)`
+    arrays, so each inner step (`_descend`) and the query gradient are one
+    kernel call each. With support loss S, query loss Q and iterates
+    theta_0 = `params`, ..., theta_K after K inner steps (MAML: Finn et al.
+    2017, arXiv 1703.03400):
+
+    - first-order: the meta-gradient is v_K = grad Q(theta_K), the query
+      gradient at the adapted parameters;
+    - higher-order: the chain rule through the inner steps is a reverse
+      sweep of Hessian-vector products with the support Hessian H_S,
+
+          v_k = v_{k+1} - lr * H_S(theta_k) v_{k+1}   for k = K-1, ..., 0,
+
+      one `MLPKernel.hvp` call per step, and the meta-gradient is v_0.
+
+    The kernels check every loss, gradient and product for finiteness; a
+    non-finite meta-gradient left by the sweep raises `NumericalError` too.
+    """
+    support_kernel, query_kernel = kernels
+    inputs, labels = _stacked(tasks, "support")
+    iterates = _descend(support_kernel, params.values, inputs, labels, steps, lr)
     values, v = query_kernel.loss_and_grad(iterates.pop(), *_stacked(tasks, "query"))
-    for theta in reversed(iterates):
-        v = v - lr * support_kernel.hvp(theta, v, inputs, labels)
-    if not np.all(np.isfinite(v)):
-        raise NumericalError("non-finite meta-gradient after the Hessian-vector sweep")
+    if higher_order:
+        for theta in reversed(iterates):
+            v = v - lr * support_kernel.hvp(theta, v, inputs, labels)
+        if not np.all(np.isfinite(v)):
+            raise NumericalError("non-finite meta-gradient after the Hessian-vector sweep")
     return values, v
 
 
@@ -344,21 +335,20 @@ def adapt(model: Model, support: Batch, steps: int, lr: float) -> Model:
     """Full-parameter descent on the support cross-entropy, exactly `steps`.
 
     The input model is untouched; zero steps (or zero rate) return its
-    parameters bit-for-bit.
+    parameters bit-for-bit. A non-finite loss or gradient on the way raises
+    `NumericalError`.
     """
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if steps == 0:
         return model
     kernel = MLPKernel(model.spec, support.inputs.shape)
-    params = model.params
-    for _ in range(steps):
-        try:
-            _, g = kernel.loss_and_grad(params.values, support.inputs, support.labels)
-        except NumericalError as err:
-            raise NumericalError(f"adaptation hit a non-finite loss: {err}") from err
-        params = ParamVector(params.values - lr * g, params.layout)
-    return Model(model.spec, params)
+    try:
+        flat = _descend(kernel, model.params.values, support.inputs, support.labels,
+                        steps, lr)[-1]
+    except NumericalError as err:
+        raise NumericalError(f"adaptation hit a non-finite loss: {err}") from err
+    return Model(model.spec, ParamVector(flat, model.params.layout))
 
 
 def _head_objective(xa: np.ndarray, onehot: np.ndarray, wa: np.ndarray,

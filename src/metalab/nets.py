@@ -3,20 +3,28 @@
 A network is described by a `NetSpec` (dims and nonlinearity) and a flat
 `ParamVector` whose layout names each weight matrix and bias.
 
-Gradients of the mean cross-entropy come from `MLPKernel`, a closed-form
-numpy forward and backward pass in buffers it allocates once, optionally
-stacked over batches of one shape. Its `hvp` multiplies the Hessian by a
-vector in one more forward and backward pass (Pearlmutter's R-operator).
-Every training and evaluation path runs on it: pre-training, first- and
-higher-order MAML and test-time adaptation.
+The layer structure is written down three times, each for one job:
 
-The autodiff tape (`metalab.autodiff`) is the oracle the kernel is tested
-against, and demo 01 shows it. Losses for it are callables over a dict of
-named parameter `Tensor`s; `net_loss` builds the standard cross-entropy
-objective from a spec and a batch. `grad` runs one reverse pass,
-`grad_through_updates` differentiates through a chain of inner gradient
-descent updates, and `finite_diff_grad` is the central-difference oracle
-used to certify both. No library path calls them.
+- `activations` is the one plain forward pass. It returns every layer's
+  output as its own array; `forward` (logits), `learners.Model.body_features`
+  (the features entering the head) and the Fisher information in
+  `metalab.task2vec` all read from it.
+- `MLPKernel` is for training: a closed-form numpy forward and backward
+  pass of the mean cross-entropy in buffers it allocates once, optionally
+  stacked over batches of one shape. Its `hvp` multiplies the Hessian by a
+  vector in one more forward and backward pass (Pearlmutter's R-operator).
+  Every training and adaptation gradient runs on it: pre-training, first-
+  and higher-order MAML and test-time adaptation. It overwrites its
+  buffers on every call, so it hands out no activations.
+- `forward_t` is the traced pass on the autodiff tape (`metalab.autodiff`),
+  the oracle the other two are tested against; demo 01 shows it.
+
+Losses for the tape are callables over a dict of named parameter
+`Tensor`s; `net_loss` builds the standard cross-entropy objective from a
+spec and a batch. `grad` runs one reverse pass, `grad_through_updates`
+differentiates through a chain of inner gradient descent updates, and
+`finite_diff_grad` is the central-difference oracle used to certify both.
+No library path calls the tape.
 
 All arithmetic is float64; finite-difference tolerances need the headroom.
 """
@@ -181,20 +189,31 @@ def _check_compatible(spec: NetSpec, params: ParamVector) -> None:
             f"parameter layout {params.layout} does not match spec layout {spec.layout()}")
 
 
-def forward(spec: NetSpec, params: ParamVector, batch: Batch | np.ndarray) -> np.ndarray:
-    """Logits of the network on a batch; deterministic, pure numpy."""
-    inputs = batch.inputs if isinstance(batch, Batch) else np.asarray(batch, dtype=np.float64)
+def activations(spec: NetSpec, params: ParamVector, inputs: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output on `inputs` `(n, input_dim)`: the one plain forward pass.
+
+    Returns `inputs` (as float64), then each layer's output in order:
+    rectified below the top layer, raw logits at the top. So `[-1]` is the
+    logits and `[-2]` the features entering the head. Deterministic, pure
+    numpy, a fresh array per layer.
+    """
+    inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[1] != spec.input_dim:
         raise ShapeError(
             f"batch width {inputs.shape} does not match input_dim {spec.input_dim}")
     _check_compatible(spec, params)
     segs = params.segments()
-    h = inputs
+    out = [inputs]
     for i in range(spec.num_layers):
-        h = h @ segs[f"W{i}"] + segs[f"b{i}"]
-        if i < spec.num_layers - 1:
-            h = np.maximum(h, 0.0)
-    return h
+        h = out[-1] @ segs[f"W{i}"] + segs[f"b{i}"]
+        out.append(np.maximum(h, 0.0) if i < spec.num_layers - 1 else h)
+    return out
+
+
+def forward(spec: NetSpec, params: ParamVector, batch: Batch | np.ndarray) -> np.ndarray:
+    """Logits of the network on a batch; deterministic, pure numpy."""
+    inputs = batch.inputs if isinstance(batch, Batch) else batch
+    return activations(spec, params, inputs)[-1]
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

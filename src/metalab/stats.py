@@ -241,24 +241,12 @@ def summarize(decisions: Sequence[Decision],
         groups = ["all"] * len(decisions)
     if len(groups) != len(decisions):
         raise ValueError("groups must parallel decisions")
-    order: list[str] = []
-    by_group: dict[str, list[Decision]] = {}
+    by_group: dict[str, list[Decision]] = {}  # first-seen group order
     for g, d in zip(groups, decisions):
-        if g not in by_group:
-            order.append(g)
-            by_group[g] = []
-        by_group[g].append(d)
-    rows = []
-    for g in order:
-        ds = by_group[g]
-        counts = {v: sum(1 for d in ds if d.verdict == v) for v in VERDICTS}
-        means: dict[str, float | None] = {}
-        for v in VERDICTS:
-            bucket = [d.effect_size for d in ds if d.verdict == v]
-            means[v] = float(np.mean(bucket)) if bucket else None
-        rows.append(GroupSummary(group=g, counts=counts, bucket_means=means,
-                                 total=len(ds)))
-    return SummaryReport(groups=tuple(rows))
+        by_group.setdefault(g, []).append(d)
+    return SummaryReport(groups=tuple(
+        summarize_cells([(d.effect_size, d.verdict) for d in ds], group=g)
+        for g, ds in by_group.items()))
 
 
 def summarize_cells(cells: Sequence[tuple[float, str]],

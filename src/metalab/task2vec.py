@@ -21,8 +21,8 @@ Implementation choices that matter for comparing numbers:
   the converged head.
 
 The in-module FIM is a closed-form layer-by-layer computation (squared
-backprop signals); the test suite certifies it against a brute-force
-autodiff loop over (example, class) pairs.
+backprop signals over the outputs of `nets.activations`); the test suite
+certifies it against a brute-force autodiff loop over (example, class) pairs.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from metalab.learners import Model, TrainConfig, fit_head, train_pt
-from metalab.nets import Batch, softmax
+from metalab.nets import Batch, NetSpec, activations, softmax
 from metalab.stats import ci95_halfwidth
 from metalab.tasks import Benchmark, FewShotTask, sample_task
 
@@ -127,7 +127,6 @@ def build_probe(pretext_benchmark: Benchmark, seed: int,
         provenance = (f"pt(seed={seed}, classes={pretext_benchmark.total_classes}, "
                       f"epochs={result.epochs_run})")
     elif method == "random":
-        from metalab.nets import NetSpec
         spec = NetSpec(pretext_benchmark.input_dim, config.hidden_dims,
                        pretext_benchmark.total_classes)
         model = Model(spec, spec.init(seed))
@@ -158,20 +157,11 @@ def _fim_diag_body(model: Model, batch: Batch) -> np.ndarray:
     n_layers = spec.num_layers
     if n_layers < 2:
         raise ValueError("a probe needs at least one hidden layer to embed with")
-    inputs = batch.inputs
-    n = inputs.shape[0]
-    # forward pass, retaining pre-head activations and rectifier masks
-    acts = [inputs]
-    masks = []
-    h = inputs
-    for i in range(n_layers - 1):
-        pre = h @ segs[f"W{i}"] + segs[f"b{i}"]
-        masks.append((pre > 0.0).astype(np.float64))
-        h = np.maximum(pre, 0.0)
-        acts.append(h)
-    w_head, b_head = segs[f"W{n_layers - 1}"], segs[f"b{n_layers - 1}"]
-    logits = h @ w_head + b_head
-    probs = softmax(logits)
+    n = batch.inputs.shape[0]
+    acts = activations(spec, model.params, batch.inputs)
+    masks = [(a > 0.0).astype(np.float64) for a in acts[1:-1]]
+    w_head = segs[f"W{n_layers - 1}"]
+    probs = softmax(acts[-1])
     if not np.all(np.isfinite(probs)):
         bad = int(np.argwhere(~np.isfinite(probs).all(axis=1))[0][0])
         raise EmbeddingError(f"non-finite posterior at example {bad}")

@@ -236,6 +236,29 @@ def test_persist_failure_is_its_own_stage(tiny_record, tmp_path):
     assert not (out / "failed.json").exists()
 
 
+def test_failed_save_leaves_no_record_and_a_rerun_succeeds(tmp_path, monkeypatch):
+    # A save that fails while serializing must not leave a record.json
+    # behind: it would refuse every rerun as a duplicate.
+    out = tmp_path / "flaky"
+
+    def broken(self):
+        raise RuntimeError("serialization failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RunRecord, "to_dict", broken)
+        with pytest.raises(HarnessError) as err:
+            run_comparison(_tiny_config(), out_dir=out)
+    assert err.value.stage == "persist"
+    assert json.loads((out / "failed.json").read_text())["stage"] == "persist"
+    assert not (out / "record.json").exists()
+
+    record = run_comparison(_tiny_config(), out_dir=out)
+    assert RunRecord.load(out).to_dict() == record.to_dict()
+    assert not (out / "failed.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == [
+        "accuracies.csv", "config.yaml", "decisions.csv", "record.json"]
+
+
 def test_duplicate_run_is_refused_before_training(tiny_record, tmp_path, monkeypatch):
     out = tmp_path / "dup"
     tiny_record.save(out)

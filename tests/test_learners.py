@@ -23,8 +23,7 @@ from metalab.learners import (
     Model,
     TrainConfig,
     TrainingError,
-    _first_order_meta_gradients,
-    _higher_order_meta_gradients,
+    _meta_gradients,
     _plateaued,
     adapt,
     episodic_vs_union_loss,
@@ -416,7 +415,7 @@ def test_divergent_runs_raise_training_error():
                 meta_batch=1, n_way=3, k_shot=2, q_query=2))
 
 
-def _assert_meta_gradients_match_autodiff(meta_gradients, first_order: bool):
+def _assert_meta_gradients_match_autodiff(first_order: bool):
     # The stacked kernel path against loss_and_grad_through_updates, one
     # episode at a time, with and without inner steps.
     spec = NetSpec(3, (8,), 3)
@@ -424,7 +423,8 @@ def _assert_meta_gradients_match_autodiff(meta_gradients, first_order: bool):
     tasks = [sample_task(_bench(), "train", 3, 2, 4, (4, 1, j)) for j in range(5)]
     kernels = tuple(MLPKernel(spec, (5, 3 * rows, 3)) for rows in (2, 4))
     for steps in (0, 1, 3):
-        values, grads = meta_gradients(kernels, params, tasks, steps, 0.3)
+        values, grads = _meta_gradients(kernels, params, tasks, steps, 0.3,
+                                        higher_order=not first_order)
         assert values.shape == (5,) and grads.shape == (5, spec.param_count())
         for task, value, g in zip(tasks, values, grads):
             want_value, want = loss_and_grad_through_updates(
@@ -437,13 +437,13 @@ def _assert_meta_gradients_match_autodiff(meta_gradients, first_order: bool):
 def test_first_order_meta_gradients_match_autodiff():
     # The outer gradient of FO-MAML is the query gradient at the adapted
     # parameters.
-    _assert_meta_gradients_match_autodiff(_first_order_meta_gradients, first_order=True)
+    _assert_meta_gradients_match_autodiff(first_order=True)
 
 
 def test_higher_order_meta_gradients_match_autodiff():
     # The Hessian-vector sweep against the tape's backward pass through
     # the whole inner update chain.
-    _assert_meta_gradients_match_autodiff(_higher_order_meta_gradients, first_order=False)
+    _assert_meta_gradients_match_autodiff(first_order=False)
 
 
 def test_higher_order_sweep_flags_a_nonfinite_meta_gradient(monkeypatch):
@@ -455,7 +455,7 @@ def test_higher_order_sweep_flags_a_nonfinite_meta_gradient(monkeypatch):
     monkeypatch.setattr(MLPKernel, "hvp", lambda self, flat, vec, *a: np.full_like(vec, 1e308))
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalError, match="non-finite meta-gradient"):
-            _higher_order_meta_gradients(kernels, spec.init(4), tasks, 1, 10.0)
+            _meta_gradients(kernels, spec.init(4), tasks, 1, 10.0, higher_order=True)
 
 
 def _autodiff_maml_loop(bench, cfg: TrainConfig, spec: NetSpec):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metalab.autodiff import add, backward, constant, exp, mul, tsum
+from metalab.learners import Model
 from metalab.nets import (
     Batch,
     MLPKernel,
@@ -23,9 +24,11 @@ from metalab.nets import (
     NumericalError,
     ParamVector,
     ShapeError,
+    activations,
     cross_entropy,
     finite_diff_grad,
     forward,
+    forward_t,
     grad,
     grad_through_updates,
     loss_and_grad,
@@ -106,6 +109,33 @@ def test_forward_rejects_wrong_width_and_wrong_layout():
     other = _random_params(NetSpec(3, (6,), 2), 0)
     with pytest.raises(ShapeError):
         forward(spec, other, np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_activations_are_the_one_plain_forward_pass(seed):
+    # Random relu MLPs of depth 0-2: the top output is `forward` and the one
+    # below it `Model.body_features`, bit for bit; hidden outputs are
+    # rectified, and the logits agree with the tape's traced pass.
+    gen = np.random.default_rng(seed)
+    spec = NetSpec(int(gen.integers(1, 6)),
+                   tuple(int(w) for w in gen.integers(1, 7, size=seed % 3)),
+                   int(gen.integers(2, 6)))
+    params = _random_params(spec, seed)
+    inputs = gen.normal(size=(int(gen.integers(1, 9)), spec.input_dim))
+    acts = activations(spec, params, inputs)
+    assert [a.shape[1] for a in acts] == list(spec.dims)
+    assert np.array_equal(acts[0], inputs)
+    assert np.array_equal(acts[-1], forward(spec, params, inputs))
+    model = Model(spec, params)
+    assert np.array_equal(acts[-2], model.body_features(inputs))
+    assert all(np.all(a >= 0.0) for a in acts[1:-1])
+    traced = forward_t(spec, params_to_leaves(params), inputs).data
+    np.testing.assert_allclose(acts[-1], traced, rtol=1e-12, atol=1e-12)
+    wrong = np.zeros((2, spec.input_dim + 1))
+    with pytest.raises(ShapeError):
+        forward(spec, params, wrong)
+    with pytest.raises(ShapeError):
+        model.body_features(wrong)
 
 
 def test_softmax_rows_sum_to_one_and_survive_large_logits():
