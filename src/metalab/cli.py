@@ -3,14 +3,16 @@
 Verbs:
 
 - ``run CONFIG``: one comparison from a YAML config; persists a run
-  directory under ``--out`` (default ``runs``) named after the config.
+  directory under ``--out`` (default ``runs``) named after the config and
+  prints its digest block (``harness.run_lines``).
 - ``suite DIR``: every ``*.yaml`` in the directory, then a combined report
   under ``<out>/report``.
 - ``reproduce-tables``: replay the effect-size decision rule over reported
   effect-size/threshold tables (defaults: the packaged reference data) and
   write ``reproduction.csv``; exits nonzero if any verifiable verdict
   disagrees.
-- ``report RUN_DIR...``: render saved run records into a report bundle.
+- ``report RUN_DIR...``: render saved run records (run directories or
+  directories of them, each run read once) into a report bundle.
 - ``diversity CONFIG``: just the diversity stage of ``run``
   (``harness.measure_diversity``); ``--meta-batch`` sets the number of
   embedded tasks (and not the config's meta-test ``meta_batch``), and
@@ -33,7 +35,6 @@ import yaml
 
 from metalab import harness
 from metalab.harness import ExperimentConfig, HarnessError, RunRecord
-from metalab.stats import sig6
 
 _REFDATA = Path(__file__).parent / "refdata"
 
@@ -70,24 +71,11 @@ def _apply_overrides(config: ExperimentConfig,
         raise HarnessError("config", str(exc)) from exc
 
 
-def _print_record(record: RunRecord) -> None:
-    for label in record.eval_labels():
-        ev = record.evals[label]
-        print(f"{label}: accuracy {ev.mean:.4f} +/- {ev.ci95_halfwidth:.4f} "
-              f"(n={ev.meta_batch})")
-    if record.diversity is not None:
-        dv = record.diversity
-        print(f"diversity: {dv.coefficient:.4f} +/- {dv.ci95_halfwidth:.4f}")
-    for label, dec in zip(record.decision_ids, record.decisions):
-        print(f"decision {label}: es {sig6(dec.effect_size)} "
-              f"delta {sig6(dec.delta)} -> {dec.verdict}")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args)
     run_dir = Path(args.out) / config.name
     record = harness.run_comparison(config, run_dir)
-    _print_record(record)
+    print("\n".join(harness.run_lines(record)))
     print(f"record: {run_dir / 'record.json'}")
     return 0
 
@@ -141,10 +129,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not run_dirs:
         raise HarnessError("report", "no record.json found under the given paths")
     try:
-        records = [RunRecord.load(d) for d in run_dirs]
+        # a run reached through two arguments is read once
+        records = [RunRecord.load(d) for d in dict.fromkeys(d.resolve() for d in run_dirs)]
     except (OSError, KeyError, ValueError, TypeError) as exc:
         raise HarnessError("report", f"unreadable record: {exc}") from exc
-    report_dir = harness.emit_report(records, args.out)
+    try:
+        report_dir = harness.emit_report(records, args.out)
+    except ValueError as exc:
+        raise HarnessError("report", str(exc)) from exc
     print(f"report over {len(records)} records: {report_dir}")
     return 0
 

@@ -8,8 +8,10 @@ three decision rules (effect size, CI overlap, CI overlap with a 1%
 allowance) adjudicate each adaptation-depth variant. `run_comparison`
 executes that pipeline and persists a `RunRecord`; `emit_report` renders
 any number of records into decision tables, grouped summaries, histogram
-files, and a plain-text digest; `reproduce_decisions` replays the
-effect-size rule over externally reported tables and flags mismatches.
+files, and a plain-text digest (`run_lines` is one run's block of it,
+which `metalab run` prints); `reproduce_decisions` replays the effect-size
+rule over externally reported tables and flags mismatches. Tables go
+through `stats.write_table` and `stats.read_table`.
 
 The pipeline's stages, in order: persist (a run directory that already
 holds record.json is refused before any training), build-benchmark,
@@ -66,7 +68,6 @@ record.json sorts them.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import os
@@ -113,6 +114,7 @@ __all__ = [
     "RunRecord",
     "ReproducedDecision",
     "run_comparison",
+    "run_lines",
     "measure_diversity",
     "run_suite",
     "reproduce_decisions",
@@ -410,17 +412,9 @@ class RunRecord:
         run_dir.mkdir(parents=True, exist_ok=True)
         record_path = _new_record_path(run_dir)
         self.config.to_yaml(run_dir / "config.yaml")
-        stats.write_decision_table(
-            run_dir / "decisions.csv",
-            [(f"{self.config.name}/{label}", d.effect_size, d.delta, d.verdict)
-             for label, d in zip(self.decision_ids, self.decisions)])
-        with open(run_dir / "accuracies.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["method", "mean", "ci95_halfwidth", "meta_batch"])
-            for label in self.eval_labels():
-                ev = self.evals[label]
-                writer.writerow([label, sig6(ev.mean), sig6(ev.ci95_halfwidth),
-                                 ev.meta_batch])
+        stats.write_decision_table(run_dir / "decisions.csv", _decision_rows(self))
+        stats.write_table(run_dir / "accuracies.csv", _ACCURACY_COLUMNS,
+                          _accuracy_rows(self))
         partial = run_dir / "record.json.partial"
         partial.write_text(text, encoding="utf-8")
         os.replace(partial, record_path)
@@ -431,6 +425,19 @@ class RunRecord:
     def load(cls, run_dir: str | Path) -> "RunRecord":
         with open(Path(run_dir) / "record.json", "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+_ACCURACY_COLUMNS = ("method", "mean", "ci95_halfwidth", "meta_batch")
+
+
+def _decision_rows(rec: RunRecord) -> list[tuple[str, float, float, str]]:
+    return [(f"{rec.config.name}/{label}", d.effect_size, d.delta, d.verdict)
+            for label, d in zip(rec.decision_ids, rec.decisions)]
+
+
+def _accuracy_rows(rec: RunRecord) -> list[tuple[str, float, float, int]]:
+    return [(label, rec.evals[label].mean, rec.evals[label].ci95_halfwidth,
+             rec.evals[label].meta_batch) for label in rec.eval_labels()]
 
 
 def _new_record_path(run_dir: Path) -> Path:
@@ -595,9 +602,7 @@ def run_suite(configs: Sequence[ExperimentConfig],
     Runs share nothing, so a caller may parallelize across processes; the
     per-run directories (named by config) never contend.
     """
-    names = [c.name for c in configs]
-    if len(set(names)) != len(names):
-        raise ValueError("config names must be unique within a suite")
+    _check_unique_names([c.name for c in configs])
     records = []
     for config in configs:
         run_dir = None if out_root is None else Path(out_root) / config.name
@@ -640,12 +645,11 @@ def reproduce_decisions(es_table: str | Path,
     group,dataset,variant,es,verdict; the threshold table needs
     group,dataset,variant,delta. Rows join on the key triple (with the
     published group aliases); an unmatched effect-size row comes back with
-    match=None.
+    match=None. A table without its required columns raises ValueError
+    naming them.
     """
-    with open(es_table, newline="", encoding="utf-8") as fh:
-        es_rows = list(csv.DictReader(fh))
-    with open(delta_table, newline="", encoding="utf-8") as fh:
-        delta_rows = list(csv.DictReader(fh))
+    es_rows = stats.read_table(es_table, ("group", "dataset", "variant", "es", "verdict"))
+    delta_rows = stats.read_table(delta_table, ("group", "dataset", "variant", "delta"))
     deltas = {(r["group"], r["dataset"], r["variant"]): float(r["delta"])
               for r in delta_rows}
     out = []
@@ -669,19 +673,12 @@ def reproduce_decisions(es_table: str | Path,
 
 def write_reproduction_table(path: str | Path,
                              rows: Iterable[ReproducedDecision]) -> None:
-    """Emit replayed decisions as UTF-8 CSV; unverifiable cells stay blank."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "dataset", "variant", "es", "delta",
-                         "computed_verdict", "reported_verdict", "match"])
-        for r in rows:
-            writer.writerow([
-                r.group, r.dataset, r.variant, sig6(r.es),
-                "" if r.delta is None else sig6(r.delta),
-                "" if r.computed_verdict is None else r.computed_verdict,
-                r.reported_verdict,
-                "" if r.match is None else str(r.match).lower(),
-            ])
+    """Emit replayed decisions as a table; unverifiable cells stay blank."""
+    stats.write_table(
+        path, ("group", "dataset", "variant", "es", "delta",
+               "computed_verdict", "reported_verdict", "match"),
+        [(r.group, r.dataset, r.variant, r.es, r.delta, r.computed_verdict,
+          r.reported_verdict, r.match) for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -693,12 +690,18 @@ def _safe_name(text: str) -> str:
     return "".join(c if c.isalnum() or c in "-_" else "-" for c in text)
 
 
-def _h1_pool(decisions: Sequence[Decision]) -> list[float]:
-    return [d.effect_size for d in decisions
-            if d.verdict in (stats.H1_PT, stats.H1_MAML)]
+def _check_unique_names(names: Sequence[str]) -> None:
+    """Refuse run names that repeat, also once `_safe_name` makes them file names."""
+    safe = [_safe_name(name) for name in names]
+    clash = sorted(name for name, s in zip(names, safe) if safe.count(s) > 1)
+    if clash:
+        raise ValueError(f"run names must be unique as file names: {clash}")
 
 
-def _mean_ci(values: Sequence[float]) -> tuple[float | None, float | None]:
+def _pooled_h1(decisions: Sequence[Decision]) -> tuple[float | None, float | None]:
+    """Mean and 95% CI half-width of the H1 verdicts' effect sizes."""
+    values = [d.effect_size for d in decisions
+              if d.verdict in (stats.H1_PT, stats.H1_MAML)]
     if not values:
         return None, None
     mean = float(np.mean(values))
@@ -713,14 +716,11 @@ def _fmt(x: float | None, na: str = "no-data") -> str:
 
 def write_diversity_table(path: str | Path,
                           rows: Iterable[tuple[str, DiversityReport]]) -> None:
-    """Emit (run name, diversity report) rows as UTF-8 CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "coefficient", "ci95_halfwidth",
-                         "num_tasks", "num_pairs", "probe"])
-        for name, dv in rows:
-            writer.writerow([name, sig6(dv.coefficient), sig6(dv.ci95_halfwidth),
-                             dv.num_tasks, dv.num_pairs, dv.probe_provenance])
+    """Emit (run name, diversity report) rows as a table."""
+    stats.write_table(
+        path, ("run", "coefficient", "ci95_halfwidth", "num_tasks", "num_pairs", "probe"),
+        [(name, dv.coefficient, dv.ci95_halfwidth, dv.num_tasks, dv.num_pairs,
+          dv.probe_provenance) for name, dv in rows])
 
 
 def emit_report(records: Sequence[RunRecord], out_dir: str | Path) -> Path:
@@ -731,42 +731,34 @@ def emit_report(records: Sequence[RunRecord], out_dir: str | Path) -> Path:
     diversity.csv, norms.csv, summary.csv (effect-size rule grouped by
     "<regime>_<maml order>", with pooled-H1 means and CIs), per-partition
     histogram_<run>_<partition>.csv files (bin_center,count), and
-    digest.txt. Numbers are rendered from record fields only.
+    digest.txt. Numbers are rendered from record fields only. Run names
+    that collide as file names raise ValueError before anything is written.
     """
     if not records:
         raise ValueError("emit_report needs at least one record")
+    _check_unique_names([rec.config.name for rec in records])
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     all_rows = []
     for rec in records:
-        rows = [(f"{rec.config.name}/{label}", d.effect_size, d.delta, d.verdict)
-                for label, d in zip(rec.decision_ids, rec.decisions)]
+        rows = _decision_rows(rec)
         all_rows.extend(rows)
         stats.write_decision_table(
             out_dir / f"decisions_{_safe_name(rec.config.name)}.csv", rows)
     stats.write_decision_table(out_dir / "decisions.csv", all_rows)
 
-    with open(out_dir / "accuracies.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "method", "mean", "ci95_halfwidth", "meta_batch"])
-        for rec in records:
-            for label in rec.eval_labels():
-                ev = rec.evals[label]
-                writer.writerow([rec.config.name, label, sig6(ev.mean),
-                                 sig6(ev.ci95_halfwidth), ev.meta_batch])
+    stats.write_table(out_dir / "accuracies.csv", ("run",) + _ACCURACY_COLUMNS,
+                      [(rec.config.name,) + row for rec in records
+                       for row in _accuracy_rows(rec)])
 
     write_diversity_table(out_dir / "diversity.csv",
                           [(rec.config.name, rec.diversity) for rec in records
                            if rec.diversity is not None])
 
-    with open(out_dir / "norms.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["run", "method", "l2_norm"])
-        for rec in records:
-            for method in sorted(rec.l2_norms):
-                writer.writerow([rec.config.name, method,
-                                 sig6(rec.l2_norms[method])])
+    stats.write_table(out_dir / "norms.csv", ("run", "method", "l2_norm"),
+                      [(rec.config.name, method, rec.l2_norms[method])
+                       for rec in records for method in sorted(rec.l2_norms)])
 
     for rec in records:
         if rec.histogram is None:
@@ -776,80 +768,67 @@ def emit_report(records: Sequence[RunRecord], out_dir: str | Path) -> Path:
         for part in sorted(rec.histogram.counts):
             fname = (f"histogram_{_safe_name(rec.config.name)}_"
                      f"{_safe_name(part)}.csv")
-            with open(out_dir / fname, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["bin_center", "count"])
-                for c, n in zip(centers, rec.histogram.counts[part]):
-                    writer.writerow([sig6(c), int(n)])
+            stats.write_table(out_dir / fname, ("bin_center", "count"),
+                              zip(centers, rec.histogram.counts[part]))
 
     # effect-size-rule decisions grouped by diversity regime and maml order
-    es_decisions: list[Decision] = []
-    group_labels: list[str] = []
-    for rec in records:
-        group = f"{rec.config.regime}_{rec.config.maml_order}"
-        for d in rec.decisions:
-            if d.rule == "es":
-                es_decisions.append(d)
-                group_labels.append(group)
-    summary = stats.summarize(es_decisions, group_labels)
-    grouped: dict[str, list[Decision]] = {}
-    for g, d in zip(group_labels, es_decisions):
-        grouped.setdefault(g, []).append(d)
+    es_decisions = [(f"{rec.config.regime}_{rec.config.maml_order}", d)
+                    for rec in records for d in rec.decisions if d.rule == "es"]
+    summary = stats.summarize([d for _, d in es_decisions], [g for g, _ in es_decisions])
+    pooled = {gs.group: _pooled_h1([d for g, d in es_decisions if g == gs.group])
+              for gs in summary.groups}
 
-    with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "n", "h0_count", "h1_pt_count", "h1_maml_count",
-                         "h0_mean", "h1_pt_mean", "h1_maml_mean",
-                         "h1_pooled_mean", "h1_pooled_ci95"])
-        for gs in summary.groups:
-            pooled_mean, pooled_ci = _mean_ci(_h1_pool(grouped[gs.group]))
-            writer.writerow([
-                gs.group, gs.total,
-                gs.counts[stats.H0], gs.counts[stats.H1_PT], gs.counts[stats.H1_MAML],
-                _fmt(gs.bucket_means[stats.H0], ""),
-                _fmt(gs.bucket_means[stats.H1_PT], ""),
-                _fmt(gs.bucket_means[stats.H1_MAML], ""),
-                _fmt(pooled_mean, ""), _fmt(pooled_ci, ""),
-            ])
+    stats.write_table(
+        out_dir / "summary.csv",
+        ("group", "n", "h0_count", "h1_pt_count", "h1_maml_count",
+         "h0_mean", "h1_pt_mean", "h1_maml_mean", "h1_pooled_mean", "h1_pooled_ci95"),
+        [(gs.group, gs.total)
+         + tuple(gs.counts[v] for v in stats.VERDICTS)
+         + tuple(gs.bucket_means[v] for v in stats.VERDICTS)
+         + pooled[gs.group] for gs in summary.groups])
 
-    digest_lines = _digest(records, summary, grouped)
+    digest_lines = _digest(records, summary, pooled)
     with open(out_dir / "digest.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(digest_lines) + "\n")
     return out_dir
 
 
-def _digest(records: Sequence[RunRecord],
-            summary: stats.SummaryReport,
-            grouped: Mapping[str, list[Decision]]) -> list[str]:
+def run_lines(rec: RunRecord) -> list[str]:
+    """One run's text block: the digest prints it, and so does `metalab run`."""
+    cfg = rec.config
+    lines = [f"[{cfg.name}] regime={cfg.regime} maml_order={cfg.maml_order} "
+             f"seed={cfg.seed}",
+             f"  status: {rec.status}; wall clock {rec.wall_clock_seconds:.1f} s"]
+    for label in rec.eval_labels():
+        ev = rec.evals[label]
+        lines.append(f"  {label}: accuracy {ev.mean:.4f} +/- "
+                     f"{ev.ci95_halfwidth:.4f} over {ev.meta_batch} episodes")
+    lines.append(f"  l2 norms: pt {rec.l2_norms['pt']:.3f}, "
+                 f"maml {rec.l2_norms['maml']:.3f}")
+    for method in ("pt", "maml"):
+        state = "converged" if rec.converged[method] else "epoch cap"
+        lines.append(f"  {method} training: {rec.epochs_run[method]} epochs "
+                     f"({state})")
+    if rec.diversity is not None:
+        dv = rec.diversity
+        lines.append(f"  diversity: {dv.coefficient:.4f} +/- "
+                     f"{dv.ci95_halfwidth:.4f} ({dv.num_tasks} tasks, "
+                     f"{dv.num_pairs} pairs)")
+    if rec.histogram is not None:
+        means = ", ".join(f"{k} {v:.4f}" for k, v in
+                          sorted(rec.histogram.partition_means.items()))
+        lines.append(f"  histogram partition means: {means}")
+    for label, d in zip(rec.decision_ids, rec.decisions):
+        lines.append(f"  decision {label}: es {sig6(d.effect_size)} "
+                     f"delta {sig6(d.delta)} -> {d.verdict}")
+    return lines
+
+
+def _digest(records: Sequence[RunRecord], summary: stats.SummaryReport,
+            pooled: Mapping[str, tuple[float | None, float | None]]) -> list[str]:
     lines = ["comparison digest", "=" * 17, f"runs: {len(records)}", ""]
     for rec in records:
-        cfg = rec.config
-        lines.append(f"[{cfg.name}] regime={cfg.regime} maml_order={cfg.maml_order} "
-                     f"seed={cfg.seed}")
-        lines.append(f"  status: {rec.status}; wall clock "
-                     f"{rec.wall_clock_seconds:.1f} s")
-        for label in rec.eval_labels():
-            ev = rec.evals[label]
-            lines.append(f"  {label}: accuracy {ev.mean:.4f} +/- "
-                         f"{ev.ci95_halfwidth:.4f} over {ev.meta_batch} episodes")
-        lines.append(f"  l2 norms: pt {rec.l2_norms['pt']:.3f}, "
-                     f"maml {rec.l2_norms['maml']:.3f}")
-        for method in ("pt", "maml"):
-            state = "converged" if rec.converged[method] else "epoch cap"
-            lines.append(f"  {method} training: {rec.epochs_run[method]} epochs "
-                         f"({state})")
-        if rec.diversity is not None:
-            dv = rec.diversity
-            lines.append(f"  diversity: {dv.coefficient:.4f} +/- "
-                         f"{dv.ci95_halfwidth:.4f} ({dv.num_tasks} tasks, "
-                         f"{dv.num_pairs} pairs)")
-        if rec.histogram is not None:
-            means = ", ".join(f"{k} {v:.4f}" for k, v in
-                              sorted(rec.histogram.partition_means.items()))
-            lines.append(f"  histogram partition means: {means}")
-        for label, d in zip(rec.decision_ids, rec.decisions):
-            lines.append(f"  decision {label}: es {sig6(d.effect_size)} "
-                         f"delta {sig6(d.delta)} -> {d.verdict}")
+        lines.extend(run_lines(rec))
         lines.append("")
     lines.append("grouped summary (effect-size rule)")
     lines.append("-" * 34)
@@ -861,10 +840,9 @@ def _digest(records: Sequence[RunRecord],
         lines.append(f"  bucket means: H0 {_fmt(gs.bucket_means[stats.H0])}, "
                      f"H1_pt {_fmt(gs.bucket_means[stats.H1_PT])}, "
                      f"H1_maml {_fmt(gs.bucket_means[stats.H1_MAML])}")
-        pooled_mean, pooled_ci = _mean_ci(_h1_pool(grouped[gs.group]))
-        ci_text = "n/a" if pooled_ci is None else sig6(pooled_ci)
+        pooled_mean, pooled_ci = pooled[gs.group]
         lines.append(f"  mean H1 effect size: {_fmt(pooled_mean)} "
-                     f"+/- {ci_text} (95% CI)")
+                     f"+/- {_fmt(pooled_ci, 'n/a')} (95% CI)")
     return lines
 
 

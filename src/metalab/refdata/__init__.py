@@ -17,13 +17,19 @@ Group keys name four experimental settings:
 plus ``pooled_lowdiv`` / ``pooled_highdiv`` rows in the summary-means table
 (verdict buckets pooled across settings) and a plain ``highdiv`` key in the
 delta table (thresholds were only published for one high-diversity batch).
+
+Each table has one frozen row class; a loader reads the table through
+`stats.read_table` and converts every cell by its field's annotation
+(`str`, `int`, `float`, or `float | None`, where a blank cell is None).
 """
 
 from __future__ import annotations
 
-import csv
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
+
+from metalab.stats import read_table
 
 __all__ = [
     "ReportedEffectSize",
@@ -41,11 +47,6 @@ __all__ = [
 ]
 
 _DIR = Path(__file__).parent
-
-
-def _rows(name: str) -> list[dict[str, str]]:
-    with open(_DIR / name, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
 
 
 @dataclass(frozen=True)
@@ -115,62 +116,43 @@ class ReportedNorms:
     pt: float
 
 
-def load_effect_sizes(group: str | None = None) -> tuple[ReportedEffectSize, ...]:
-    out = tuple(
-        ReportedEffectSize(r["group"], r["dataset"], r["variant"], float(r["es"]), r["verdict"])
-        for r in _rows("reported_effect_sizes.csv")
-    )
+_CONVERTERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": lambda text: float(text) if text else None,
+}
+
+
+def _load(cls, name: str, group: str | None = None) -> tuple:
+    """Rows of table `name` as `cls`, optionally only those of one group."""
+    fields = dataclasses.fields(cls)
+    rows = tuple(cls(*(_CONVERTERS[f.type](r[f.name]) for f in fields))
+                 for r in read_table(_DIR / name, [f.name for f in fields]))
     if group is not None:
-        out = tuple(r for r in out if r.group == group)
-    return out
+        rows = tuple(r for r in rows if r.group == group)
+    return rows
+
+
+def load_effect_sizes(group: str | None = None) -> tuple[ReportedEffectSize, ...]:
+    return _load(ReportedEffectSize, "reported_effect_sizes.csv", group)
 
 
 def load_deltas(group: str | None = None) -> tuple[ReportedDelta, ...]:
-    out = tuple(
-        ReportedDelta(r["group"], r["dataset"], r["variant"], float(r["delta"]))
-        for r in _rows("reported_deltas.csv")
-    )
-    if group is not None:
-        out = tuple(r for r in out if r.group == group)
-    return out
+    return _load(ReportedDelta, "reported_deltas.csv", group)
 
 
 def load_accuracies(group: str | None = None) -> tuple[ReportedAccuracy, ...]:
-    out = tuple(
-        ReportedAccuracy(
-            r["group"], r["dataset"], r["method"], float(r["mean"]), float(r["ci95"]), int(r["n"])
-        )
-        for r in _rows("reported_accuracies.csv")
-    )
-    if group is not None:
-        out = tuple(r for r in out if r.group == group)
-    return out
+    return _load(ReportedAccuracy, "reported_accuracies.csv", group)
 
 
 def load_summary_counts() -> tuple[ReportedCounts, ...]:
-    return tuple(
-        ReportedCounts(r["setting"], int(r["h0"]), int(r["h1_pt"]), int(r["h1_maml"]))
-        for r in _rows("reported_summary_counts.csv")
-    )
+    return _load(ReportedCounts, "reported_summary_counts.csv")
 
 
 def load_summary_means() -> tuple[ReportedMeans, ...]:
-    return tuple(
-        ReportedMeans(
-            r["setting"],
-            float(r["h0"]) if r["h0"] else None,
-            float(r["h1_pt"]) if r["h1_pt"] else None,
-            float(r["h1_maml"]) if r["h1_maml"] else None,
-        )
-        for r in _rows("reported_summary_means.csv")
-    )
+    return _load(ReportedMeans, "reported_summary_means.csv")
 
 
 def load_l2_norms(group: str | None = None) -> tuple[ReportedNorms, ...]:
-    out = tuple(
-        ReportedNorms(r["group"], r["dataset"], float(r["maml"]), float(r["pt"]))
-        for r in _rows("reported_l2_norms.csv")
-    )
-    if group is not None:
-        out = tuple(r for r in out if r.group == group)
-    return out
+    return _load(ReportedNorms, "reported_l2_norms.csv", group)

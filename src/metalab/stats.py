@@ -9,6 +9,10 @@ wins (H1_pt), second sample wins (H1_maml). The boundary belongs to H0
 instead; `summarize` aggregates verdicts and bucket-mean effect sizes
 across many experiments.
 
+It also owns the table format: the package writes every CSV through
+`write_table` and reads it through `read_table`, one rule rendering each
+cell (float: `sig6`; int: digits; None: blank; bool: true/false).
+
 Samples are treated as unpaired throughout: the pooled standard deviation
 is the variance-weighted combination of the two samples' standard
 deviations (n-1 denominators), not the spread of element-wise differences.
@@ -171,19 +175,25 @@ def ci_overlap(ci_a: tuple[float, float], ci_b: tuple[float, float]) -> float:
     return max(0.0, min(ci_a[1], ci_b[1]) - max(ci_a[0], ci_b[0]))
 
 
+_CI_RULES = {0.0: "ci", 0.01: "ci_1pct"}  # overlap threshold -> rule label
+
+
 def decide_ci(a: Sequence[float], b: Sequence[float],
               overlap_threshold: float = 0.0,
               maml_variant: str = "other") -> Decision:
     """Adjudicate by CI overlap: H0 when overlap exceeds the threshold.
 
-    Overlap is measured in accuracy units. Threshold 0 is the strict rule:
-    any positive overlap keeps H0, and intervals that merely touch (overlap
-    exactly 0) reject it. When H0 is rejected the verdict follows the sign
-    of the mean difference. Effect size and delta are attached for
-    reporting only; the "es" consistency invariant does not apply here.
+    Overlap is measured in accuracy units. Threshold 0 is the strict rule
+    "ci": any positive overlap keeps H0, and intervals that merely touch
+    (overlap exactly 0) reject it. Threshold 0.01 is "ci_1pct"; any other
+    raises ValueError. When H0 is rejected the verdict follows the sign of
+    the mean difference. Effect size and delta are attached for reporting
+    only; the "es" consistency invariant does not apply here.
     """
-    if overlap_threshold < 0:
-        raise ValueError("overlap_threshold must be nonnegative")
+    rule = _CI_RULES.get(overlap_threshold)
+    if rule is None:
+        raise ValueError(f"overlap_threshold must be one of {sorted(_CI_RULES)}, "
+                         f"got {overlap_threshold!r}")
     sa, sb = SampleStats.from_sample(a), SampleStats.from_sample(b)
     overlap = ci_overlap(confidence_interval(a), confidence_interval(b))
     try:
@@ -195,7 +205,6 @@ def decide_ci(a: Sequence[float], b: Sequence[float],
         verdict = H0
     else:
         verdict = H1_PT if sa.mean > sb.mean else H1_MAML
-    rule = "ci" if overlap_threshold == 0.0 else "ci_1pct"
     return Decision(verdict=verdict, effect_size=es, delta=delta,
                     maml_variant=maml_variant, rule=rule)
 
@@ -273,7 +282,7 @@ def summarize_cells(cells: Sequence[tuple[float, str]],
 
 
 # ---------------------------------------------------------------------------
-# decision-table text interface
+# the table format: every CSV the package writes or reads
 # ---------------------------------------------------------------------------
 
 DECISION_COLUMNS = ("experiment_id", "es", "delta", "verdict")
@@ -284,25 +293,46 @@ def sig6(x: float) -> str:
     return f"{float(x):.6g}"
 
 
-def write_decision_table(path: str | Path,
-                         rows: Iterable[tuple[str, float, float, str]]) -> None:
-    """Emit (experiment_id, es, delta, verdict) rows as UTF-8 CSV."""
+def _cell(value) -> str:
+    """float -> sig6, None -> blank, bool -> true/false, else str (int -> digits)."""
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return sig6(value)
+    return str(value)
+
+
+def write_table(path: str | Path, columns: Sequence[str],
+                rows: Iterable[Sequence]) -> None:
+    """Emit a header and `rows` as UTF-8 CSV, each value rendered by `_cell`."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(DECISION_COLUMNS)
-        for exp_id, es, delta, verdict in rows:
-            writer.writerow([exp_id, sig6(es), sig6(delta), verdict])
+        writer.writerow(columns)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def read_table(path: str | Path, columns: Sequence[str]) -> list[dict[str, str]]:
+    """Read a UTF-8 CSV into one str-valued dict per row.
+
+    Raises ValueError naming every column of `columns` the header lacks.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        missing = sorted(set(columns) - set(reader.fieldnames or ()))
+        if missing:
+            raise ValueError(f"{path}: missing columns {missing}")
+        return list(reader)
+
+
+def write_decision_table(path: str | Path,
+                         rows: Iterable[tuple[str, float, float, str]]) -> None:
+    """Emit (experiment_id, es, delta, verdict) rows as a table."""
+    write_table(path, DECISION_COLUMNS, rows)
 
 
 def read_decision_table(path: str | Path) -> list[tuple[str, float, float, str]]:
     """Read rows written by `write_decision_table`."""
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(DECISION_COLUMNS) - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"decision table missing columns {sorted(missing)}")
-        for row in reader:
-            out.append((row["experiment_id"], float(row["es"]),
-                        float(row["delta"]), row["verdict"]))
-    return out
+    return [(r["experiment_id"], float(r["es"]), float(r["delta"]), r["verdict"])
+            for r in read_table(path, DECISION_COLUMNS)]

@@ -54,6 +54,13 @@ def test_run_writes_run_dir_and_prints_summary(tmp_path, capsys):
     assert "decision maml2/es:" in captured.out
     assert "diversity:" in captured.out
     assert (out / "cli-tiny" / "record.json").exists()
+    # the printed block is the run's block in the report digest
+    record = RunRecord.load(out / "cli-tiny")
+    block = harness.run_lines(record)
+    assert captured.out.splitlines() == block + [
+        f"record: {out / 'cli-tiny' / 'record.json'}"]
+    report = harness.emit_report([record], tmp_path / "report")
+    assert "\n".join(block) in (report / "digest.txt").read_text(encoding="utf-8")
 
 
 def test_run_seed_override_reseeds_derived_streams(tmp_path):
@@ -160,6 +167,19 @@ def test_reproduce_tables_rejects_flipped_verdicts(tmp_path, capsys):
     assert "failed at stage 'reproduce'" in captured.err
 
 
+def test_reproduce_tables_names_a_missing_column(tmp_path, capsys):
+    es = tmp_path / "es.csv"
+    es.write_text("group,dataset,variant,es,verdict\n"
+                  "g,d,maml5,0.5,H1_pt\n", encoding="utf-8")
+    delta = tmp_path / "delta.csv"
+    delta.write_text("group,dataset,variant\ng,d,maml5\n", encoding="utf-8")
+    assert main(["reproduce-tables", "--es", str(es), "--delta", str(delta),
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "failed at stage 'reproduce'" in err
+    assert "missing columns ['delta']" in err
+
+
 def test_report_renders_saved_runs_from_a_root_directory(tmp_path, capsys):
     root = tmp_path / "runs"
     harness.run_suite(
@@ -175,6 +195,31 @@ def test_report_renders_saved_runs_from_a_root_directory(tmp_path, capsys):
     rep2 = tmp_path / "rep2"
     assert main(["report", str(root / "a"), "--out", str(rep2)]) == 0
     assert (rep2 / "summary.csv").exists()
+
+
+def test_report_reads_a_run_reached_twice_once(tmp_path, capsys):
+    root = tmp_path / "runs"
+    harness.run_suite(
+        [_tiny_config("a", diversity_tasks=0, histogram_tasks=0),
+         _tiny_config("b", seed=1, diversity_tasks=0, histogram_tasks=0)],
+        out_root=root)
+    rep = tmp_path / "rep"
+    assert main(["report", str(root), str(root / "a"), "--out", str(rep)]) == 0
+    assert "report over 2 records" in capsys.readouterr().out
+    with open(rep / "summary.csv", encoding="utf-8") as fh:
+        summary = {r["group"]: r for r in csv.DictReader(fh)}
+    assert summary["all_fo"]["n"] == "4"  # 2 runs x 2 depths, each counted once
+
+
+def test_report_refuses_two_runs_with_one_name(tmp_path, capsys):
+    for root in ("one", "two"):
+        harness.run_suite([_tiny_config("a", diversity_tasks=0, histogram_tasks=0)],
+                          out_root=tmp_path / root)
+    assert main(["report", str(tmp_path / "one"), str(tmp_path / "two"),
+                 "--out", str(tmp_path / "rep")]) == 1
+    err = capsys.readouterr().err
+    assert "failed at stage 'report'" in err
+    assert "run names must be unique" in err
 
 
 def test_report_rejects_paths_without_records(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Experiment configs, the comparison pipeline, records, and reports."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -407,6 +408,30 @@ def test_emit_report_is_byte_deterministic(two_records, tmp_path):
         assert a == b, name
     with pytest.raises(ValueError):
         emit_report([], tmp_path / "empty")
+
+
+def test_emit_report_reproduces_the_golden_bundle(tmp_path):
+    # report/ holds the bundle emitted for the golden record before the
+    # tables moved to `stats.write_table`; every byte must stay.
+    out = emit_report([RunRecord.load(GOLDEN)], tmp_path / "report")
+    expected = sorted(p.name for p in (GOLDEN / "report").iterdir())
+    assert sorted(p.name for p in out.iterdir()) == expected
+    for name in expected:
+        assert (out / name).read_bytes() == (GOLDEN / "report" / name).read_bytes(), name
+
+
+def test_emit_report_refuses_runs_that_would_share_files(tiny_record, tmp_path):
+    renamed = dataclasses.replace(
+        tiny_record, config=dataclasses.replace(tiny_record.config, name="tiny/x"))
+    clash = dataclasses.replace(
+        tiny_record, config=dataclasses.replace(tiny_record.config, name="tiny-x"))
+    for records in ([tiny_record, tiny_record], [renamed, clash]):
+        out = tmp_path / "rep"
+        with pytest.raises(ValueError, match="run names must be unique"):
+            emit_report(records, out)
+        assert not out.exists()
+    with pytest.raises(ValueError, match="run names must be unique"):
+        run_suite([_tiny_config("a b"), _tiny_config("a-b")])
 
 
 # ---------------------------------------------------------------------------

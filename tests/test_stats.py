@@ -26,10 +26,12 @@ from metalab.stats import (
     delta_threshold,
     pooled_std,
     read_decision_table,
+    read_table,
     sig6,
     summarize,
     summarize_cells,
     write_decision_table,
+    write_table,
 )
 
 samples = st.lists(st.floats(-10, 10), min_size=2, max_size=8)
@@ -187,6 +189,17 @@ def test_decide_ci_overlap_thresholds():
         decide_ci(a, b, overlap_threshold=-0.5)
 
 
+def test_decide_ci_labels_only_the_two_published_thresholds():
+    a = [0.50, 0.52, 0.51, 0.53]
+    b = [0.90, 0.92, 0.91, 0.93]
+    # positional threshold, as the benchmark's workloads call it
+    assert decide_ci(a, b, 0.0, maml_variant="maml5").rule == "ci"
+    assert decide_ci(a, b, 0.01, maml_variant="maml5").rule == "ci_1pct"
+    for threshold in (0.05, 0.001, 1.0):
+        with pytest.raises(ValueError, match="overlap_threshold"):
+            decide_ci(a, b, threshold)
+
+
 def test_decide_ci_disjoint_and_contained():
     low = [0.50, 0.52, 0.51, 0.53]
     high = [0.90, 0.92, 0.91, 0.93]
@@ -284,6 +297,25 @@ def test_decision_table_rejects_missing_columns(tmp_path):
         writer.writerow(["x", "0.1", "H0_no_diff"])
     with pytest.raises(ValueError):
         read_decision_table(path)
+
+
+def test_table_cells_follow_one_rule(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_table(path, ("none", "true", "false", "np_bool", "np_int", "int",
+                       "np_float", "float", "np_float32", "text"),
+                [(None, True, False, np.bool_(True), np.int64(7), 12,
+                  np.float64(0.72920333), 1234567.0, np.float32(0.5), "a, b")])
+    assert path.read_bytes() == (
+        b"none,true,false,np_bool,np_int,int,np_float,float,np_float32,text\r\n"
+        b',true,false,true,7,12,0.729203,1.23457e+06,0.5,"a, b"\r\n')
+
+
+def test_read_table_names_every_missing_column(tmp_path):
+    path = tmp_path / "t.csv"
+    write_table(path, ("a", "b"), [("x", 1)])
+    assert read_table(path, ("a", "b")) == [{"a": "x", "b": "1"}]
+    with pytest.raises(ValueError, match=r"missing columns \['c', 'd'\]"):
+        read_table(path, ("d", "a", "c"))
 
 
 def test_sig6_rendering():
