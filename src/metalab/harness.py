@@ -254,9 +254,10 @@ class BenchmarkSpec:
 class ExperimentConfig:
     """Everything one comparison run needs; round-trips through YAML.
 
-    The three specific seeds default to the root `seed`; distinct RNG
-    streams keep init, training episodes, meta-test episodes, and
-    diversity episodes independent even when all three share one value.
+    The three specific seeds default to the root `seed`. At the default
+    `task_seed == diversity_seed` the diversity episodes are the first
+    meta-test episodes: both draw `(seed, i)` (ROADMAP item 4). Both legs'
+    `TrainConfig`s are built here, so a bad setting fails before training.
     Fields are declared in the order config.yaml lists them.
     """
 
@@ -299,15 +300,26 @@ class ExperimentConfig:
             raise ValueError("eval_steps must be distinct")
         if self.meta_batch < 2:
             raise ValueError("meta_batch must be at least 2 (CIs need a spread)")
-        for leg, overrides in (("pt", self.pt), ("maml", self.maml)):
+        if self.probe_method not in ("pt", "random"):
+            raise ValueError(f"probe_method must be pt or random, got {self.probe_method!r}")
+        if not self.probe_hidden_dims:
+            raise ValueError("probe_hidden_dims needs a hidden layer to embed tasks with")
+        if self.histogram_bins < 1:
+            raise ValueError("histogram_bins must be positive")
+        for attr in ("init_seed", "task_seed", "diversity_seed"):
+            if getattr(self, attr) is None:
+                object.__setattr__(self, attr, int(self.seed))
+        for leg, overrides, build in (("pt", self.pt, self.pt_config),
+                                      ("maml", self.maml, self.maml_config)):
             clash = set(overrides) & set(_RESERVED_OVERRIDES)
             if clash:
                 raise ValueError(
                     f"{leg} overrides may not set {sorted(clash)}; "
                     "those fields are pinned by the experiment config")
-        for attr in ("init_seed", "task_seed", "diversity_seed"):
-            if getattr(self, attr) is None:
-                object.__setattr__(self, attr, int(self.seed))
+            try:
+                build()
+            except (TypeError, ValueError) as err:
+                raise ValueError(f"{leg} leg: {err}") from err
 
     def pt_config(self) -> TrainConfig:
         return TrainConfig(method="pt", seed=self.init_seed,
@@ -412,7 +424,7 @@ class RunRecord:
         run_dir.mkdir(parents=True, exist_ok=True)
         record_path = _new_record_path(run_dir)
         self.config.to_yaml(run_dir / "config.yaml")
-        stats.write_decision_table(run_dir / "decisions.csv", _decision_rows(self))
+        stats.write_table(run_dir / "decisions.csv", _DECISION_COLUMNS, _decision_rows(self))
         stats.write_table(run_dir / "accuracies.csv", _ACCURACY_COLUMNS,
                           _accuracy_rows(self))
         partial = run_dir / "record.json.partial"
@@ -427,6 +439,7 @@ class RunRecord:
             return cls.from_dict(json.load(fh))
 
 
+_DECISION_COLUMNS = ("experiment_id", "es", "delta", "verdict")
 _ACCURACY_COLUMNS = ("method", "mean", "ci95_halfwidth", "meta_batch")
 
 
@@ -744,9 +757,9 @@ def emit_report(records: Sequence[RunRecord], out_dir: str | Path) -> Path:
     for rec in records:
         rows = _decision_rows(rec)
         all_rows.extend(rows)
-        stats.write_decision_table(
-            out_dir / f"decisions_{_safe_name(rec.config.name)}.csv", rows)
-    stats.write_decision_table(out_dir / "decisions.csv", all_rows)
+        stats.write_table(out_dir / f"decisions_{_safe_name(rec.config.name)}.csv",
+                          _DECISION_COLUMNS, rows)
+    stats.write_table(out_dir / "decisions.csv", _DECISION_COLUMNS, all_rows)
 
     stats.write_table(out_dir / "accuracies.csv", ("run",) + _ACCURACY_COLUMNS,
                       [(rec.config.name,) + row for rec in records

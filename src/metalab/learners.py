@@ -11,8 +11,8 @@ Two training regimes share one architecture and one initialization stream:
 Both evaluate at meta-test through `meta_test`: pre-trained bodies are
 frozen and get a freshly fitted per-task head (`fit_head`); meta-learned
 models take a few full-parameter descent steps on the support set
-(`adapt`). Training is deliberately plain (fixed-rate gradient descent,
-windowed-plateau stop) so runs are reproducible to the bit.
+(`adapt`). Both train through one loop, `_train` (fixed-rate gradient
+descent, windowed-plateau stop), so runs are reproducible to the bit.
 
 Every gradient runs on the closed-form numpy kernel `nets.MLPKernel`,
 built once per call with its buffers: `train_pt` (one full-batch call per
@@ -29,7 +29,7 @@ the oracle the tests check these paths against.
 The head refit is the L2-penalized logistic-regression head of Tian et
 al. 2020 ("Rethinking Few-Shot Image Classification", arXiv 2003.11539):
 it minimizes mean cross-entropy + (HEAD_L2/2)*||[W; b]||^2, bias included,
-by damped Newton until max|grad| <= 1e-8. The penalty makes the optimum
+by damped Newton until max|grad| <= HEAD_TOL. The penalty makes the optimum
 finite and unique even on separable 5-shot supports, so every refit is
 trained to convergence, and one that is not raises `NumericalError`.
 
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -65,6 +65,7 @@ from metalab.tasks import Benchmark, FewShotTask, sample_task, union_dataset
 
 PLATEAU_WINDOW = 20
 HEAD_L2 = 1e-2      # L2 penalty of the head refit, bias row included
+HEAD_TOL = 1e-8     # the head refit stops at max|grad J| <= HEAD_TOL
 ARMIJO = 1e-4       # sufficient-decrease fraction of the head line search
 MIN_STEP = 1e-10    # line-search step below which the head fit gives up
 
@@ -150,12 +151,16 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
-    """Final model, per-evaluation train loss curve, and stop diagnostics."""
+    """Final model, per-epoch train loss curve, and stop diagnostics."""
 
     model: Model
     loss_curve: tuple[float, ...]
-    epochs_run: int
     converged: bool
+
+    @property
+    def epochs_run(self) -> int:
+        """Epochs trained: each one adds exactly one loss to the curve."""
+        return len(self.loss_curve)
 
 
 @dataclass(frozen=True)
@@ -198,34 +203,51 @@ def _plateaued(curve: list[float], tol: float) -> bool:
     return (prev - last) / max(abs(prev), 1e-12) < tol
 
 
+def _train(spec: NetSpec, config: TrainConfig, leg: str,
+           objective: Callable[[int, ParamVector], tuple]) -> TrainResult:
+    """Descend from `spec.init(config.seed)` until `_plateaued` or `max_epochs`.
+
+    `objective(epoch, params)` returns per-item losses and their gradient
+    sum; the curve gains their mean, the step is `outer_lr * sum / count`,
+    and a `NumericalError` becomes `TrainingError("<leg> diverged ...")`.
+    """
+    params = spec.init(config.seed)
+    curve: list[float] = []
+    for epoch in range(1, config.max_epochs + 1):
+        try:
+            losses, grad_sum = objective(epoch, params)
+        except NumericalError as err:
+            raise TrainingError(f"{leg} diverged at epoch {epoch}: {err}") from err
+        total = 0.0
+        for loss in losses:
+            total += float(loss)
+        params = ParamVector(
+            params.values - config.outer_lr * grad_sum / len(losses), params.layout)
+        curve.append(total / len(losses))
+        if _plateaued(curve, config.convergence_tol):
+            break
+    return TrainResult(model=Model(spec, params), loss_curve=tuple(curve),
+                       converged=_plateaued(curve, config.convergence_tol))
+
+
 def train_pt(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
     """Supervised descent on the union dataset under global labels.
 
     The head spans every global class of the benchmark; classes outside the
     train split simply never occur. Full-batch gradient descent at
-    `outer_lr` until plateau or `max_epochs`.
+    `outer_lr` until plateau or `max_epochs` (`_train`).
     """
     if config.method != "pt":
         raise ValueError(f"train_pt requires method 'pt', got {config.method!r}")
     spec = NetSpec(benchmark.input_dim, config.hidden_dims, benchmark.total_classes)
-    params = spec.init(config.seed)
     data = union_dataset(benchmark, "train", config.examples_per_class, config.seed)
     kernel = MLPKernel(spec, data.inputs.shape)
-    curve: list[float] = []
-    converged = False
-    epoch = 0
-    for epoch in range(1, config.max_epochs + 1):
-        try:
-            value, g = kernel.loss_and_grad(params.values, data.inputs, data.labels)
-        except NumericalError as err:
-            raise TrainingError(f"pre-training diverged at epoch {epoch}: {err}") from err
-        params = ParamVector(params.values - config.outer_lr * g, params.layout)
-        curve.append(float(value))
-        if _plateaued(curve, config.convergence_tol):
-            converged = True
-            break
-    return TrainResult(model=Model(spec, params), loss_curve=tuple(curve),
-                       epochs_run=epoch, converged=converged)
+
+    def full_batch(epoch: int, params: ParamVector):
+        value, g = kernel.loss_and_grad(params.values, data.inputs, data.labels)
+        return [value], g
+
+    return _train(spec, config, "pre-training", full_batch)
 
 
 def train_maml(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
@@ -233,7 +255,7 @@ def train_maml(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
 
     Each outer step samples `meta_batch` train episodes, adapts on each
     support set for `inner_steps_train` steps at `inner_lr`, and descends
-    the mean query loss at `outer_lr`. The higher-order method
+    the mean query loss at `outer_lr` (`_train`). The higher-order method
     differentiates through the inner updates; the first-order method
     detaches them. Episode draws come from the ("episode", epoch, index)
     streams of `config.seed`, so trajectories are reproducible.
@@ -241,36 +263,20 @@ def train_maml(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
     if config.method not in ("fo_maml", "ho_maml"):
         raise ValueError(f"train_maml requires a maml method, got {config.method!r}")
     spec = NetSpec(benchmark.input_dim, config.hidden_dims, config.n_way)
-    params = spec.init(config.seed)
     kernels = tuple(
         MLPKernel(spec, (config.meta_batch, config.n_way * rows, benchmark.input_dim))
         for rows in (config.k_shot, config.q_query))
-    curve: list[float] = []
-    converged = False
-    epoch = 0
-    for epoch in range(1, config.max_epochs + 1):
+
+    def meta_batch(epoch: int, params: ParamVector):
         tasks = [sample_task(benchmark, "train", config.n_way, config.k_shot,
                              config.q_query, (config.seed, epoch, j))
                  for j in range(config.meta_batch)]
-        try:
-            values, per_task = _meta_gradients(
-                kernels, params, tasks, config.inner_steps_train, config.inner_lr,
-                higher_order=config.method == "ho_maml")
-        except NumericalError as err:
-            raise TrainingError(
-                f"meta-training diverged at epoch {epoch}: {err}") from err
-        total = 0.0
-        for value in values:  # episode order
-            total += float(value)
-        grads = per_task.sum(axis=0)
-        params = ParamVector(
-            params.values - config.outer_lr * grads / config.meta_batch, params.layout)
-        curve.append(total / config.meta_batch)
-        if _plateaued(curve, config.convergence_tol):
-            converged = True
-            break
-    return TrainResult(model=Model(spec, params), loss_curve=tuple(curve),
-                       epochs_run=epoch, converged=converged)
+        values, per_task = _meta_gradients(
+            kernels, params, tasks, config.inner_steps_train, config.inner_lr,
+            higher_order=config.method == "ho_maml")
+        return values, per_task.sum(axis=0)
+
+    return _train(spec, config, "meta-training", meta_batch)
 
 
 def _stacked(tasks: Sequence[FewShotTask], part: str) -> tuple[np.ndarray, np.ndarray]:
@@ -364,7 +370,7 @@ def _head_objective(xa: np.ndarray, onehot: np.ndarray, wa: np.ndarray,
 
 def _logistic_head_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
                        init: tuple[np.ndarray, np.ndarray] | None,
-                       l2: float, tol: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+                       l2: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton descent on L2-regularized multinomial logistic regression.
 
     Minimizes J(wa) = mean cross-entropy + (l2/2)*||wa||^2 over the stacked
@@ -372,9 +378,9 @@ def _logistic_head_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
     positive definite, so the optimum is unique and Newton converges to it
     quadratically. Each round builds the dense (f+1)*k Hessian, solves for
     the Newton direction and backtracks (Armijo) on J, so every accepted
-    step lowers J. The fit stops when max|grad J| <= `tol`.
+    step lowers J. The fit stops when max|grad J| <= HEAD_TOL.
 
-    At l2 > 0, reaching `max_iter` above `tol` (or a line search that can
+    At l2 > 0, reaching `max_iter` above HEAD_TOL (or a line search that can
     no longer lower J) raises `NumericalError`. At l2 == 0 the optimum of
     a separable support lies at infinity and the softmax gauge makes the
     Hessian singular, so a tiny relative ridge keeps the solve defined and
@@ -400,7 +406,7 @@ def _logistic_head_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
     while True:
         g = xa.T @ (probs - onehot) / n + l2 * wa
         gmax = float(np.abs(g).max())
-        if gmax <= tol or iterations == max_iter:
+        if gmax <= HEAD_TOL or iterations == max_iter:
             break
         curvature = probs[:, :, None] * (eye[None] - probs[:, None, :])
         hess = np.tensordot(outer, curvature, axes=(0, 0)).transpose(0, 2, 1, 3)
@@ -419,23 +425,23 @@ def _logistic_head_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
             break
         wa, value, probs = cand, cand_value, cand_probs
         iterations += 1
-    if gmax > tol and l2 > 0:
+    if gmax > HEAD_TOL and l2 > 0:
         raise NumericalError(
             f"head fit stopped after {iterations} Newton iterations with "
-            f"max|grad J| = {gmax:.3g} above tol {tol:g}")
+            f"max|grad J| = {gmax:.3g} above tol {HEAD_TOL:g}")
     return wa[:-1], wa[-1]
 
 
 def fit_head(model: Model, support: Batch, n_classes: int | None = None,
              init_head: tuple[np.ndarray, np.ndarray] | None = None,
-             l2: float = HEAD_L2, tol: float = 1e-8, max_iter: int = 100) -> Model:
+             l2: float = HEAD_L2, max_iter: int = 100) -> Model:
     """Freeze the body and refit a fresh L2-regularized logistic-regression head.
 
     The head minimizes mean support cross-entropy + (l2/2)*||[W; b]||^2 on
-    the body's features, solved by damped Newton until max|grad| <= `tol`
+    the body's features, solved by damped Newton until max|grad| <= HEAD_TOL
     (see `_logistic_head_fit`). The default `l2=HEAD_L2` makes the optimum
     finite and unique even on separable supports, and a fit that does not
-    reach `tol` within `max_iter` Newton rounds raises `NumericalError`.
+    reach HEAD_TOL within `max_iter` Newton rounds raises `NumericalError`.
     `l2=0.0` fits the plain multinomial-logistic head; on a separable
     support its optimum is at infinity, so reaching `max_iter` there is
     expected and returns the last iterate.
@@ -452,7 +458,7 @@ def fit_head(model: Model, support: Batch, n_classes: int | None = None,
     if width < 2:
         raise ValueError("head needs at least 2 classes")
     features = model.body_features(support.inputs)
-    w, b = _logistic_head_fit(features, labels, width, init_head, l2, tol, max_iter)
+    w, b = _logistic_head_fit(features, labels, width, init_head, l2, max_iter)
     new_spec = NetSpec(model.spec.input_dim, model.spec.hidden_dims, width)
     w_name, b_name = new_spec.head_names()
     segs = model.params.segments()

@@ -1,6 +1,6 @@
 """Parameter vectors, small feed-forward classifiers, and gradients.
 
-A network is described by a `NetSpec` (dims and nonlinearity) and a flat
+A network is described by a `NetSpec` (dims; relu throughout) and a flat
 `ParamVector` whose layout names each weight matrix and bias.
 
 The layer structure is written down three times, each for one job:
@@ -111,7 +111,6 @@ class NetSpec:
     input_dim: int
     hidden_dims: tuple[int, ...] = ()
     output_dim: int = 2
-    activation: str = "relu"
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
@@ -120,8 +119,6 @@ class NetSpec:
             raise ValueError(f"dimensions must be positive, got {dims}")
         if self.output_dim < 2:
             raise ValueError("output_dim must be at least 2 for classification")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
 
     @property
     def dims(self) -> tuple[int, ...]:

@@ -159,14 +159,10 @@ def ci95_halfwidth(values: Sequence[float]) -> float:
     return float(Z95 * arr.std(ddof=1) / math.sqrt(arr.size))
 
 
-def confidence_interval(a: Sequence[float], level: float = 0.95) -> tuple[float, float]:
-    """Normal-approximation interval mean +/- Z95 sd / sqrt(n)."""
-    if level != 0.95:
-        raise ValueError(f"only the 95% level (z = {Z95}) is supported")
+def confidence_interval(a: Sequence[float]) -> tuple[float, float]:
+    """Normal-approximation 95% interval mean +/- Z95 sd / sqrt(n)."""
     arr = np.asarray(a, dtype=np.float64)
-    if arr.size < 2:
-        raise ValueError("a confidence interval needs n >= 2")
-    half = ci95_halfwidth(arr)
+    half = ci95_halfwidth(arr)  # raises for n < 2
     return float(arr.mean() - half), float(arr.mean() + half)
 
 
@@ -285,9 +281,6 @@ def summarize_cells(cells: Sequence[tuple[float, str]],
 # the table format: every CSV the package writes or reads
 # ---------------------------------------------------------------------------
 
-DECISION_COLUMNS = ("experiment_id", "es", "delta", "verdict")
-
-
 def sig6(x: float) -> str:
     """Render a float with 6 significant digits, '.' decimal separator."""
     return f"{float(x):.6g}"
@@ -324,15 +317,3 @@ def read_table(path: str | Path, columns: Sequence[str]) -> list[dict[str, str]]
         if missing:
             raise ValueError(f"{path}: missing columns {missing}")
         return list(reader)
-
-
-def write_decision_table(path: str | Path,
-                         rows: Iterable[tuple[str, float, float, str]]) -> None:
-    """Emit (experiment_id, es, delta, verdict) rows as a table."""
-    write_table(path, DECISION_COLUMNS, rows)
-
-
-def read_decision_table(path: str | Path) -> list[tuple[str, float, float, str]]:
-    """Read rows written by `write_decision_table`."""
-    return [(r["experiment_id"], float(r["es"]), float(r["delta"]), r["verdict"])
-            for r in read_table(path, DECISION_COLUMNS)]

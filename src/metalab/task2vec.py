@@ -14,11 +14,11 @@ Implementation choices that matter for comparing numbers:
   head is task-specific by construction;
 - the raw diagonal is used, with no per-layer normalization;
 - the data for both the head refit and the FIM is the task's support and
-  query sets concatenated;
+  query sets concatenated, drawn from the benchmark's `test` split;
 - the refitted head is `fit_head`'s default: L2-penalized multinomial
   logistic regression (penalty `learners.HEAD_L2`, bias included) solved
-  to max|grad| <= 1e-8, so the posterior weighting the FIM is that of
-  the converged head.
+  to max|grad| <= `learners.HEAD_TOL`, so the posterior weighting the FIM
+  is that of the converged head.
 
 The in-module FIM is a closed-form layer-by-layer computation (squared
 backprop signals over the outputs of `nets.activations`); the test suite
@@ -117,10 +117,12 @@ def build_probe(pretext_benchmark: Benchmark, seed: int,
     `method="pt"` pre-trains on the pretext benchmark's union (the default
     and the analogue of an off-the-shelf pretrained backbone);
     `method="random"` freezes the seeded initialization instead, an
-    ablation option.
+    ablation option. Both draw from `seed`, which the provenance names, so
+    a `config` with another seed raises ValueError.
     """
-    if config is None:
-        config = TrainConfig(method="pt", seed=seed)
+    config = config or TrainConfig(method="pt", seed=seed)
+    if config.seed != seed:
+        raise ValueError(f"seed {seed} differs from config.seed {config.seed}")
     if method == "pt":
         result = train_pt(pretext_benchmark, config)
         model = result.model
@@ -219,12 +221,12 @@ def _pairwise_distances(embeddings: Sequence[TaskEmbedding]) -> list[tuple[int, 
 
 
 def diversity_coefficient(probe: Probe, benchmark: Benchmark, num_tasks: int,
-                          seed: int, split: str = "test", n_way: int = 5,
-                          k_shot: int = 5, q_query: int = 15) -> DiversityReport:
-    """Expected cosine distance between embeddings of sampled task pairs."""
+                          seed: int, n_way: int = 5, k_shot: int = 5,
+                          q_query: int = 15) -> DiversityReport:
+    """Expected cosine distance between embeddings of sampled test-split task pairs."""
     if num_tasks < 2:
         raise ValueError("diversity needs at least 2 tasks")
-    tasks = [sample_task(benchmark, split, n_way, k_shot, q_query, (seed, i))
+    tasks = [sample_task(benchmark, "test", n_way, k_shot, q_query, (seed, i))
              for i in range(num_tasks)]
     embeddings = [embed_task(probe, t) for t in tasks]
     dists = np.array([d for _, _, d in _pairwise_distances(embeddings)])
@@ -236,30 +238,30 @@ def diversity_coefficient(probe: Probe, benchmark: Benchmark, num_tasks: int,
 
 
 def distance_histogram(probe: Probe, benchmark: Benchmark, num_tasks: int,
-                       bins: int, seed: int, split: str = "test", n_way: int = 5,
-                       k_shot: int = 5, q_query: int = 15) -> DistanceHistogram:
+                       bins: int, seed: int, n_way: int = 5, k_shot: int = 5,
+                       q_query: int = 15) -> DistanceHistogram:
     """Pairwise distance histogram partitioned by pair provenance.
 
     Tasks are drawn source-pure, round-robin over the benchmark's sources
     (each task's classes come from one source), so a pair is either
     "within-<source>" or "cross". With well-separated sources the cross
     partition sits to the right of every within partition, the multi-mode
-    picture. Sources whose split pool cannot seat n_way classes are
-    skipped.
+    picture. Tasks come from the `test` split; sources whose test pool
+    cannot seat n_way classes are skipped.
     """
     if num_tasks < 2:
         raise ValueError("histogram needs at least 2 tasks")
-    pool = benchmark.split_pool(split)
+    pool = benchmark.split_pool("test")
     per_source: dict[int, list[int]] = {}
     for g in pool:
         per_source.setdefault(benchmark.source_of(g), []).append(g)
     usable = [si for si, gs in sorted(per_source.items()) if len(gs) >= n_way]
     if not usable:
-        raise ValueError(f"no source has {n_way} classes in split {split!r}")
+        raise ValueError(f"no source has {n_way} classes in the test split")
     tasks = []
     for i in range(num_tasks):
         si = usable[i % len(usable)]
-        tasks.append(sample_task(benchmark, split, n_way, k_shot, q_query,
+        tasks.append(sample_task(benchmark, "test", n_way, k_shot, q_query,
                                  (seed, i), class_pool=per_source[si]))
     embeddings = [embed_task(probe, t) for t in tasks]
     task_source = [usable[i % len(usable)] for i in range(num_tasks)]

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 from metalab import harness
 from metalab.cli import main
@@ -266,11 +267,32 @@ def test_diversity_verb_rejects_single_task(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
-def test_console_entry_point_runs_in_a_subprocess(tmp_path):
+def test_console_entry_point_runs_in_a_subprocess(tmp_path, child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "metalab", "reproduce-tables",
          "--out", str(tmp_path)],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120, env=child_env)
     assert proc.returncode == 0, proc.stderr
     assert "mismatches: 0" in proc.stdout
     assert (tmp_path / "reproduction.csv").exists()
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("probe_method", "distill", "probe_method"),
+    ("histogram_bins", 0, "histogram_bins"),
+    ("probe_hidden_dims", [], "probe_hidden_dims"),
+    ("maml", {"max_epoch": 5}, "maml leg"),
+    ("maml", {"inner_lr": -1.0}, "maml leg"),
+])
+def test_run_refuses_a_bad_config_at_config_stage(tmp_path, capsys, key, value, named):
+    with pytest.raises(ValueError, match=named):
+        _tiny_config(**{key: value})
+    doc = _tiny_config().to_dict()
+    doc[key] = value
+    cfg_path = tmp_path / "bad.yaml"
+    cfg_path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
+    out = tmp_path / "runs"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "failed at stage 'config'" in err and named in err
+    assert not out.exists()  # refused before any run directory was made

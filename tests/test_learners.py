@@ -200,7 +200,7 @@ def test_every_lowdiv_meta_test_refit_converges():
         assert _head_grad_maxabs(feats, task.support.labels, w, b, HEAD_L2) <= 1e-8, i
 
 
-def test_head_refit_and_embedding_leave_scipy_optimize_unimported():
+def test_head_refit_and_embedding_leave_scipy_optimize_unimported(child_env):
     # Importing scipy.optimize after metalab costs about 0.56 s and 43 MB of
     # resident memory (34 MB -> 78 MB), which the benchmark's setup and
     # peak-memory metrics would show, so the library solves on numpy alone.
@@ -219,7 +219,7 @@ def test_head_refit_and_embedding_leave_scipy_optimize_unimported():
         print("scipy.optimize" in sys.modules)
     """)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=120, env=child_env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
@@ -531,7 +531,7 @@ def test_no_training_path_runs_the_tape(monkeypatch):
         "meta_test pt_head_refit": lambda: meta_test(model, "pt_head_refit", [task]),
         "fit_head": lambda: fit_head(model, task.support),
         "embed_task": lambda: embed_task(
-            build_probe(bench, 0, config=TrainConfig(method="pt", **small)),
+            build_probe(bench, small["seed"], config=TrainConfig(method="pt", **small)),
             sample_task(bench, "train", 3, 2, 3, (0, 0))),
     }
     for label, run in runs.items():

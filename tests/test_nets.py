@@ -536,8 +536,6 @@ def test_netspec_layout_and_validation():
         NetSpec(4, (6,), 1)
     with pytest.raises(ValueError):
         NetSpec(0, (6,), 2)
-    with pytest.raises(ValueError):
-        NetSpec(4, (6,), 3, activation="tanh")
 
 
 def test_batch_validation():

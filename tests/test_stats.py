@@ -25,12 +25,10 @@ from metalab.stats import (
     decide_from_es,
     delta_threshold,
     pooled_std,
-    read_decision_table,
     read_table,
     sig6,
     summarize,
     summarize_cells,
-    write_decision_table,
     write_table,
 )
 
@@ -105,8 +103,6 @@ def test_confidence_interval_hand_value_and_validation():
     lo, hi = confidence_interval([0.0, 1.0])
     assert lo == pytest.approx(0.5 - 1.96 * np.sqrt(0.5) / np.sqrt(2), rel=1e-12)
     assert hi == pytest.approx(0.5 + 1.96 * np.sqrt(0.5) / np.sqrt(2), rel=1e-12)
-    with pytest.raises(ValueError):
-        confidence_interval([0.0, 1.0], level=0.99)
     with pytest.raises(ValueError):
         confidence_interval([0.5])
     with pytest.raises(ValueError):
@@ -276,17 +272,20 @@ def test_summarize_cells_agrees_with_summarize():
 # ---------------------------------------------------------------------------
 
 
+DECISION_COLUMNS = ("experiment_id", "es", "delta", "verdict")
+
+
 def test_decision_table_round_trip(tmp_path):
     rows = [("low/maml5", 0.72920333, 0.0141421356, H1_PT),
             ("high/maml10", -0.16334, 0.054, H1_MAML)]
     path = tmp_path / "decisions.csv"
-    write_decision_table(path, rows)
-    back = read_decision_table(path)
+    write_table(path, DECISION_COLUMNS, rows)
+    back = read_table(path, DECISION_COLUMNS)
     assert len(back) == 2
-    for (eid, es, delta, verdict), (beid, bes, bdelta, bverdict) in zip(rows, back):
-        assert beid == eid and bverdict == verdict
-        assert bes == pytest.approx(es, rel=1e-5)  # 6 significant digits
-        assert bdelta == pytest.approx(delta, rel=1e-5)
+    for (eid, es, delta, verdict), row in zip(rows, back):
+        assert row["experiment_id"] == eid and row["verdict"] == verdict
+        assert float(row["es"]) == pytest.approx(es, rel=1e-5)  # 6 significant digits
+        assert float(row["delta"]) == pytest.approx(delta, rel=1e-5)
 
 
 def test_decision_table_rejects_missing_columns(tmp_path):
@@ -295,8 +294,8 @@ def test_decision_table_rejects_missing_columns(tmp_path):
         writer = csv.writer(handle)
         writer.writerow(["experiment_id", "es", "verdict"])  # no delta
         writer.writerow(["x", "0.1", "H0_no_diff"])
-    with pytest.raises(ValueError):
-        read_decision_table(path)
+    with pytest.raises(ValueError, match="delta"):
+        read_table(path, DECISION_COLUMNS)
 
 
 def test_table_cells_follow_one_rule(tmp_path):

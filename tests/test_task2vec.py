@@ -197,6 +197,16 @@ def test_build_probe_methods():
         build_probe(bench, 0, cfg, method="distill")
 
 
+def test_build_probe_refuses_a_config_with_another_seed():
+    # the provenance names `seed`, so the probe must train and init from it
+    _, bench = _probe_and_benchmark()
+    cfg = TrainConfig(method="pt", hidden_dims=(8,), max_epochs=5, seed=2)
+    for method in ("pt", "random"):
+        with pytest.raises(ValueError, match="seed 1 differs from config.seed 2"):
+            build_probe(bench, 1, cfg, method=method)
+    assert build_probe(bench, 2, cfg).provenance.startswith("pt(seed=2, ")
+
+
 # ---------------------------------------------------------------------------
 # distances
 # ---------------------------------------------------------------------------
