@@ -18,7 +18,11 @@ holds record.json is refused before any training), build-benchmark,
 train-pt, train-maml, meta-test, diversity (`measure_diversity`, which the
 CLI's diversity verb also runs), decide, persist (the record is written).
 Each runs under one guard that turns a failure into a HarnessError naming
-the stage.
+the stage. When the pt probe's training run is a prefix of the PT leg's
+(`_probe_prefix_epochs`: the same TrainConfig but a cap no larger, as in
+the low-diversity preset), train-pt takes the probe on the way and the
+diversity stage trains nothing; the probe's training time then sits in
+stage train-pt, and the record is the same bytes.
 
 Configuration document (YAML) schema, with defaults:
 
@@ -84,6 +88,7 @@ from metalab import stats
 from metalab.learners import (
     EvalResult,
     TrainConfig,
+    TrainResult,
     meta_test,
     model_l2_norm,
     train_maml,
@@ -256,9 +261,13 @@ class ExperimentConfig:
 
     The three specific seeds default to the root `seed`. At the default
     `task_seed == diversity_seed` the diversity episodes are the first
-    meta-test episodes: both draw `(seed, i)` (ROADMAP item 4). Both legs'
-    `TrainConfig`s are built here, so a bad setting fails before training.
-    Fields are declared in the order config.yaml lists them.
+    meta-test episodes: both draw `(seed, i)` (ROADMAP item 4). The
+    `TrainConfig`s of both legs and of the pt probe are built here, so a
+    bad setting fails before training. When `probe_config()` is
+    `pt_config()` but for a cap no larger (same seed, widths and settings,
+    as in the low-diversity preset), the pt probe's run is the first
+    epochs of the PT leg's, and `run_comparison` trains it once, in stage
+    train-pt. Fields are declared in the order config.yaml lists them.
     """
 
     name: str
@@ -310,7 +319,8 @@ class ExperimentConfig:
             if getattr(self, attr) is None:
                 object.__setattr__(self, attr, int(self.seed))
         for leg, overrides, build in (("pt", self.pt, self.pt_config),
-                                      ("maml", self.maml, self.maml_config)):
+                                      ("maml", self.maml, self.maml_config),
+                                      ("probe", {}, self.probe_config)):
             clash = set(overrides) & set(_RESERVED_OVERRIDES)
             if clash:
                 raise ValueError(
@@ -330,6 +340,12 @@ class ExperimentConfig:
         return TrainConfig(method=f"{self.maml_order}_maml", seed=self.init_seed,
                            hidden_dims=self.hidden_dims, n_way=self.n_way,
                            k_shot=self.k_shot, q_query=self.q_query, **self.maml)
+
+    def probe_config(self) -> TrainConfig:
+        """The pt probe's training run: `TrainConfig` defaults, no overrides."""
+        return TrainConfig(method="pt", seed=self.diversity_seed,
+                           hidden_dims=self.probe_hidden_dims, n_way=self.n_way,
+                           k_shot=self.k_shot, q_query=self.q_query)
 
     def to_dict(self) -> dict:
         return _plain(self)
@@ -494,11 +510,15 @@ def run_comparison(config: ExperimentConfig,
 
     Stages run in order: persist (with `out_dir` only: refuse a directory
     that already holds a record.json, before any training), build-benchmark,
-    train-pt, train-maml, meta-test, diversity, decide, persist. A failure
-    raises HarnessError naming the stage. When `out_dir` is given, a
-    failure after the early check leaves a failed.json marker with the
-    stage name there and keeps partial artifacts. A directory refused by the
-    early check is left untouched, so its record.json gets no marker.
+    train-pt, train-maml, meta-test, diversity, decide, persist. When the
+    pt probe's run is a prefix of the PT leg's (`_probe_prefix_epochs`),
+    train-pt also returns the probe and diversity trains nothing, so the
+    probe's training time is booked in train-pt; the record is the same
+    bytes either way. A failure raises HarnessError naming the stage. When
+    `out_dir` is given, a failure after the early check leaves a
+    failed.json marker with the stage name there and keeps partial
+    artifacts. A directory refused by the early check is left untouched,
+    so its record.json gets no marker.
     """
     t0 = time.perf_counter()
     run_dir = None
@@ -516,7 +536,8 @@ def run_comparison(config: ExperimentConfig,
                 f"fewer than n_way={config.n_way}")
 
     with _stage("train-pt", run_dir):
-        pt_result = train_pt(benchmark, config.pt_config())
+        pt_result = train_pt(benchmark, config.pt_config(),
+                             prefix_epochs=_probe_prefix_epochs(config))
 
     with _stage("train-maml", run_dir):
         maml_cfg = config.maml_config()
@@ -535,7 +556,8 @@ def run_comparison(config: ExperimentConfig,
                 steps=steps, lr=maml_cfg.inner_lr)
 
     with _stage("diversity", run_dir):
-        diversity, histogram = measure_diversity(config, benchmark)
+        diversity, histogram = measure_diversity(config, benchmark,
+                                                 probe_run=pt_result.prefix)
 
     with _stage("decide", run_dir):
         pt_accs = evals["pt"].per_task_accuracy
@@ -578,8 +600,25 @@ def run_comparison(config: ExperimentConfig,
     return record
 
 
+def _probe_prefix_epochs(config: ExperimentConfig) -> int | None:
+    """The probe's epoch cap if its run is a prefix of the PT leg's, else None.
+
+    That holds when the diversity stage will pre-train a probe, and the
+    probe's `TrainConfig` is the PT leg's but for a cap no larger: same
+    seed, widths, rate, data and loop, hence the same first epochs.
+    """
+    probe, pt = config.probe_config(), config.pt_config()
+    diversity_runs = config.diversity_tasks >= 2 or config.histogram_tasks >= 2
+    if (config.probe_method == "pt" and diversity_runs
+            and dataclasses.replace(probe, max_epochs=pt.max_epochs) == pt
+            and probe.max_epochs <= pt.max_epochs):
+        return probe.max_epochs
+    return None
+
+
 def measure_diversity(config: ExperimentConfig, benchmark: Benchmark,
                       num_tasks: int | None = None,
+                      probe_run: TrainResult | None = None,
                       ) -> tuple[DiversityReport | None, DistanceHistogram | None]:
     """The diversity stage: one frozen probe, the coefficient, the histogram.
 
@@ -587,17 +626,18 @@ def measure_diversity(config: ExperimentConfig, benchmark: Benchmark,
     for the coefficient and `config.histogram_tasks` source-pure ones for
     the histogram; a count below 2 skips that result (None), and the probe
     is built only if one of them runs. Everything draws from
-    `config.diversity_seed`.
+    `config.diversity_seed`. The pt probe trains on
+    `config.probe_config()` unless `probe_run` is that run already:
+    `run_comparison` passes the PT leg's prefix when the two runs share
+    their first epochs, so the probe's training time is then in train-pt.
     """
     if num_tasks is None:
         num_tasks = config.diversity_tasks
     if num_tasks < 2 and config.histogram_tasks < 2:
         return None, None
     seed = config.diversity_seed
-    probe_cfg = TrainConfig(method="pt", seed=seed,
-                            hidden_dims=config.probe_hidden_dims)
-    probe = build_probe(benchmark, seed, config=probe_cfg,
-                        method=config.probe_method)
+    probe = build_probe(benchmark, seed, config=config.probe_config(),
+                        method=config.probe_method, trained=probe_run)
     episode = dict(n_way=config.n_way, k_shot=config.k_shot, q_query=config.q_query)
     diversity = histogram = None
     if num_tasks >= 2:

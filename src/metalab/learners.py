@@ -11,20 +11,25 @@ Two training regimes share one architecture and one initialization stream:
 Both evaluate at meta-test through `meta_test`: pre-trained bodies are
 frozen and get a freshly fitted per-task head (`fit_head`); meta-learned
 models take a few full-parameter descent steps on the support set
-(`adapt`). Both train through one loop, `_train` (fixed-rate gradient
+(`adapt` for one episode; `meta_test` stacks every episode into one
+descent). Both train through one loop, `_train` (fixed-rate gradient
 descent, windowed-plateau stop), so runs are reproducible to the bit.
+`train_pt` can also hand back the run at an earlier cap, taken on the
+way (`prefix_epochs`), so a shorter run of the same config is not
+trained again.
 
 Every gradient runs on the closed-form numpy kernel `nets.MLPKernel`,
 built once per call with its buffers: `train_pt` (one full-batch call per
-epoch), `train_maml` and `adapt`, hence `meta_test`. MAML's inner loop is
+epoch), `train_maml`, `adapt` and `meta_test`. MAML's inner loop is
 written once, `_descend`, and both MAML orders share `_meta_gradients`:
 each meta-batch is stacked into `(B, n, d)` arrays, so each inner step
 and the query gradient are one kernel call each, and the higher-order
-method adds a reverse sweep of `MLPKernel.hvp` calls. Plain forward
-passes (features for the head, logits for accuracy) come from
-`nets.activations`. The head refit and `episodic_vs_union_loss` use their
-own closed-form Newton solve. No path here runs the autodiff tape; it is
-the oracle the tests check these paths against.
+method adds a reverse sweep of `MLPKernel.hvp` calls. The meta-test
+supports are stacked the same way, one kernel call per adaptation step.
+Plain forward passes (features for the head, logits for accuracy) come
+from `nets.activations`. The head refit and `episodic_vs_union_loss` use
+their own closed-form Newton solve. No path here runs the autodiff tape;
+it is the oracle the tests check these paths against.
 
 The head refit is the L2-penalized logistic-regression head of Tian et
 al. 2020 ("Rethinking Few-Shot Image Classification", arXiv 2003.11539):
@@ -44,6 +49,7 @@ cross-entropy while lowering the penalty.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -104,9 +110,10 @@ class Model:
         return self.params.values[: self.head_boundary]
 
     def head(self) -> tuple[np.ndarray, np.ndarray]:
+        """The final layer's weight and bias, as read-only views."""
         w_name, b_name = self.spec.head_names()
-        segs = self.params.segments()
-        return segs[w_name], segs[b_name]
+        views = self.params.views()
+        return views[w_name], views[b_name]
 
     def body_features(self, inputs: np.ndarray) -> np.ndarray:
         """Activations entering the head (identity for a single layer)."""
@@ -122,7 +129,8 @@ class TrainConfig:
     Stopping: the run ends when the relative improvement of the train loss
     over a sliding window of PLATEAU_WINDOW evaluations drops below
     `convergence_tol`, or at `max_epochs`. Episode shape defaults to
-    5-way 5-shot with 15 queries.
+    5-way 5-shot with 15 queries. Hidden widths, the episode shape and
+    every count are checked here, so a bad one fails before training.
     """
 
     method: str
@@ -147,15 +155,27 @@ class TrainConfig:
         if self.inner_steps_train < 0 or self.meta_batch < 1 or self.max_epochs < 0:
             raise ValueError("counts must be nonnegative (meta_batch positive)")
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        if any(h < 1 for h in self.hidden_dims):
+            raise ValueError(f"hidden_dims must be positive widths, got {self.hidden_dims}")
+        if self.n_way < 2:
+            raise ValueError(f"n_way must be at least 2, got {self.n_way}")
+        if self.k_shot < 1 or self.q_query < 1:
+            raise ValueError(f"k_shot and q_query must be positive, got "
+                             f"{self.k_shot} and {self.q_query}")
 
 
 @dataclass(frozen=True)
 class TrainResult:
-    """Final model, per-epoch train loss curve, and stop diagnostics."""
+    """Final model, per-epoch train loss curve, and stop diagnostics.
+
+    `prefix` is the same run stopped at an earlier cap, when one was asked
+    for (`train_pt`'s `prefix_epochs`), else None.
+    """
 
     model: Model
     loss_curve: tuple[float, ...]
     converged: bool
+    prefix: TrainResult | None = None
 
     @property
     def epochs_run(self) -> int:
@@ -204,16 +224,32 @@ def _plateaued(curve: list[float], tol: float) -> bool:
 
 
 def _train(spec: NetSpec, config: TrainConfig, leg: str,
-           objective: Callable[[int, ParamVector], tuple]) -> TrainResult:
+           objective: Callable[[int, ParamVector], tuple],
+           prefix_epochs: int | None = None) -> TrainResult:
     """Descend from `spec.init(config.seed)` until `_plateaued` or `max_epochs`.
 
     `objective(epoch, params)` returns per-item losses and their gradient
     sum; the curve gains their mean, the step is `outer_lr * sum / count`,
     and a `NumericalError` becomes `TrainingError("<leg> diverged ...")`.
+
+    With `prefix_epochs` = k, the result's `prefix` is the run as a cap of
+    k epochs would have returned it, bit for bit: the state after epoch k,
+    or the final run if the plateau stopped it by then.
     """
+    if prefix_epochs is not None and not 0 <= prefix_epochs <= config.max_epochs:
+        raise ValueError(f"prefix_epochs {prefix_epochs} lies outside "
+                         f"[0, max_epochs={config.max_epochs}]")
+
+    def result(params: ParamVector, curve: list[float]) -> TrainResult:
+        return TrainResult(model=Model(spec, params), loss_curve=tuple(curve),
+                           converged=_plateaued(curve, config.convergence_tol))
+
     params = spec.init(config.seed)
     curve: list[float] = []
+    prefix = None
     for epoch in range(1, config.max_epochs + 1):
+        if epoch - 1 == prefix_epochs:
+            prefix = result(params, curve)
         try:
             losses, grad_sum = objective(epoch, params)
         except NumericalError as err:
@@ -226,16 +262,21 @@ def _train(spec: NetSpec, config: TrainConfig, leg: str,
         curve.append(total / len(losses))
         if _plateaued(curve, config.convergence_tol):
             break
-    return TrainResult(model=Model(spec, params), loss_curve=tuple(curve),
-                       converged=_plateaued(curve, config.convergence_tol))
+    final = result(params, curve)
+    if prefix_epochs is None:
+        return final
+    return dataclasses.replace(final, prefix=final if prefix is None else prefix)
 
 
-def train_pt(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
+def train_pt(benchmark: Benchmark, config: TrainConfig,
+             prefix_epochs: int | None = None) -> TrainResult:
     """Supervised descent on the union dataset under global labels.
 
     The head spans every global class of the benchmark; classes outside the
     train split simply never occur. Full-batch gradient descent at
-    `outer_lr` until plateau or `max_epochs` (`_train`).
+    `outer_lr` until plateau or `max_epochs` (`_train`). With
+    `prefix_epochs` = k <= `max_epochs`, the result's `prefix` is bitwise
+    `train_pt(benchmark, replace(config, max_epochs=k))`, taken on the way.
     """
     if config.method != "pt":
         raise ValueError(f"train_pt requires method 'pt', got {config.method!r}")
@@ -247,7 +288,7 @@ def train_pt(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
         value, g = kernel.loss_and_grad(params.values, data.inputs, data.labels)
         return [value], g
 
-    return _train(spec, config, "pre-training", full_batch)
+    return _train(spec, config, "pre-training", full_batch, prefix_epochs)
 
 
 def train_maml(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
@@ -291,7 +332,7 @@ def _descend(kernel: MLPKernel, flat: np.ndarray, inputs: np.ndarray, labels: np
 
     theta_{k+1} = theta_k - lr * grad(theta_k) from theta_0 = `flat`, in
     `(P,)` or stacked `(B, P)` arrays. The inner loop of MAML, in training
-    (`_meta_gradients`) and at test time (`adapt`). The kernel checks every
+    (`_meta_gradients`) and at test time (`_adapted`). The kernel checks every
     loss and gradient for finiteness, since the iterates never become
     `ParamVector`s.
     """
@@ -337,6 +378,20 @@ def _meta_gradients(kernels: tuple[MLPKernel, MLPKernel], params: ParamVector,
     return values, v
 
 
+def _adapted(model: Model, inputs: np.ndarray, labels: np.ndarray,
+             steps: int, lr: float) -> np.ndarray:
+    """`model`'s parameters after `steps` descent steps on support cross-entropy.
+
+    `inputs` is one support `(n, d)` or a stack `(B, n, d)`; the result is
+    `(P,)` or `(B, P)`, one kernel call per step either way.
+    """
+    kernel = MLPKernel(model.spec, inputs.shape)
+    try:
+        return _descend(kernel, model.params.values, inputs, labels, steps, lr)[-1]
+    except NumericalError as err:
+        raise NumericalError(f"adaptation hit a non-finite loss: {err}") from err
+
+
 def adapt(model: Model, support: Batch, steps: int, lr: float) -> Model:
     """Full-parameter descent on the support cross-entropy, exactly `steps`.
 
@@ -348,12 +403,7 @@ def adapt(model: Model, support: Batch, steps: int, lr: float) -> Model:
         raise ValueError("steps must be nonnegative")
     if steps == 0:
         return model
-    kernel = MLPKernel(model.spec, support.inputs.shape)
-    try:
-        flat = _descend(kernel, model.params.values, support.inputs, support.labels,
-                        steps, lr)[-1]
-    except NumericalError as err:
-        raise NumericalError(f"adaptation hit a non-finite loss: {err}") from err
+    flat = _adapted(model, support.inputs, support.labels, steps, lr)
     return Model(model.spec, ParamVector(flat, model.params.layout))
 
 
@@ -460,11 +510,8 @@ def fit_head(model: Model, support: Batch, n_classes: int | None = None,
     features = model.body_features(support.inputs)
     w, b = _logistic_head_fit(features, labels, width, init_head, l2, max_iter)
     new_spec = NetSpec(model.spec.input_dim, model.spec.hidden_dims, width)
-    w_name, b_name = new_spec.head_names()
-    segs = model.params.segments()
-    segs[w_name] = w
-    segs[b_name] = b
-    return Model(new_spec, ParamVector.from_segments(new_spec.layout(), segs))
+    flat = np.concatenate([model.body_values(), w.ravel(), b])
+    return Model(new_spec, ParamVector(flat, new_spec.layout()))
 
 
 def _accuracy(model: Model, batch: Batch) -> float:
@@ -478,21 +525,35 @@ def meta_test(model: Model, method: str, tasks: Sequence[FewShotTask],
 
     `method` is "pt_head_refit" (freeze body, refit head on support) or
     "maml_adapt" (`steps` full-parameter descent steps at `lr` on support).
-    Results are order-independent per task, so the accuracy vector permutes
-    with `tasks`.
+    "maml_adapt" stacks the supports, which must share one shape, into one
+    descent: `steps` kernel calls in all, each episode's iterate bitwise
+    that of `adapt` on it alone. Results are order-independent per task,
+    so the accuracy vector permutes with `tasks`.
     """
     if not tasks:
         raise ValueError("meta_test needs at least one task")
-    accs: list[float] = []
-    for task in tasks:
-        if method == "pt_head_refit":
-            adapted = fit_head(model, task.support)
-        elif method == "maml_adapt":
-            adapted = adapt(model, task.support, steps, lr)
-        else:
-            raise ValueError(f"unknown meta_test method {method!r}")
-        accs.append(_accuracy(adapted, task.query))
-    return EvalResult.from_accuracies(accs)
+    if method == "pt_head_refit":
+        adapted = [fit_head(model, task.support) for task in tasks]
+    elif method == "maml_adapt":
+        adapted = _adapted_models(model, tasks, steps, lr)
+    else:
+        raise ValueError(f"unknown meta_test method {method!r}")
+    return EvalResult.from_accuracies(
+        [_accuracy(m, task.query) for m, task in zip(adapted, tasks)])
+
+
+def _adapted_models(model: Model, tasks: Sequence[FewShotTask], steps: int,
+                    lr: float) -> list[Model]:
+    """`adapt(model, task.support, steps, lr)` for every task, in one stacked descent."""
+    shapes = sorted({task.support.inputs.shape for task in tasks})
+    if len(shapes) > 1:
+        raise ValueError(f"maml_adapt stacks supports of one shape, got {shapes}")
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if steps == 0:
+        return [model] * len(tasks)
+    flats = _adapted(model, *_stacked(tasks, "support"), steps, lr)
+    return [Model(model.spec, ParamVector(flat, model.params.layout)) for flat in flats]
 
 
 def model_l2_norm(model: Model) -> float:

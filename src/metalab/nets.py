@@ -78,15 +78,20 @@ class ParamVector:
     def __len__(self) -> int:
         return self.values.size
 
-    def segments(self) -> dict[str, np.ndarray]:
-        """Named reshaped copies of each layout segment."""
+    def views(self) -> dict[str, np.ndarray]:
+        """Named reshaped read-only views of each layout segment, no copy."""
         out: dict[str, np.ndarray] = {}
         offset = 0
         for name, shape in self.layout:
             size = math.prod(shape)
-            out[name] = self.values[offset:offset + size].reshape(shape).copy()
+            out[name] = self.values[offset:offset + size].reshape(shape)
+            out[name].flags.writeable = False
             offset += size
         return out
+
+    def segments(self) -> dict[str, np.ndarray]:
+        """Named reshaped copies of each layout segment."""
+        return {name: view.copy() for name, view in self.views().items()}
 
     @classmethod
     def from_segments(cls, layout: Layout, segments: Mapping[str, np.ndarray]) -> "ParamVector":
@@ -199,7 +204,7 @@ def activations(spec: NetSpec, params: ParamVector, inputs: np.ndarray) -> list[
         raise ShapeError(
             f"batch width {inputs.shape} does not match input_dim {spec.input_dim}")
     _check_compatible(spec, params)
-    segs = params.segments()
+    segs = params.views()
     out = [inputs]
     for i in range(spec.num_layers):
         h = out[-1] @ segs[f"W{i}"] + segs[f"b{i}"]

@@ -32,7 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from metalab.learners import Model, TrainConfig, fit_head, train_pt
+from metalab.learners import Model, TrainConfig, TrainResult, fit_head, train_pt
 from metalab.nets import Batch, NetSpec, activations, softmax
 from metalab.stats import ci95_halfwidth
 from metalab.tasks import Benchmark, FewShotTask, sample_task
@@ -111,20 +111,25 @@ class DistanceHistogram:
 
 def build_probe(pretext_benchmark: Benchmark, seed: int,
                 config: TrainConfig | None = None,
-                method: str = "pt") -> Probe:
+                method: str = "pt", trained: TrainResult | None = None) -> Probe:
     """Train (or draw) a frozen probe on a held-out pretext benchmark.
 
     `method="pt"` pre-trains on the pretext benchmark's union (the default
     and the analogue of an off-the-shelf pretrained backbone);
     `method="random"` freezes the seeded initialization instead, an
     ablation option. Both draw from `seed`, which the provenance names, so
-    a `config` with another seed raises ValueError.
+    a `config` with another seed raises ValueError. `trained`, if given, is
+    `train_pt(pretext_benchmark, config)` run already (the harness passes
+    a prefix of its PT leg); the pt probe is built from it without
+    training, with the same provenance.
     """
     config = config or TrainConfig(method="pt", seed=seed)
     if config.seed != seed:
         raise ValueError(f"seed {seed} differs from config.seed {config.seed}")
+    if trained is not None and method != "pt":
+        raise ValueError(f"a trained run serves only the pt probe, not {method!r}")
     if method == "pt":
-        result = train_pt(pretext_benchmark, config)
+        result = train_pt(pretext_benchmark, config) if trained is None else trained
         model = result.model
         provenance = (f"pt(seed={seed}, classes={pretext_benchmark.total_classes}, "
                       f"epochs={result.epochs_run})")
@@ -155,7 +160,7 @@ def _fim_diag_body(model: Model, batch: Batch) -> np.ndarray:
     squares, hence nonnegative by construction.
     """
     spec = model.spec
-    segs = model.params.segments()
+    segs = model.params.views()
     n_layers = spec.num_layers
     if n_layers < 2:
         raise ValueError("a probe needs at least one hidden layer to embed with")

@@ -283,6 +283,11 @@ def test_console_entry_point_runs_in_a_subprocess(tmp_path, child_env):
     ("probe_hidden_dims", [], "probe_hidden_dims"),
     ("maml", {"max_epoch": 5}, "maml leg"),
     ("maml", {"inner_lr": -1.0}, "maml leg"),
+    ("hidden_dims", [0], "hidden_dims"),
+    ("probe_hidden_dims", [0], "probe leg"),
+    ("n_way", 1, "n_way"),
+    ("k_shot", 0, "k_shot"),
+    ("q_query", 0, "q_query"),
 ])
 def test_run_refuses_a_bad_config_at_config_stage(tmp_path, capsys, key, value, named):
     with pytest.raises(ValueError, match=named):

@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,7 @@ from metalab.harness import (
     emit_report,
     high_diversity_preset,
     low_diversity_preset,
+    measure_diversity,
     reproduce_decisions,
     run_comparison,
     run_suite,
@@ -180,6 +184,67 @@ def test_run_comparison_is_deterministic(tiny_record):
     a.pop("wall_clock_seconds")
     b.pop("wall_clock_seconds")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _shrunk_lowdiv(**overrides) -> ExperimentConfig:
+    base = dict(meta_batch=4, eval_steps=(1,), diversity_tasks=4,
+                maml={"max_epochs": 2})
+    base.update(overrides)
+    return low_diversity_preset(0, **base)
+
+
+def test_probe_is_the_pt_legs_prefix_only_when_the_runs_share_their_first_epochs():
+    assert harness._probe_prefix_epochs(low_diversity_preset(0)) == 300
+    assert harness._probe_prefix_epochs(_shrunk_lowdiv(diversity_tasks=0,
+                                                       histogram_tasks=2)) == 300
+    assert harness._probe_prefix_epochs(_shrunk_lowdiv(pt={"max_epochs": 300})) == 300
+    for unshared in (
+        _shrunk_lowdiv(probe_method="random"),
+        _shrunk_lowdiv(diversity_tasks=0),                  # no diversity stage
+        _shrunk_lowdiv(pt={"max_epochs": 299}),             # the probe runs longer
+        _shrunk_lowdiv(pt={"max_epochs": 400, "outer_lr": 0.1}),
+        _shrunk_lowdiv(diversity_seed=1),
+        _shrunk_lowdiv(probe_hidden_dims=(16,)),
+        high_diversity_preset(0),                           # widths (8,) vs (32,)
+    ):
+        assert harness._probe_prefix_epochs(unshared) is None
+
+
+def test_run_comparison_takes_the_probe_from_the_pt_leg(monkeypatch):
+    cfg = _shrunk_lowdiv()
+    bench = cfg.benchmark.build()
+    standalone = measure_diversity(cfg, bench)  # trains its own probe
+    caps = []
+    original = harness.train_pt
+    monkeypatch.setattr(harness, "train_pt", lambda b, c, **kw: caps.append(
+        (c.max_epochs, kw.get("prefix_epochs"))) or original(b, c, **kw))
+    monkeypatch.setattr("metalab.task2vec.train_pt", lambda *a, **kw: pytest.fail(
+        "the diversity stage trained a probe"))
+    record = run_comparison(cfg)
+    assert caps == [(400, 300)]
+    assert record.diversity == standalone[0]
+    assert record.diversity.probe_provenance == "pt(seed=0, classes=40, epochs=300)"
+
+
+def test_run_comparison_leaves_scipy_unimported(tmp_path, child_env):
+    # Importing scipy.linalg.lapack after metalab costs about 23 MB of
+    # resident memory (34 MB -> 57 MB) and 0.24-0.32 s, which the
+    # benchmark's peak-memory and setup metrics would show, so no library
+    # path may import any scipy module. Both probe methods are run.
+    for method in ("random", "pt"):
+        _tiny_config(name=method, probe_method=method).to_yaml(tmp_path / f"{method}.yaml")
+    script = textwrap.dedent(f"""
+        import sys
+        from metalab.harness import ExperimentConfig, run_comparison
+        for method in ("random", "pt"):
+            cfg = ExperimentConfig.from_yaml({str(tmp_path)!r} + f"/{{method}}.yaml")
+            assert run_comparison(cfg).diversity is not None
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=child_env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 def test_run_comparison_skips_diversity_when_disabled():

@@ -7,6 +7,7 @@ kernel and through the autodiff tape; and the episodic-vs-union pooled-loss
 inequality on random bodies, where it must hold for structural reasons.
 """
 
+import dataclasses
 import subprocess
 import sys
 import textwrap
@@ -23,6 +24,7 @@ from metalab.learners import (
     Model,
     TrainConfig,
     TrainingError,
+    _adapted_models,
     _meta_gradients,
     _plateaued,
     adapt,
@@ -329,6 +331,51 @@ def test_meta_test_validation():
         meta_test(model, "maml_adapt", [])
     with pytest.raises(ValueError):
         meta_test(model, "finetune_everything", [task])
+    with pytest.raises(ValueError, match="nonnegative"):
+        meta_test(model, "maml_adapt", [task], steps=-1)
+
+
+def _lowdiv_episodes(count: int):
+    bench = low_diversity_preset(0).benchmark.build()
+    return [sample_task(bench, "test", 5, 5, 15, (0, i)) for i in range(count)]
+
+
+@pytest.mark.parametrize("steps", [0, 1, 5])
+def test_stacked_maml_meta_test_is_adapt_per_episode_bitwise(steps, monkeypatch):
+    spec = NetSpec(8, (32,), 5)
+    model = Model(spec, spec.init(4))
+    tasks = _lowdiv_episodes(16)
+    serial = [adapt(model, task.support, steps, 0.05) for task in tasks]
+    calls = []
+    original = MLPKernel.loss_and_grad
+    monkeypatch.setattr(MLPKernel, "loss_and_grad",
+                        lambda self, *a: calls.append(self.shape) or original(self, *a))
+    stacked = _adapted_models(model, tasks, steps, 0.05)
+    assert calls == [(16, 25, 8)] * steps  # one kernel call per step for all episodes
+    for one, many in zip(serial, stacked):
+        assert np.array_equal(one.params.values, many.params.values)
+    result = meta_test(model, "maml_adapt", tasks, steps=steps, lr=0.05)
+    assert result.per_task_accuracy == tuple(
+        float(np.mean(np.argmax(forward(m.spec, m.params, t.query), axis=1) == t.query.labels))
+        for m, t in zip(serial, tasks))
+
+
+def test_stacked_maml_meta_test_refuses_supports_of_different_shapes():
+    model = _tiny_model()
+    bench, _ = _tiny_task()
+    tasks = [sample_task(bench, "test", 4, k, 5, rng_seed=(1, k)) for k in (3, 2)]
+    for steps in (0, 2):
+        with pytest.raises(ValueError, match="one shape"):
+            meta_test(model, "maml_adapt", tasks, steps=steps, lr=0.1)
+    assert meta_test(model, "pt_head_refit", tasks).meta_batch == 2  # refits one at a time
+
+
+def test_stacked_maml_meta_test_keeps_the_adaptation_error():
+    spec = NetSpec(8, (32,), 5)
+    model = Model(spec, spec.init(4))
+    with pytest.raises(NumericalError, match="adaptation hit a non-finite loss"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        meta_test(model, "maml_adapt", _lowdiv_episodes(3), steps=3, lr=1e300)
 
 
 def test_eval_result_accounting():
@@ -397,6 +444,10 @@ def test_training_method_cross_checks():
         TrainConfig(method="pt", outer_lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(method="pt", meta_batch=0)
+    for bad, named in (({"hidden_dims": (8, 0)}, "hidden_dims"), ({"n_way": 1}, "n_way"),
+                       ({"k_shot": 0}, "k_shot"), ({"q_query": 0}, "q_query")):
+        with pytest.raises(ValueError, match=named):
+            TrainConfig(method="pt", **bad)
 
 
 def test_divergent_runs_raise_training_error():
@@ -588,6 +639,41 @@ def test_convergence_stops_before_max_epochs():
     assert out.epochs_run < 3000
 
 
+def _assert_same_run(a, b):
+    assert a.model.spec == b.model.spec
+    assert np.array_equal(a.model.params.values, b.model.params.values)
+    assert a.loss_curve == b.loss_curve
+    assert a.converged == b.converged
+
+
+# A convergence_tol of 10 accepts any curve, so those runs stop by plateau
+# at epoch 2 * PLATEAU_WINDOW = 40.
+@pytest.mark.parametrize("max_epochs, prefix, tol, stop", [
+    (50, 20, 1e-4, 50),     # capped: both runs stop at their caps
+    (100, 60, 10.0, 40),    # the plateau stops the run before the prefix
+    (100, 30, 10.0, 40),    # the prefix ends before the plateau
+    (30, 30, 1e-4, 30),     # the prefix is the whole run
+    (30, 0, 1e-4, 30),      # the prefix is the initialization
+])
+def test_train_pt_prefix_is_the_run_at_the_smaller_cap_bitwise(max_epochs, prefix, tol, stop):
+    cfg = TrainConfig(method="pt", hidden_dims=(8,), max_epochs=max_epochs, seed=3,
+                      convergence_tol=tol)
+    full = train_pt(_bench(), cfg, prefix_epochs=prefix)
+    alone = train_pt(_bench(), dataclasses.replace(cfg, max_epochs=prefix))
+    _assert_same_run(full.prefix, alone)
+    assert full.prefix.epochs_run == min(prefix, stop)
+    assert full.epochs_run == stop
+    _assert_same_run(full, train_pt(_bench(), cfg))  # the full run is unchanged
+    assert alone.prefix is None and full.prefix.prefix is None
+
+
+def test_train_pt_prefix_must_lie_within_the_cap():
+    cfg = TrainConfig(method="pt", hidden_dims=(8,), max_epochs=5)
+    for prefix in (-1, 6):
+        with pytest.raises(ValueError, match="prefix_epochs"):
+            train_pt(_bench(), cfg, prefix_epochs=prefix)
+
+
 # ---------------------------------------------------------------------------
 # model accessors and the episodic-vs-union bound
 # ---------------------------------------------------------------------------
@@ -600,6 +686,9 @@ def test_model_accessors():
     assert len(model.body_values()) == model.head_boundary
     w, b = model.head()
     assert w.shape == (6, 4) and b.shape == (4,)
+    segs = model.params.segments()
+    assert np.array_equal(w, segs["W1"]) and np.array_equal(b, segs["b1"])
+    assert np.shares_memory(w, model.params.values) and not w.flags.writeable
     feats = model.body_features(np.zeros((2, 3)))
     assert feats.shape == (2, 6)
     flat = Model(NetSpec(3, (), 4), NetSpec(3, (), 4).init(0))

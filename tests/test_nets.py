@@ -503,6 +503,18 @@ def test_unrolled_rejects_negative_steps_and_flags_nonfinite():
 # ---------------------------------------------------------------------------
 
 
+def test_param_vector_views_share_memory_and_are_read_only():
+    pv = ParamVector(np.arange(7.0), (("a", (2, 2)), ("b", (3,))))
+    views = pv.views()
+    for name, seg in pv.segments().items():
+        assert np.array_equal(views[name], seg)
+        assert np.shares_memory(views[name], pv.values)
+        assert not np.shares_memory(seg, pv.values) and seg.flags.writeable
+    with pytest.raises(ValueError):
+        views["b"][0] = 1.0
+    assert pv.values.flags.writeable
+
+
 def test_param_vector_round_trip_and_validation():
     layout = (("a", (2, 2)), ("b", (3,)))
     pv = ParamVector(np.arange(7.0), layout)

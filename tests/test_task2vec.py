@@ -8,7 +8,7 @@ fully hand-derived formula for a one-hidden-unit network.
 import numpy as np
 import pytest
 
-from metalab.learners import Model, TrainConfig, fit_head
+from metalab.learners import Model, TrainConfig, fit_head, train_pt
 from metalab.nets import Batch, NetSpec, ParamVector, forward, grad, net_loss, softmax
 from metalab.task2vec import (
     DistanceHistogram,
@@ -195,6 +195,19 @@ def test_build_probe_methods():
     assert frozen.provenance == "random(seed=0)"
     with pytest.raises(ValueError):
         build_probe(bench, 0, cfg, method="distill")
+
+
+def test_build_probe_from_a_trained_run_does_not_train(monkeypatch):
+    _, bench = _probe_and_benchmark()
+    cfg = TrainConfig(method="pt", hidden_dims=(8,), max_epochs=5)
+    trained = build_probe(bench, 0, cfg)
+    run = train_pt(bench, cfg)
+    monkeypatch.setattr("metalab.task2vec.train_pt", lambda *a: pytest.fail("trained"))
+    given = build_probe(bench, 0, cfg, trained=run)
+    assert given.provenance == trained.provenance
+    assert np.array_equal(given.model.params.values, trained.model.params.values)
+    with pytest.raises(ValueError, match="only the pt probe"):
+        build_probe(bench, 0, cfg, method="random", trained=run)
 
 
 def test_build_probe_refuses_a_config_with_another_seed():
