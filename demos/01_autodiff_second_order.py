@@ -16,7 +16,6 @@ from metalab.nets import (
     NetSpec,
     ParamVector,
     finite_diff_grad,
-    grad_through_updates,
     loss_and_grad,
     loss_and_grad_through_updates,
     net_loss,
@@ -53,7 +52,7 @@ lr, steps = 0.2, 3
 shrink = (1.0 - lr) ** steps
 
 value, g_ho = loss_and_grad_through_updates(half_norm_sq, p0, steps, lr)
-g_fo = grad_through_updates(half_norm_sq, p0, steps, lr, first_order=True)
+g_fo = loss_and_grad_through_updates(half_norm_sq, p0, steps, lr, first_order=True)[1]
 
 print(f"\nquadratic bowl, {steps} inner steps at lr {lr}:")
 print(f"  unrolled loss    {value:.10f}   closed form {0.5 * shrink**2 * p0.values @ p0.values:.10f}")
@@ -68,9 +67,9 @@ query = Batch(gen.normal(size=(12, 3)), gen.integers(0, 4, size=12))
 inner = net_loss(spec, support)
 outer = net_loss(spec, query)
 
-g_ho = grad_through_updates(outer, params, 5, 0.05, inner_loss_fn=inner)
-g_fo = grad_through_updates(outer, params, 5, 0.05, inner_loss_fn=inner,
-                            first_order=True)
+g_ho = loss_and_grad_through_updates(outer, params, 5, 0.05, inner_loss_fn=inner)[1]
+g_fo = loss_and_grad_through_updates(outer, params, 5, 0.05, inner_loss_fn=inner,
+                                     first_order=True)[1]
 angle = (g_ho.values @ g_fo.values
          / (np.linalg.norm(g_ho.values) * np.linalg.norm(g_fo.values)))
 print(f"\nepisode outer gradients after 5 adaptation steps:")

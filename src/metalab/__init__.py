@@ -13,9 +13,11 @@ Module map:
   support (gradients of gradients); the test oracle.
 - ``nets``: parameter layouts, MLP forward pass, cross-entropy, the numpy
   gradient and Hessian-vector kernel, and the tape-based oracle entry
-  points including differentiation through inner-loop updates.
+  points (``loss_and_grad``, ``loss_and_grad_through_updates`` for
+  differentiating through inner-loop updates, ``finite_diff_grad``).
 - ``rng``: the named, splittable random-stream scheme used everywhere.
-- ``tasks``: synthetic Gaussian sources, benchmark unions, episode sampling.
+- ``tasks``: synthetic Gaussian sources, benchmarks assembled from them
+  (``benchmark_from_sources``), episode sampling.
 - ``learners``: MAML / pre-training loops, adaptation, head refits,
   meta-test evaluation.
 - ``task2vec``: FIM-diagonal task embeddings, cosine distances, diversity
@@ -35,8 +37,6 @@ from metalab.nets import (
     cross_entropy,
     finite_diff_grad,
     forward,
-    grad,
-    grad_through_updates,
 )
 from metalab.tasks import (
     Benchmark,
@@ -47,8 +47,6 @@ from metalab.tasks import (
     make_source,
     sample_task,
     translate_source,
-    union,
-    union_all,
     union_dataset,
 )
 from metalab.learners import (
@@ -147,8 +145,6 @@ __all__ = [
     "finite_diff_grad",
     "fit_head",
     "forward",
-    "grad",
-    "grad_through_updates",
     "ground_truth_divergence",
     "high_diversity_preset",
     "low_diversity_preset",
@@ -165,7 +161,5 @@ __all__ = [
     "train_maml",
     "train_pt",
     "translate_source",
-    "union",
-    "union_all",
     "union_dataset",
 ]

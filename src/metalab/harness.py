@@ -203,6 +203,8 @@ class SourceSpec:
     name: str | None = None
 
     def __post_init__(self):
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"source seed must be nonnegative, got {self.seed}")
         if self.offset is not None:
             object.__setattr__(self, "offset", tuple(float(v) for v in self.offset))
             if len(self.offset) != self.input_dim:
@@ -240,6 +242,8 @@ class BenchmarkSpec:
         object.__setattr__(self, "sources", tuple(self.sources))
         if not self.sources:
             raise ValueError("a benchmark spec needs at least one source")
+        if self.seed < 0:
+            raise ValueError(f"benchmark seed must be nonnegative, got {self.seed}")
 
     def build(self) -> Benchmark:
         built = [spec.build(self.seed * 1000 + i)
@@ -259,9 +263,10 @@ class BenchmarkSpec:
 class ExperimentConfig:
     """Everything one comparison run needs; round-trips through YAML.
 
-    The three specific seeds default to the root `seed`. At the default
-    `task_seed == diversity_seed` the diversity episodes are the first
-    meta-test episodes: both draw `(seed, i)` (ROADMAP item 4). The
+    The three specific seeds default to the root `seed`; no seed may be
+    negative. At the default `task_seed == diversity_seed` the diversity
+    episodes are the first meta-test episodes: both draw `(seed, i)`
+    (ROADMAP item 4). The
     `TrainConfig`s of both legs and of the pt probe are built here, so a
     bad setting fails before training. When `probe_config()` is
     `pt_config()` but for a cap no larger (same seed, widths and settings,
@@ -318,6 +323,9 @@ class ExperimentConfig:
         for attr in ("init_seed", "task_seed", "diversity_seed"):
             if getattr(self, attr) is None:
                 object.__setattr__(self, attr, int(self.seed))
+        for attr in ("seed", "init_seed", "task_seed", "diversity_seed"):
+            if getattr(self, attr) < 0:
+                raise ValueError(f"seeds must be nonnegative, got {attr}={getattr(self, attr)}")
         for leg, overrides, build in (("pt", self.pt, self.pt_config),
                                       ("maml", self.maml, self.maml_config),
                                       ("probe", {}, self.probe_config)):

@@ -10,9 +10,9 @@ Two training regimes share one architecture and one initialization stream:
 
 Both evaluate at meta-test through `meta_test`: pre-trained bodies are
 frozen and get a freshly fitted per-task head (`fit_head`); meta-learned
-models take a few full-parameter descent steps on the support set
-(`adapt` for one episode; `meta_test` stacks every episode into one
-descent). Both train through one loop, `_train` (fixed-rate gradient
+models take a few full-parameter descent steps on the support set, every
+episode's support stacked into one descent (`adapt` is that descent on
+one episode). Both train through one loop, `_train` (fixed-rate gradient
 descent, windowed-plateau stop), so runs are reproducible to the bit.
 `train_pt` can also hand back the run at an earlier cap, taken on the
 way (`prefix_epochs`), so a shorter run of the same config is not
@@ -72,6 +72,7 @@ from metalab.tasks import Benchmark, FewShotTask, sample_task, union_dataset
 PLATEAU_WINDOW = 20
 HEAD_L2 = 1e-2      # L2 penalty of the head refit, bias row included
 HEAD_TOL = 1e-8     # the head refit stops at max|grad J| <= HEAD_TOL
+HEAD_MAX_ITER = 100  # Newton rounds the head refit may take to reach HEAD_TOL
 ARMIJO = 1e-4       # sufficient-decrease fraction of the head line search
 MIN_STEP = 1e-10    # line-search step below which the head fit gives up
 
@@ -129,8 +130,9 @@ class TrainConfig:
     Stopping: the run ends when the relative improvement of the train loss
     over a sliding window of PLATEAU_WINDOW evaluations drops below
     `convergence_tol`, or at `max_epochs`. Episode shape defaults to
-    5-way 5-shot with 15 queries. Hidden widths, the episode shape and
-    every count are checked here, so a bad one fails before training.
+    5-way 5-shot with 15 queries. Hidden widths, the episode shape, every
+    count, the seed, the rates and the tolerance are checked here, so a
+    bad one fails before training.
     """
 
     method: str
@@ -150,10 +152,14 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in ("pt", "fo_maml", "ho_maml"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.outer_lr <= 0 or self.inner_lr <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.inner_steps_train < 0 or self.meta_batch < 1 or self.max_epochs < 0:
-            raise ValueError("counts must be nonnegative (meta_batch positive)")
+        if not all(math.isfinite(lr) and lr > 0 for lr in (self.outer_lr, self.inner_lr)):
+            raise ValueError("learning rates must be finite and positive")
+        if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
+            raise ValueError("convergence_tol must be finite and nonnegative")
+        if min(self.inner_steps_train, self.max_epochs, self.seed) < 0:
+            raise ValueError("inner_steps_train, max_epochs and seed must be nonnegative")
+        if min(self.meta_batch, self.examples_per_class) < 1:
+            raise ValueError("meta_batch and examples_per_class must be positive")
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden_dims must be positive widths, got {self.hidden_dims}")
@@ -320,9 +326,8 @@ def train_maml(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
     return _train(spec, config, "meta-training", meta_batch)
 
 
-def _stacked(tasks: Sequence[FewShotTask], part: str) -> tuple[np.ndarray, np.ndarray]:
-    """Inputs `(B, n, d)` and labels `(B, n)` of each episode's support or query."""
-    batches = [getattr(t, part) for t in tasks]
+def _stacked(batches: Sequence[Batch]) -> tuple[np.ndarray, np.ndarray]:
+    """Inputs `(B, n, d)` and labels `(B, n)` of B batches of one shape."""
     return np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches])
 
 
@@ -332,9 +337,9 @@ def _descend(kernel: MLPKernel, flat: np.ndarray, inputs: np.ndarray, labels: np
 
     theta_{k+1} = theta_k - lr * grad(theta_k) from theta_0 = `flat`, in
     `(P,)` or stacked `(B, P)` arrays. The inner loop of MAML, in training
-    (`_meta_gradients`) and at test time (`_adapted`). The kernel checks every
-    loss and gradient for finiteness, since the iterates never become
-    `ParamVector`s.
+    (`_meta_gradients`) and at test time (`_adapted_models`). The kernel
+    checks every loss and gradient for finiteness, since the iterates never
+    become `ParamVector`s.
     """
     iterates = [flat]
     for _ in range(steps):
@@ -367,9 +372,9 @@ def _meta_gradients(kernels: tuple[MLPKernel, MLPKernel], params: ParamVector,
     non-finite meta-gradient left by the sweep raises `NumericalError` too.
     """
     support_kernel, query_kernel = kernels
-    inputs, labels = _stacked(tasks, "support")
+    inputs, labels = _stacked([t.support for t in tasks])
     iterates = _descend(support_kernel, params.values, inputs, labels, steps, lr)
-    values, v = query_kernel.loss_and_grad(iterates.pop(), *_stacked(tasks, "query"))
+    values, v = query_kernel.loss_and_grad(iterates.pop(), *_stacked([t.query for t in tasks]))
     if higher_order:
         for theta in reversed(iterates):
             v = v - lr * support_kernel.hvp(theta, v, inputs, labels)
@@ -378,33 +383,15 @@ def _meta_gradients(kernels: tuple[MLPKernel, MLPKernel], params: ParamVector,
     return values, v
 
 
-def _adapted(model: Model, inputs: np.ndarray, labels: np.ndarray,
-             steps: int, lr: float) -> np.ndarray:
-    """`model`'s parameters after `steps` descent steps on support cross-entropy.
-
-    `inputs` is one support `(n, d)` or a stack `(B, n, d)`; the result is
-    `(P,)` or `(B, P)`, one kernel call per step either way.
-    """
-    kernel = MLPKernel(model.spec, inputs.shape)
-    try:
-        return _descend(kernel, model.params.values, inputs, labels, steps, lr)[-1]
-    except NumericalError as err:
-        raise NumericalError(f"adaptation hit a non-finite loss: {err}") from err
-
-
 def adapt(model: Model, support: Batch, steps: int, lr: float) -> Model:
     """Full-parameter descent on the support cross-entropy, exactly `steps`.
 
-    The input model is untouched; zero steps (or zero rate) return its
-    parameters bit-for-bit. A non-finite loss or gradient on the way raises
+    The stacked descent of `meta_test` run on one episode. The input model
+    is untouched; zero steps return it itself, and zero rate its parameters
+    bit-for-bit. A non-finite loss or gradient on the way raises
     `NumericalError`.
     """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    if steps == 0:
-        return model
-    flat = _adapted(model, support.inputs, support.labels, steps, lr)
-    return Model(model.spec, ParamVector(flat, model.params.layout))
+    return _adapted_models(model, [support], steps, lr)[0]
 
 
 def _head_objective(xa: np.ndarray, onehot: np.ndarray, wa: np.ndarray,
@@ -420,7 +407,7 @@ def _head_objective(xa: np.ndarray, onehot: np.ndarray, wa: np.ndarray,
 
 def _logistic_head_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
                        init: tuple[np.ndarray, np.ndarray] | None,
-                       l2: float, max_iter: int) -> tuple[np.ndarray, np.ndarray]:
+                       l2: float) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton descent on L2-regularized multinomial logistic regression.
 
     Minimizes J(wa) = mean cross-entropy + (l2/2)*||wa||^2 over the stacked
@@ -430,8 +417,8 @@ def _logistic_head_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
     the Newton direction and backtracks (Armijo) on J, so every accepted
     step lowers J. The fit stops when max|grad J| <= HEAD_TOL.
 
-    At l2 > 0, reaching `max_iter` above HEAD_TOL (or a line search that can
-    no longer lower J) raises `NumericalError`. At l2 == 0 the optimum of
+    At l2 > 0, reaching HEAD_MAX_ITER above HEAD_TOL (or a line search that
+    can no longer lower J) raises `NumericalError`. At l2 == 0 the optimum of
     a separable support lies at infinity and the softmax gauge makes the
     Hessian singular, so a tiny relative ridge keeps the solve defined and
     stopping at the cap (or on a stalled line search) returns the last
@@ -456,7 +443,7 @@ def _logistic_head_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
     while True:
         g = xa.T @ (probs - onehot) / n + l2 * wa
         gmax = float(np.abs(g).max())
-        if gmax <= HEAD_TOL or iterations == max_iter:
+        if gmax <= HEAD_TOL or iterations == HEAD_MAX_ITER:
             break
         curvature = probs[:, :, None] * (eye[None] - probs[:, None, :])
         hess = np.tensordot(outer, curvature, axes=(0, 0)).transpose(0, 2, 1, 3)
@@ -484,17 +471,17 @@ def _logistic_head_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
 
 def fit_head(model: Model, support: Batch, n_classes: int | None = None,
              init_head: tuple[np.ndarray, np.ndarray] | None = None,
-             l2: float = HEAD_L2, max_iter: int = 100) -> Model:
+             l2: float = HEAD_L2) -> Model:
     """Freeze the body and refit a fresh L2-regularized logistic-regression head.
 
     The head minimizes mean support cross-entropy + (l2/2)*||[W; b]||^2 on
     the body's features, solved by damped Newton until max|grad| <= HEAD_TOL
     (see `_logistic_head_fit`). The default `l2=HEAD_L2` makes the optimum
     finite and unique even on separable supports, and a fit that does not
-    reach HEAD_TOL within `max_iter` Newton rounds raises `NumericalError`.
-    `l2=0.0` fits the plain multinomial-logistic head; on a separable
-    support its optimum is at infinity, so reaching `max_iter` there is
-    expected and returns the last iterate.
+    reach HEAD_TOL within HEAD_MAX_ITER Newton rounds raises
+    `NumericalError`. `l2=0.0` fits the plain multinomial-logistic head; on
+    a separable support its optimum is at infinity, so reaching
+    HEAD_MAX_ITER there is expected and returns the last iterate.
 
     The head width defaults to the number of label values in `support`.
     `init_head` warm-starts the fit (used by the episodic-vs-union bound,
@@ -508,7 +495,7 @@ def fit_head(model: Model, support: Batch, n_classes: int | None = None,
     if width < 2:
         raise ValueError("head needs at least 2 classes")
     features = model.body_features(support.inputs)
-    w, b = _logistic_head_fit(features, labels, width, init_head, l2, max_iter)
+    w, b = _logistic_head_fit(features, labels, width, init_head, l2)
     new_spec = NetSpec(model.spec.input_dim, model.spec.hidden_dims, width)
     flat = np.concatenate([model.body_values(), w.ravel(), b])
     return Model(new_spec, ParamVector(flat, new_spec.layout()))
@@ -535,24 +522,29 @@ def meta_test(model: Model, method: str, tasks: Sequence[FewShotTask],
     if method == "pt_head_refit":
         adapted = [fit_head(model, task.support) for task in tasks]
     elif method == "maml_adapt":
-        adapted = _adapted_models(model, tasks, steps, lr)
+        adapted = _adapted_models(model, [task.support for task in tasks], steps, lr)
     else:
         raise ValueError(f"unknown meta_test method {method!r}")
     return EvalResult.from_accuracies(
         [_accuracy(m, task.query) for m, task in zip(adapted, tasks)])
 
 
-def _adapted_models(model: Model, tasks: Sequence[FewShotTask], steps: int,
+def _adapted_models(model: Model, supports: Sequence[Batch], steps: int,
                     lr: float) -> list[Model]:
-    """`adapt(model, task.support, steps, lr)` for every task, in one stacked descent."""
-    shapes = sorted({task.support.inputs.shape for task in tasks})
+    """`model` after `steps` descent steps on each support, all in one stacked descent."""
+    shapes = sorted({support.inputs.shape for support in supports})
     if len(shapes) > 1:
-        raise ValueError(f"maml_adapt stacks supports of one shape, got {shapes}")
+        raise ValueError(f"stacked adaptation needs supports of one shape, got {shapes}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if steps == 0:
-        return [model] * len(tasks)
-    flats = _adapted(model, *_stacked(tasks, "support"), steps, lr)
+        return [model] * len(supports)
+    inputs, labels = _stacked(supports)
+    kernel = MLPKernel(model.spec, inputs.shape)
+    try:
+        flats = _descend(kernel, model.params.values, inputs, labels, steps, lr)[-1]
+    except NumericalError as err:
+        raise NumericalError(f"adaptation hit a non-finite loss: {err}") from err
     return [Model(model.spec, ParamVector(flat, model.params.layout)) for flat in flats]
 
 

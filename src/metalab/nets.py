@@ -21,9 +21,10 @@ The layer structure is written down three times, each for one job:
 
 Losses for the tape are callables over a dict of named parameter
 `Tensor`s; `net_loss` builds the standard cross-entropy objective from a
-spec and a batch. `grad` runs one reverse pass, `grad_through_updates`
-differentiates through a chain of inner gradient descent updates, and
-`finite_diff_grad` is the central-difference oracle used to certify both.
+spec and a batch. `loss_and_grad` runs one reverse pass,
+`loss_and_grad_through_updates` differentiates through a chain of inner
+gradient descent updates, and `finite_diff_grad` is the central-difference
+oracle used to certify both.
 No library path calls the tape.
 
 All arithmetic is float64; finite-difference tolerances need the headroom.
@@ -522,11 +523,6 @@ def loss_and_grad(loss_fn: LossFn, params: ParamVector) -> tuple[float, ParamVec
     return out.item(), _assemble_gradient(params.layout, leaves, cots)
 
 
-def grad(loss_fn: LossFn, params: ParamVector) -> ParamVector:
-    """Exact reverse-mode gradient of a scalar loss, in params' layout."""
-    return loss_and_grad(loss_fn, params)[1]
-
-
 def loss_and_grad_through_updates(
     outer_loss_fn: LossFn,
     params: ParamVector,
@@ -569,22 +565,6 @@ def loss_and_grad_through_updates(
         raise NumericalError("outer loss evaluated to a non-finite value")
     cots = backward(out, ordered)
     return out.item(), _assemble_gradient(params.layout, leaves, cots)
-
-
-def grad_through_updates(
-    outer_loss_fn: LossFn,
-    params: ParamVector,
-    inner_steps: int,
-    inner_lr: float,
-    inner_loss_fn: LossFn | None = None,
-    first_order: bool = False,
-) -> ParamVector:
-    """Gradient of the outer loss after a chain of inner descent updates.
-
-    See `loss_and_grad_through_updates` for semantics; this drops the value.
-    """
-    return loss_and_grad_through_updates(
-        outer_loss_fn, params, inner_steps, inner_lr, inner_loss_fn, first_order)[1]
 
 
 def finite_diff_grad(loss_fn: LossFn, params: ParamVector, step: float = 1e-5) -> ParamVector:

@@ -5,10 +5,8 @@ per class, shared spread). A `Benchmark` is a list of sources under one
 contiguous global label space, partitioned into train/validation/test class
 pools. `benchmark_from_sources` assembles one, splitting each source on its
 own; the high-diversity presets are built that way from several sources
-translated apart. `union` concatenates finished benchmarks
-label-table-and-all.
-Episodes are n-way k-shot `FewShotTask`s with support and query batches
-relabeled 0..n_way-1.
+translated apart. Episodes are n-way k-shot `FewShotTask`s with support
+and query batches relabeled 0..n_way-1.
 
 Ground-truth divergence between sources is analytic here (mean distance
 between class means over the shared spread), which is what makes synthetic
@@ -168,14 +166,13 @@ def benchmark_from_sources(sources: Iterable[Source]) -> Benchmark:
     """Assemble sources into a benchmark, one split per source.
 
     Global labels run source by source in order; each source's classes are
-    split 64/16/20 individually, so after any union every source
-    contributes to every pool (mirroring how constituent datasets keep
-    their own train/test partitions inside a union).
+    split 64/16/20 individually, so every source contributes to every pool
+    (mirroring how constituent datasets keep their own train/test
+    partitions inside a union). At least one source is needed.
     """
     sources = tuple(sources)
     if not sources:
-        return Benchmark(sources=(), class_table=(),
-                         splits={"train": (), "val": (), "test": ()})
+        raise ValueError("a benchmark needs at least one source")
     dim = sources[0].input_dim
     if any(s.input_dim != dim for s in sources):
         raise ValueError("all sources must share input_dim")
@@ -189,28 +186,6 @@ def benchmark_from_sources(sources: Iterable[Source]) -> Benchmark:
             pools[name].extend(base + g for g in local[name])
     return Benchmark(sources=sources, class_table=tuple(table),
                      splits={k: tuple(v) for k, v in pools.items()})
-
-
-def union(a: Benchmark, b: Benchmark) -> Benchmark:
-    """Concatenate benchmarks: b's global labels shift up, pools merge."""
-    if a.sources and b.sources and a.input_dim != b.input_dim:
-        raise ValueError(
-            f"input_dim mismatch: {a.input_dim} vs {b.input_dim}")
-    offset_src = len(a.sources)
-    offset_cls = a.total_classes
-    table = list(a.class_table) + [(si + offset_src, ci) for si, ci in b.class_table]
-    splits = {
-        name: tuple(list(a.split_pool(name)) + [g + offset_cls for g in b.split_pool(name)])
-        for name in SPLIT_NAMES
-    }
-    return Benchmark(sources=a.sources + b.sources, class_table=tuple(table), splits=splits)
-
-
-def union_all(benchmarks: Sequence[Benchmark]) -> Benchmark:
-    out = benchmarks[0]
-    for nxt in benchmarks[1:]:
-        out = union(out, nxt)
-    return out
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fim_oracle import brute_fim_body
 from metalab import refdata
 from metalab.autodiff import add, constant, mul, tsum
 from metalab.harness import (
@@ -40,12 +41,9 @@ from metalab.nets import (
     ParamVector,
     finite_diff_grad,
     forward,
-    grad,
-    grad_through_updates,
     loss_and_grad,
     loss_and_grad_through_updates,
     net_loss,
-    softmax,
 )
 from metalab.stats import (
     H0,
@@ -302,7 +300,8 @@ def test_criterion_05_gradient_correctness():
             value, g = loss_and_grad_through_updates(_quad, params, steps, lr)
             assert abs(value - 0.5 * shrink**2 * float(vals @ vals)) <= 1e-8
             assert np.max(np.abs(g.values - shrink**2 * vals)) <= 1e-8
-            g_fo = grad_through_updates(_quad, params, steps, lr, first_order=True)
+            g_fo = loss_and_grad_through_updates(_quad, params, steps, lr,
+                                                 first_order=True)[1]
             assert np.max(np.abs(g_fo.values - shrink * vals)) <= 1e-8
     assert time.monotonic() - t0 < 30.0
 
@@ -310,19 +309,6 @@ def test_criterion_05_gradient_correctness():
 # ---------------------------------------------------------------------------
 # criterion 6: FIM embedding against brute force
 # ---------------------------------------------------------------------------
-
-
-def _brute_fim_body(model: Model, batch: Batch) -> np.ndarray:
-    """Posterior-weighted squared score, one autodiff pass per (example, class)."""
-    spec = model.spec
-    probs = softmax(forward(spec, model.params, batch))
-    fim = np.zeros(len(model.params))
-    for i in range(len(batch)):
-        for c in range(spec.output_dim):
-            single = Batch(batch.inputs[i:i + 1], np.array([c]))
-            g = grad(net_loss(spec, single), model.params).values
-            fim += probs[i, c] * g * g
-    return fim[: model.head_boundary] / len(batch)
 
 
 def test_criterion_06_fim_oracle_equivalence():
@@ -348,7 +334,7 @@ def test_criterion_06_fim_oracle_equivalence():
         data = Batch(np.concatenate([task.support.inputs, task.query.inputs]),
                      np.concatenate([task.support.labels, task.query.labels]))
         fitted = fit_head(probe.model, data, n_classes=n_way)
-        want = _brute_fim_body(fitted, data)
+        want = brute_fim_body(fitted, data)
         assert embedding.fim_diag.shape == want.shape
         np.testing.assert_allclose(embedding.fim_diag, want, rtol=1e-10, atol=1e-14)
         checked += 1

@@ -288,6 +288,13 @@ def test_console_entry_point_runs_in_a_subprocess(tmp_path, child_env):
     ("n_way", 1, "n_way"),
     ("k_shot", 0, "k_shot"),
     ("q_query", 0, "q_query"),
+    ("pt", {"examples_per_class": 0}, "pt leg"),
+    ("pt", {"convergence_tol": float("nan")}, "convergence_tol"),
+    ("maml", {"outer_lr": float("nan")}, "learning rates"),
+    ("seed", -1, "seed=-1"),
+    ("init_seed", -2, "init_seed=-2"),
+    ("task_seed", -3, "task_seed=-3"),
+    ("diversity_seed", -1, "diversity_seed=-1"),
 ])
 def test_run_refuses_a_bad_config_at_config_stage(tmp_path, capsys, key, value, named):
     with pytest.raises(ValueError, match=named):
@@ -301,3 +308,12 @@ def test_run_refuses_a_bad_config_at_config_stage(tmp_path, capsys, key, value, 
     err = capsys.readouterr().err
     assert "failed at stage 'config'" in err and named in err
     assert not out.exists()  # refused before any run directory was made
+
+
+def test_run_refuses_a_negative_seed_flag_at_config_stage(tmp_path, capsys):
+    cfg_path = _write_yaml(tmp_path, _tiny_config())
+    out = tmp_path / "runs"
+    assert main(["run", str(cfg_path), "--out", str(out), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "failed at stage 'config'" in err and "seed=-1" in err
+    assert not out.exists()

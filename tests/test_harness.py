@@ -84,6 +84,8 @@ def test_source_spec_build_seeding_and_offset():
     with pytest.raises(ValueError):
         SourceSpec(num_classes=5, input_dim=3, mean_scale=1.0,
                    class_spread=1.0, offset=(1.0,))
+    with pytest.raises(ValueError, match="source seed"):
+        SourceSpec.from_dict({**pinned.to_dict(), "seed": -1})
 
 
 def test_benchmark_spec_gives_unseeded_sources_distinct_streams():
@@ -97,6 +99,8 @@ def test_benchmark_spec_gives_unseeded_sources_distinct_streams():
     assert np.array_equal(bench.sources[0].class_means, again.sources[0].class_means)
     with pytest.raises(ValueError):
         BenchmarkSpec(sources=())
+    with pytest.raises(ValueError, match="benchmark seed"):
+        BenchmarkSpec.from_dict({**spec.to_dict(), "seed": -1})
     rebuilt = BenchmarkSpec.from_dict(spec.to_dict())
     assert rebuilt == spec
     with pytest.raises(ValueError):
@@ -120,6 +124,9 @@ def test_experiment_config_seed_defaults_and_validation():
         _tiny_config(meta_batch=1)
     with pytest.raises(ValueError):
         _tiny_config(name="")
+    for attr in ("seed", "init_seed", "task_seed", "diversity_seed"):
+        with pytest.raises(ValueError, match=f"{attr}=-1"):
+            ExperimentConfig.from_dict({**cfg.to_dict(), attr: -1})
 
 
 def test_reserved_training_overrides_are_rejected():
@@ -230,11 +237,14 @@ def test_run_comparison_leaves_scipy_unimported(tmp_path, child_env):
     # Importing scipy.linalg.lapack after metalab costs about 23 MB of
     # resident memory (34 MB -> 57 MB) and 0.24-0.32 s, which the
     # benchmark's peak-memory and setup metrics would show, so no library
-    # path may import any scipy module. Both probe methods are run.
+    # path may import any scipy module; scipy is a test-only dependency.
+    # The package, its CLI and refdata are imported, and both probe methods
+    # are run.
     for method in ("random", "pt"):
         _tiny_config(name=method, probe_method=method).to_yaml(tmp_path / f"{method}.yaml")
     script = textwrap.dedent(f"""
         import sys
+        import metalab, metalab.cli, metalab.refdata
         from metalab.harness import ExperimentConfig, run_comparison
         for method in ("random", "pt"):
             cfg = ExperimentConfig.from_yaml({str(tmp_path)!r} + f"/{{method}}.yaml")

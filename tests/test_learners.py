@@ -164,7 +164,7 @@ def test_fit_head_through_hidden_body_fits_on_body_features(seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_unregularized_warm_start_never_raises_the_objective(seed):
+def test_unregularized_warm_start_never_raises_the_objective(seed, monkeypatch):
     # Episodic-vs-union (criterion 8) rests on this: from any warm start the
     # l2=0 fit only descends, even on a separable support whose optimum is
     # at infinity, where stopping at the iteration cap is not an error.
@@ -175,17 +175,19 @@ def test_unregularized_warm_start_never_raises_the_objective(seed):
     model = Model(NetSpec(2, (), 3), NetSpec(2, (), 3).init(seed))
     start = (gen.normal(size=(2, 3)), gen.normal(size=3))
     for max_iter in (1, 3, 100):
-        fitted = fit_head(model, support, init_head=start, l2=0.0, max_iter=max_iter)
+        monkeypatch.setattr("metalab.learners.HEAD_MAX_ITER", max_iter)
+        fitted = fit_head(model, support, init_head=start, l2=0.0)
         w, b = fitted.head()
         assert (_head_objective(rows, support.labels, w, b, 0.0)
                 <= _head_objective(rows, support.labels, *start, 0.0))
 
 
-def test_fit_head_that_misses_tol_under_l2_is_loud():
+def test_fit_head_that_misses_tol_under_l2_is_loud(monkeypatch):
     support = _overlapping_batch(0)
     model = Model(NetSpec(2, (), 2), NetSpec(2, (), 2).init(0))
+    monkeypatch.setattr("metalab.learners.HEAD_MAX_ITER", 2)
     with pytest.raises(NumericalError, match=r"after 2 Newton iterations .*grad"):
-        fit_head(model, support, max_iter=2)
+        fit_head(model, support)
 
 
 def test_every_lowdiv_meta_test_refit_converges():
@@ -350,7 +352,7 @@ def test_stacked_maml_meta_test_is_adapt_per_episode_bitwise(steps, monkeypatch)
     original = MLPKernel.loss_and_grad
     monkeypatch.setattr(MLPKernel, "loss_and_grad",
                         lambda self, *a: calls.append(self.shape) or original(self, *a))
-    stacked = _adapted_models(model, tasks, steps, 0.05)
+    stacked = _adapted_models(model, [task.support for task in tasks], steps, 0.05)
     assert calls == [(16, 25, 8)] * steps  # one kernel call per step for all episodes
     for one, many in zip(serial, stacked):
         assert np.array_equal(one.params.values, many.params.values)
@@ -444,8 +446,18 @@ def test_training_method_cross_checks():
         TrainConfig(method="pt", outer_lr=0.0)
     with pytest.raises(ValueError):
         TrainConfig(method="pt", meta_batch=0)
+    # A zero examples_per_class would fail at the union dataset and a
+    # negative seed at the init stream; a NaN rate or tolerance would train
+    # on with NaN parameters or without its plateau stop.
     for bad, named in (({"hidden_dims": (8, 0)}, "hidden_dims"), ({"n_way": 1}, "n_way"),
-                       ({"k_shot": 0}, "k_shot"), ({"q_query": 0}, "q_query")):
+                       ({"k_shot": 0}, "k_shot"), ({"q_query": 0}, "q_query"),
+                       ({"examples_per_class": 0}, "examples_per_class"),
+                       ({"outer_lr": float("nan")}, "learning rates"),
+                       ({"inner_lr": float("inf")}, "learning rates"),
+                       ({"convergence_tol": float("nan")}, "convergence_tol"),
+                       ({"convergence_tol": float("inf")}, "convergence_tol"),
+                       ({"convergence_tol": -1e-4}, "convergence_tol"),
+                       ({"seed": -1}, "seed")):
         with pytest.raises(ValueError, match=named):
             TrainConfig(method="pt", **bad)
 

@@ -29,8 +29,6 @@ from metalab.nets import (
     finite_diff_grad,
     forward,
     forward_t,
-    grad,
-    grad_through_updates,
     loss_and_grad,
     loss_and_grad_through_updates,
     net_loss,
@@ -203,7 +201,7 @@ def test_grad_matches_central_differences(hidden):
     params = _random_params(spec, 11)
     batch = _random_batch(spec, 10, 12)
     loss_fn = net_loss(spec, batch)
-    got = grad(loss_fn, params).values
+    got = loss_and_grad(loss_fn, params)[1].values
     want = finite_diff_grad(loss_fn, params).values
     rel = np.linalg.norm(got - want) / max(np.linalg.norm(want), 1e-12)
     assert rel < 1e-6
@@ -217,7 +215,7 @@ def test_loss_and_grad_returns_matching_value():
     value, g = loss_and_grad(loss_fn, params)
     assert value == pytest.approx(cross_entropy(forward(spec, params, batch), batch.labels))
     assert g.layout == params.layout
-    assert np.array_equal(g.values, grad(loss_fn, params).values)
+    assert np.array_equal(g.values, loss_and_grad(loss_fn, params)[1].values)
 
 
 def test_finite_diff_grad_rejects_bad_step():
@@ -410,7 +408,8 @@ def test_unrolled_quadratic_closed_form(steps):
     value, g = loss_and_grad_through_updates(_quadratic_loss, params, steps, lr)
     assert value == pytest.approx(0.5 * shrink**2 * np.sum(params.values**2), rel=1e-12)
     np.testing.assert_allclose(g.values, shrink**2 * params.values, rtol=1e-12)
-    g_fo = grad_through_updates(_quadratic_loss, params, steps, lr, first_order=True)
+    g_fo = loss_and_grad_through_updates(_quadratic_loss, params, steps, lr,
+                                         first_order=True)[1]
     np.testing.assert_allclose(g_fo.values, shrink * params.values, rtol=1e-12)
 
 
@@ -419,14 +418,15 @@ def test_zero_steps_is_bitwise_plain_gradient():
     params = _random_params(spec, 31)
     loss_fn = net_loss(spec, _random_batch(spec, 8, 32))
     for first_order in (False, True):
-        unrolled = grad_through_updates(loss_fn, params, 0, 0.7, first_order=first_order)
-        assert np.array_equal(unrolled.values, grad(loss_fn, params).values)
+        unrolled = loss_and_grad_through_updates(loss_fn, params, 0, 0.7,
+                                                 first_order=first_order)[1]
+        assert np.array_equal(unrolled.values, loss_and_grad(loss_fn, params)[1].values)
 
 
 def _manual_sgd(loss_fn, params: ParamVector, steps: int, lr: float) -> ParamVector:
     current = params
     for _ in range(steps):
-        g = grad(loss_fn, current)
+        g = loss_and_grad(loss_fn, current)[1]
         current = ParamVector(current.values - lr * g.values, params.layout)
     return current
 
@@ -439,10 +439,10 @@ def test_first_order_gradient_is_plain_gradient_at_adapted_point():
     inner_fn = net_loss(spec, _random_batch(spec, 10, 42))
     outer_fn = net_loss(spec, _random_batch(spec, 15, 43))
     for steps in (1, 4):
-        got = grad_through_updates(
-            outer_fn, params, steps, 0.05, inner_loss_fn=inner_fn, first_order=True)
+        got = loss_and_grad_through_updates(
+            outer_fn, params, steps, 0.05, inner_loss_fn=inner_fn, first_order=True)[1]
         adapted = _manual_sgd(inner_fn, params, steps, 0.05)
-        want = grad(outer_fn, adapted)
+        want = loss_and_grad(outer_fn, adapted)[1]
         np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-14)
 
 
@@ -458,7 +458,8 @@ def test_higher_order_gradient_matches_finite_differences_of_composite():
         adapted = _manual_sgd(inner_fn, p, steps, lr)
         return loss_and_grad(outer_fn, adapted)[0]
 
-    got = grad_through_updates(outer_fn, params, steps, lr, inner_loss_fn=inner_fn).values
+    got = loss_and_grad_through_updates(outer_fn, params, steps, lr,
+                                        inner_loss_fn=inner_fn)[1].values
     eps = 1e-5
     want = np.zeros_like(params.values)
     for i in range(len(params)):
@@ -485,7 +486,7 @@ def test_unrolled_value_is_outer_loss_at_adapted_point():
 def test_unrolled_rejects_negative_steps_and_flags_nonfinite():
     layout = (("w", (1,)),)
     with pytest.raises(ValueError):
-        grad_through_updates(_quadratic_loss, ParamVector(np.ones(1), layout), -1, 0.1)
+        loss_and_grad_through_updates(_quadratic_loss, ParamVector(np.ones(1), layout), -1, 0.1)
 
     def explosive(tensors):
         return exp(tsum(mul(tensors["w"], constant(1.0))))
@@ -493,9 +494,9 @@ def test_unrolled_rejects_negative_steps_and_flags_nonfinite():
     big = ParamVector(np.array([800.0]), layout)
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalError):
-            grad_through_updates(explosive, big, 1, 0.1)  # inner evaluation
+            loss_and_grad_through_updates(explosive, big, 1, 0.1)  # inner evaluation
         with pytest.raises(NumericalError):
-            grad_through_updates(explosive, big, 0, 0.1)  # outer evaluation
+            loss_and_grad_through_updates(explosive, big, 0, 0.1)  # outer evaluation
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ fully hand-derived formula for a one-hidden-unit network.
 import numpy as np
 import pytest
 
+from fim_oracle import brute_fim_body
 from metalab.learners import Model, TrainConfig, fit_head, train_pt
-from metalab.nets import Batch, NetSpec, ParamVector, forward, grad, net_loss, softmax
+from metalab.nets import Batch, NetSpec, ParamVector
 from metalab.task2vec import (
     DistanceHistogram,
     DiversityReport,
@@ -31,19 +32,6 @@ from metalab.tasks import (
 )
 
 
-def _fim_brute(model: Model, batch: Batch) -> np.ndarray:
-    """Posterior-weighted squared score, one autodiff pass per (example, class)."""
-    spec = model.spec
-    probs = softmax(forward(spec, model.params, batch))
-    fim = np.zeros(len(model.params))
-    for i in range(len(batch)):
-        for c in range(spec.output_dim):
-            single = Batch(batch.inputs[i:i + 1], np.array([c]))
-            g = grad(net_loss(spec, single), model.params).values
-            fim += probs[i, c] * g * g
-    return fim[: model.head_boundary] / len(batch)
-
-
 def _random_model(spec: NetSpec, seed: int) -> Model:
     gen = np.random.default_rng(seed)
     return Model(spec, ParamVector(gen.normal(0.0, 0.8, size=spec.param_count()),
@@ -63,7 +51,7 @@ def test_fim_diag_matches_brute_force_autodiff(hidden, seed):
     gen = np.random.default_rng(100 + seed)
     batch = Batch(gen.normal(size=(7, 3)), gen.integers(0, 4, size=7))
     got = _fim_diag_body(model, batch)
-    want = _fim_brute(model, batch)
+    want = brute_fim_body(model, batch)
     assert got.shape == want.shape == (model.head_boundary,)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
 

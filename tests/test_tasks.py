@@ -15,8 +15,6 @@ from metalab.tasks import (
     make_source,
     sample_task,
     translate_source,
-    union,
-    union_all,
     union_dataset,
 )
 
@@ -82,7 +80,7 @@ def test_translate_source_shifts_means_only():
 
 
 # ---------------------------------------------------------------------------
-# benchmarks, splits, unions
+# benchmarks and splits
 # ---------------------------------------------------------------------------
 
 
@@ -123,34 +121,23 @@ def test_each_source_contributes_to_each_pool():
         assert sources_hit == {0, 1}
 
 
-def test_from_sources_equals_pairwise_union():
-    a, b = _two_sources()
-    joint = benchmark_from_sources([a, b])
-    paired = union(benchmark_from_sources([a]), benchmark_from_sources([b]))
-    assert joint.class_table == paired.class_table
-    assert dict(joint.splits) == dict(paired.splits)
-    assert [s.name for s in joint.sources] == [s.name for s in paired.sources]
-    for left, right in zip(joint.sources, paired.sources):
-        assert np.array_equal(left.class_means, right.class_means)
-
-
-def test_union_shifts_labels_and_keeps_means():
+def test_from_sources_shifts_labels_and_keeps_means():
+    # Each source keeps its own split, with its labels shifted past the
+    # classes of the sources before it.
     a, b = _two_sources()
     ba, bb = benchmark_from_sources([a]), benchmark_from_sources([b])
-    joint = union(ba, bb)
+    joint = benchmark_from_sources([a, b])
+    assert joint.class_table == ba.class_table + tuple((1, c) for _, c in bb.class_table)
+    for split in ("train", "val", "test"):
+        assert joint.split_pool(split) == ba.split_pool(split) + tuple(
+            g + ba.total_classes for g in bb.split_pool(split))
     for g in range(bb.total_classes):
         assert np.array_equal(joint.class_mean(ba.total_classes + g), bb.class_mean(g))
         assert joint.source_of(ba.total_classes + g) == 1
-    with pytest.raises(ValueError):
-        union(ba, benchmark_from_sources([make_source(9, 4, 7, 1.0, 1.0)]))
-
-
-def test_union_all_chains_left_to_right():
-    parts = [benchmark_from_sources([make_source(s, 5, 3, 1.0, 1.0)]) for s in range(3)]
-    joint = union_all(parts)
-    assert joint.total_classes == 15
-    assert joint.class_table == union(union(parts[0], parts[1]), parts[2]).class_table
-    assert union_all([parts[0]]).class_table == parts[0].class_table
+    with pytest.raises(ValueError, match="input_dim"):
+        benchmark_from_sources([a, make_source(9, 4, 7, 1.0, 1.0)])
+    with pytest.raises(ValueError, match="at least one source"):
+        benchmark_from_sources([])
 
 
 def test_benchmark_constructor_validation():
