@@ -16,14 +16,14 @@ Module map:
   points (``loss_and_grad``, ``loss_and_grad_through_updates`` for
   differentiating through inner-loop updates, ``finite_diff_grad``).
 - ``rng``: the named, splittable random-stream scheme used everywhere.
-- ``tasks``: synthetic Gaussian sources, benchmarks assembled from them
-  (``benchmark_from_sources``), episode sampling.
+- ``tasks``: synthetic Gaussian sources, benchmarks built from their
+  sources alone (``Benchmark(sources)``), episode sampling.
 - ``learners``: MAML / pre-training loops, adaptation, head refits,
   meta-test evaluation.
 - ``task2vec``: FIM-diagonal task embeddings, cosine distances, diversity
   coefficient, distance histograms.
-- ``stats``: pooled std, Cohen's d, the 1% threshold, decision rules,
-  summaries.
+- ``stats``: ``SampleStats`` and the pooled std, Cohen's d and 1% threshold
+  computed from them, decision rules, summaries, the table format.
 - ``harness``: experiment configs, end-to-end comparison runs, table
   reproduction, report emission.
 - ``refdata``: frozen reference statistics from large-scale comparison
@@ -78,13 +78,10 @@ from metalab.stats import (
     GroupSummary,
     SampleStats,
     SummaryReport,
-    cohens_d,
     confidence_interval,
     decide_ci,
     decide_es,
     decide_from_es,
-    delta_threshold,
-    pooled_std,
     summarize,
     summarize_cells,
 )
@@ -129,14 +126,12 @@ __all__ = [
     "adapt",
     "benchmark_from_sources",
     "build_probe",
-    "cohens_d",
     "confidence_interval",
     "cosine_distance",
     "cross_entropy",
     "decide_ci",
     "decide_es",
     "decide_from_es",
-    "delta_threshold",
     "distance_histogram",
     "diversity_coefficient",
     "emit_report",
@@ -151,7 +146,6 @@ __all__ = [
     "make_source",
     "meta_test",
     "model_l2_norm",
-    "pooled_std",
     "reproduce_decisions",
     "run_comparison",
     "run_suite",

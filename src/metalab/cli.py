@@ -14,10 +14,10 @@ Verbs:
 - ``report RUN_DIR...``: render saved run records (run directories or
   directories of them, each run read once) into a report bundle.
 - ``diversity CONFIG``: just the diversity stage of ``run``
-  (``harness.measure_diversity``); ``--meta-batch`` sets the number of
-  embedded tasks (and not the config's meta-test ``meta_batch``), and
-  ``--out`` a directory for ``diversity.csv``, written like the report's
-  table.
+  (``harness.measure_diversity``); ``--meta-batch`` sets the config's
+  ``diversity_tasks``, the number of embedded tasks (and not its meta-test
+  ``meta_batch``), and ``--out`` a directory for ``diversity.csv``,
+  written like the report's table.
 
 Flags: ``--seed`` (reseeds the whole experiment), ``--out``,
 ``--meta-batch``, ``--eval-steps`` (comma-separated). Exit code 0 on
@@ -63,6 +63,8 @@ def _apply_overrides(config: ExperimentConfig,
         d["init_seed"] = d["task_seed"] = d["diversity_seed"] = None
     if getattr(args, "meta_batch", None) is not None:
         d["meta_batch"] = args.meta_batch
+    if getattr(args, "diversity_tasks", None) is not None:
+        d["diversity_tasks"] = args.diversity_tasks
     if getattr(args, "eval_steps", None) is not None:
         d["eval_steps"] = list(args.eval_steps)
     try:
@@ -143,13 +145,12 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_diversity(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args)
-    num_tasks = args.num_tasks if args.num_tasks is not None else config.diversity_tasks
-    if num_tasks < 2:
+    if config.diversity_tasks < 2:
         raise HarnessError("config", "diversity needs at least 2 tasks")
     with harness._stage("build-benchmark"):
         benchmark = config.benchmark.build()
     with harness._stage("diversity"):
-        report, histogram = harness.measure_diversity(config, benchmark, num_tasks)
+        report, histogram = harness.measure_diversity(config, benchmark)
     print(f"diversity: {report.coefficient:.6f} +/- {report.ci95_halfwidth:.6f} "
           f"({report.num_tasks} tasks, {report.num_pairs} pairs)")
     print(f"probe: {report.probe_provenance}")
@@ -205,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     div.add_argument("config")
     div.add_argument("--out", default=None)
     div.add_argument("--seed", type=int, default=None)
-    # its own dest, so the config's meta-test `meta_batch` is left alone
-    div.add_argument("--meta-batch", type=int, default=None, dest="num_tasks",
+    # sets `diversity_tasks`; the config's meta-test `meta_batch` is left alone
+    div.add_argument("--meta-batch", type=int, default=None, dest="diversity_tasks",
                      help="override the number of embedded tasks")
     div.set_defaults(func=_cmd_diversity)
     return parser

@@ -89,6 +89,7 @@ from metalab.learners import (
     EvalResult,
     TrainConfig,
     TrainResult,
+    _integer,
     meta_test,
     model_l2_norm,
     train_maml,
@@ -203,8 +204,12 @@ class SourceSpec:
     name: str | None = None
 
     def __post_init__(self):
-        if self.seed is not None and self.seed < 0:
-            raise ValueError(f"source seed must be nonnegative, got {self.seed}")
+        for attr in ("num_classes", "input_dim"):
+            object.__setattr__(self, attr, _integer(getattr(self, attr), attr))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _integer(self.seed, "source seed"))
+            if self.seed < 0:
+                raise ValueError(f"source seed must be nonnegative, got {self.seed}")
         if self.offset is not None:
             object.__setattr__(self, "offset", tuple(float(v) for v in self.offset))
             if len(self.offset) != self.input_dim:
@@ -223,9 +228,8 @@ class SourceSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "SourceSpec":
-        return _from_plain(cls, d, "benchmark source", num_classes=int,
-                           input_dim=int, mean_scale=float, class_spread=float,
-                           seed=lambda v: None if v is None else int(v))
+        return _from_plain(cls, d, "benchmark source", mean_scale=float,
+                           class_spread=float)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -242,6 +246,7 @@ class BenchmarkSpec:
         object.__setattr__(self, "sources", tuple(self.sources))
         if not self.sources:
             raise ValueError("a benchmark spec needs at least one source")
+        object.__setattr__(self, "seed", _integer(self.seed, "benchmark seed"))
         if self.seed < 0:
             raise ValueError(f"benchmark seed must be nonnegative, got {self.seed}")
 
@@ -255,7 +260,7 @@ class BenchmarkSpec:
 
     @classmethod
     def from_dict(cls, d: Mapping) -> "BenchmarkSpec":
-        return _from_plain(cls, d, "benchmark", seed=int, sources=lambda ss: tuple(
+        return _from_plain(cls, d, "benchmark", sources=lambda ss: tuple(
             SourceSpec.from_dict(s) for s in ss))
 
 
@@ -264,11 +269,13 @@ class ExperimentConfig:
     """Everything one comparison run needs; round-trips through YAML.
 
     The three specific seeds default to the root `seed`; no seed may be
-    negative. At the default `task_seed == diversity_seed` the diversity
-    episodes are the first meta-test episodes: both draw `(seed, i)`
-    (ROADMAP item 4). The
-    `TrainConfig`s of both legs and of the pt probe are built here, so a
-    bad setting fails before training. When `probe_config()` is
+    negative, and a seed or count that is not an integer (a float or a
+    bool) is refused, not truncated. At the default `task_seed ==
+    diversity_seed` the diversity episodes are the first meta-test
+    episodes: both draw `(seed, i)` (ROADMAP item 4). The `TrainConfig`s
+    of both legs and of the pt probe are built here, by one builder
+    (`_leg_config`, which pins their seed, widths and episode shape), so
+    a bad setting fails before training. When `probe_config()` is
     `pt_config()` but for a cap no larger (same seed, widths and settings,
     as in the low-diversity preset), the pt probe's run is the first
     epochs of the PT leg's, and `run_comparison` trains it once, in stage
@@ -302,10 +309,16 @@ class ExperimentConfig:
             raise ValueError("config needs a name")
         if self.maml_order not in _MAML_ORDERS:
             raise ValueError(f"maml_order must be one of {_MAML_ORDERS}")
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-        object.__setattr__(self, "probe_hidden_dims",
-                           tuple(int(h) for h in self.probe_hidden_dims))
-        object.__setattr__(self, "eval_steps", tuple(int(s) for s in self.eval_steps))
+        for attr in ("seed", "n_way", "k_shot", "q_query", "meta_batch",
+                     "diversity_tasks", "histogram_tasks", "histogram_bins"):
+            object.__setattr__(self, attr, _integer(getattr(self, attr), attr))
+        for attr in ("hidden_dims", "probe_hidden_dims", "eval_steps"):
+            object.__setattr__(self, attr, tuple(
+                _integer(v, attr) for v in getattr(self, attr)))
+        for attr in ("init_seed", "task_seed", "diversity_seed"):
+            value = getattr(self, attr)
+            object.__setattr__(self, attr,
+                               self.seed if value is None else _integer(value, attr))
         if not self.eval_steps:
             raise ValueError("eval_steps must be nonempty")
         if any(s < 0 for s in self.eval_steps):
@@ -320,9 +333,6 @@ class ExperimentConfig:
             raise ValueError("probe_hidden_dims needs a hidden layer to embed tasks with")
         if self.histogram_bins < 1:
             raise ValueError("histogram_bins must be positive")
-        for attr in ("init_seed", "task_seed", "diversity_seed"):
-            if getattr(self, attr) is None:
-                object.__setattr__(self, attr, int(self.seed))
         for attr in ("seed", "init_seed", "task_seed", "diversity_seed"):
             if getattr(self, attr) < 0:
                 raise ValueError(f"seeds must be nonnegative, got {attr}={getattr(self, attr)}")
@@ -339,21 +349,23 @@ class ExperimentConfig:
             except (TypeError, ValueError) as err:
                 raise ValueError(f"{leg} leg: {err}") from err
 
+    def _leg_config(self, method: str, seed: int, hidden_dims: tuple[int, ...],
+                    overrides: Mapping) -> TrainConfig:
+        """A leg's `TrainConfig`: seed, widths and episode shape pinned here."""
+        return TrainConfig(method=method, seed=seed, hidden_dims=hidden_dims,
+                           n_way=self.n_way, k_shot=self.k_shot,
+                           q_query=self.q_query, **overrides)
+
     def pt_config(self) -> TrainConfig:
-        return TrainConfig(method="pt", seed=self.init_seed,
-                           hidden_dims=self.hidden_dims, n_way=self.n_way,
-                           k_shot=self.k_shot, q_query=self.q_query, **self.pt)
+        return self._leg_config("pt", self.init_seed, self.hidden_dims, self.pt)
 
     def maml_config(self) -> TrainConfig:
-        return TrainConfig(method=f"{self.maml_order}_maml", seed=self.init_seed,
-                           hidden_dims=self.hidden_dims, n_way=self.n_way,
-                           k_shot=self.k_shot, q_query=self.q_query, **self.maml)
+        return self._leg_config(f"{self.maml_order}_maml", self.init_seed,
+                                self.hidden_dims, self.maml)
 
     def probe_config(self) -> TrainConfig:
         """The pt probe's training run: `TrainConfig` defaults, no overrides."""
-        return TrainConfig(method="pt", seed=self.diversity_seed,
-                           hidden_dims=self.probe_hidden_dims, n_way=self.n_way,
-                           k_shot=self.k_shot, q_query=self.q_query)
+        return self._leg_config("pt", self.diversity_seed, self.probe_hidden_dims, {})
 
     def to_dict(self) -> dict:
         return _plain(self)
@@ -625,31 +637,30 @@ def _probe_prefix_epochs(config: ExperimentConfig) -> int | None:
 
 
 def measure_diversity(config: ExperimentConfig, benchmark: Benchmark,
-                      num_tasks: int | None = None,
                       probe_run: TrainResult | None = None,
                       ) -> tuple[DiversityReport | None, DistanceHistogram | None]:
     """The diversity stage: one frozen probe, the coefficient, the histogram.
 
-    `num_tasks` (default `config.diversity_tasks`) episodes are embedded
-    for the coefficient and `config.histogram_tasks` source-pure ones for
-    the histogram; a count below 2 skips that result (None), and the probe
-    is built only if one of them runs. Everything draws from
-    `config.diversity_seed`. The pt probe trains on
+    `config.diversity_tasks` episodes are embedded for the coefficient and
+    `config.histogram_tasks` source-pure ones for the histogram; a count
+    below 2 skips that result (None), and the probe is built only if one
+    of them runs. The config is the only source of both counts (the CLI's
+    `diversity --meta-batch N` sets `diversity_tasks` in it). Everything
+    draws from `config.diversity_seed`. The pt probe trains on
     `config.probe_config()` unless `probe_run` is that run already:
     `run_comparison` passes the PT leg's prefix when the two runs share
     their first epochs, so the probe's training time is then in train-pt.
     """
-    if num_tasks is None:
-        num_tasks = config.diversity_tasks
-    if num_tasks < 2 and config.histogram_tasks < 2:
+    if config.diversity_tasks < 2 and config.histogram_tasks < 2:
         return None, None
     seed = config.diversity_seed
     probe = build_probe(benchmark, seed, config=config.probe_config(),
                         method=config.probe_method, trained=probe_run)
     episode = dict(n_way=config.n_way, k_shot=config.k_shot, q_query=config.q_query)
     diversity = histogram = None
-    if num_tasks >= 2:
-        diversity = diversity_coefficient(probe, benchmark, num_tasks, seed, **episode)
+    if config.diversity_tasks >= 2:
+        diversity = diversity_coefficient(probe, benchmark, config.diversity_tasks,
+                                          seed, **episode)
     if config.histogram_tasks >= 2:
         histogram = distance_histogram(probe, benchmark, config.histogram_tasks,
                                        config.histogram_bins, seed, **episode)

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,6 +66,7 @@ from metalab.nets import (
     activations,
     cross_entropy,
     forward,
+    layout_slices,
 )
 from metalab.stats import ci95_halfwidth
 from metalab.tasks import Benchmark, FewShotTask, sample_task, union_dataset
@@ -79,6 +81,13 @@ MIN_STEP = 1e-10    # line-search step below which the head fit gives up
 
 class TrainingError(RuntimeError):
     """Training diverged or was misconfigured."""
+
+
+def _integer(value, what: str) -> int:
+    """`value` as an int; a bool, a float or any other non-integer raises ValueError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -100,12 +109,8 @@ class Model:
     @property
     def head_boundary(self) -> int:
         w_name, _ = self.spec.head_names()
-        offset = 0
-        for name, shape in self.params.layout:
-            if name == w_name:
-                return offset
-            offset += math.prod(shape)
-        raise RuntimeError("head segment missing from layout")
+        return next(part.start for name, part, _ in layout_slices(self.params.layout)
+                    if name == w_name)
 
     def body_values(self) -> np.ndarray:
         return self.params.values[: self.head_boundary]
@@ -132,7 +137,8 @@ class TrainConfig:
     `convergence_tol`, or at `max_epochs`. Episode shape defaults to
     5-way 5-shot with 15 queries. Hidden widths, the episode shape, every
     count, the seed, the rates and the tolerance are checked here, so a
-    bad one fails before training.
+    bad one fails before training; a count or seed that is not an integer
+    (a float or a bool) is refused, not truncated.
     """
 
     method: str
@@ -152,6 +158,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in ("pt", "fo_maml", "ho_maml"):
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("inner_steps_train", "meta_batch", "max_epochs", "seed", "n_way",
+                     "k_shot", "q_query", "examples_per_class"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "hidden_dims", tuple(
+            _integer(h, "hidden_dims") for h in self.hidden_dims))
         if not all(math.isfinite(lr) and lr > 0 for lr in (self.outer_lr, self.inner_lr)):
             raise ValueError("learning rates must be finite and positive")
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
@@ -160,7 +171,6 @@ class TrainConfig:
             raise ValueError("inner_steps_train, max_epochs and seed must be nonnegative")
         if min(self.meta_batch, self.examples_per_class) < 1:
             raise ValueError("meta_batch and examples_per_class must be positive")
-        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden_dims must be positive widths, got {self.hidden_dims}")
         if self.n_way < 2:
@@ -502,7 +512,7 @@ def fit_head(model: Model, support: Batch, n_classes: int | None = None,
 
 
 def _accuracy(model: Model, batch: Batch) -> float:
-    logits = forward(model.spec, model.params, batch)
+    logits = forward(model.spec, model.params, batch.inputs)
     return float(np.mean(np.argmax(logits, axis=1) == batch.labels))
 
 
@@ -577,7 +587,7 @@ def episodic_vs_union_loss(model: Model, benchmark: Benchmark,
     pooled = Batch(pooled_inputs, pooled_globals)
     global_model = fit_head(model, pooled, n_classes=benchmark.total_classes)
     union_loss = cross_entropy(
-        forward(global_model.spec, global_model.params, pooled), pooled.labels)
+        forward(global_model.spec, global_model.params, pooled_inputs), pooled.labels)
     w_global, b_global = global_model.head()
     total_rows = 0
     weighted = 0.0
@@ -587,7 +597,8 @@ def episodic_vs_union_loss(model: Model, benchmark: Benchmark,
         task_model = fit_head(model, task.query, n_classes=task.n_way,
                               init_head=restricted, l2=0.0)
         loss = cross_entropy(
-            forward(task_model.spec, task_model.params, task.query), task.query.labels)
+            forward(task_model.spec, task_model.params, task.query.inputs),
+            task.query.labels)
         rows = len(task.query)
         weighted += loss * rows
         total_rows += rows

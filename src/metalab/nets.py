@@ -1,7 +1,8 @@
 """Parameter vectors, small feed-forward classifiers, and gradients.
 
 A network is described by a `NetSpec` (dims; relu throughout) and a flat
-`ParamVector` whose layout names each weight matrix and bias.
+`ParamVector` whose layout names each weight matrix and bias;
+`layout_slices` is the one walk from a layout to its segments' flat slices.
 
 The layer structure is written down three times, each for one job:
 
@@ -54,6 +55,16 @@ class NumericalError(RuntimeError):
     """A non-finite value surfaced during differentiation."""
 
 
+def layout_slices(layout: Layout) -> list[tuple[str, slice, tuple[int, ...]]]:
+    """(name, flat slice, shape) of each segment of `layout`, in layout order."""
+    out, offset = [], 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        out.append((name, slice(offset, offset + size), tuple(shape)))
+        offset += size
+    return out
+
+
 @dataclass(frozen=True)
 class ParamVector:
     """Flat float64 parameter storage plus its (name, shape) segmentation.
@@ -82,12 +93,9 @@ class ParamVector:
     def views(self) -> dict[str, np.ndarray]:
         """Named reshaped read-only views of each layout segment, no copy."""
         out: dict[str, np.ndarray] = {}
-        offset = 0
-        for name, shape in self.layout:
-            size = math.prod(shape)
-            out[name] = self.values[offset:offset + size].reshape(shape)
+        for name, part, shape in layout_slices(self.layout):
+            out[name] = self.values[part].reshape(shape)
             out[name].flags.writeable = False
-            offset += size
         return out
 
     def segments(self) -> dict[str, np.ndarray]:
@@ -213,9 +221,8 @@ def activations(spec: NetSpec, params: ParamVector, inputs: np.ndarray) -> list[
     return out
 
 
-def forward(spec: NetSpec, params: ParamVector, batch: Batch | np.ndarray) -> np.ndarray:
-    """Logits of the network on a batch; deterministic, pure numpy."""
-    inputs = batch.inputs if isinstance(batch, Batch) else batch
+def forward(spec: NetSpec, params: ParamVector, inputs: np.ndarray) -> np.ndarray:
+    """Logits of the network on `inputs` `(n, input_dim)`: `activations(...)[-1]`."""
     return activations(spec, params, inputs)[-1]
 
 
@@ -267,14 +274,8 @@ class MLPKernel:
         self.shape = shape
         self._lead = shape[:-2]
         rows = shape[:-1]
-        # (segment name, flat slice, segment shape) in layout order
-        self._segments = []
-        offset = 0
-        for name, seg_shape in spec.layout():
-            size = math.prod(seg_shape)
-            self._segments.append((name, slice(offset, offset + size), seg_shape))
-            offset += size
-        self.size = offset
+        self._segments = layout_slices(spec.layout())
+        self.size = spec.param_count()
         # _out[i] holds layer i's output (rectified below the top, logits at
         # the top); the backward pass overwrites it with its backprop signal
         self._out = [np.empty((*rows, width)) for width in spec.dims[1:]]

@@ -35,7 +35,13 @@ def tag_hash(tag: str) -> int:
 
 
 def stream(root_seed: int, tag: str, *indices: int) -> np.random.Generator:
-    """The (root_seed, tag, indices) random stream as a numpy Generator."""
-    key = (tag_hash(tag),) + tuple(int(i) for i in indices)
-    seq = np.random.SeedSequence(int(root_seed), spawn_key=key)
+    """The (root_seed, tag, indices) random stream as a numpy Generator.
+
+    A negative root seed or index raises ValueError naming it.
+    """
+    root, idx = int(root_seed), tuple(int(i) for i in indices)
+    if min((root,) + idx) < 0:
+        raise ValueError(f"stream seeds and indices must be nonnegative, got "
+                         f"root seed {root} and indices {idx} for tag {tag!r}")
+    seq = np.random.SeedSequence(root, spawn_key=(tag_hash(tag),) + idx)
     return np.random.Generator(np.random.Philox(seq))

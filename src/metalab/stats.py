@@ -1,9 +1,10 @@
 """Effect sizes, practical-difference thresholds, and decision rules.
 
 The comparison machinery: two accuracy samples (one per method) are
-reduced to Cohen's d over their pooled standard deviation, compared
-against the standardized 1% threshold delta = 0.01 / pooled_std, and
-mapped to a three-way verdict: no practical difference (H0), first sample
+reduced to their `SampleStats`, and only from those come Cohen's d over
+the pooled standard deviation and the standardized 1% threshold
+delta = 0.01 / pooled sd (`*_from_stats`). The two are mapped to a
+three-way verdict: no practical difference (H0), first sample
 wins (H1_pt), second sample wins (H1_maml). The boundary belongs to H0
 (closed interval). Confidence-interval variants decide by CI overlap
 instead; `summarize` aggregates verdicts and bucket-mean effect sizes
@@ -94,34 +95,22 @@ class Decision:
             raise ValueError("verdict inconsistent with the effect-size rule")
 
 
-def pooled_std(a: Sequence[float], b: Sequence[float]) -> float:
-    """Variance-weighted combination of two samples' standard deviations."""
-    return pooled_std_from_stats(SampleStats.from_sample(a), SampleStats.from_sample(b))
-
-
 def pooled_std_from_stats(a: SampleStats, b: SampleStats) -> float:
+    """Variance-weighted combination of two samples' standard deviations."""
     num = (a.n - 1) * a.sd ** 2 + (b.n - 1) * b.sd ** 2
     return float(np.sqrt(num / (a.n + b.n - 2)))
 
 
-def cohens_d(a: Sequence[float], b: Sequence[float]) -> float:
-    """Standardized mean difference (mean(a) - mean(b)) / pooled_std."""
-    return cohens_d_from_stats(SampleStats.from_sample(a), SampleStats.from_sample(b))
-
-
 def cohens_d_from_stats(a: SampleStats, b: SampleStats) -> float:
+    """Standardized mean difference (a.mean - b.mean) / pooled sd."""
     pooled = pooled_std_from_stats(a, b)
     if pooled == 0.0:
         raise DegenerateSampleError("pooled standard deviation is zero")
     return float((a.mean - b.mean) / pooled)
 
 
-def delta_threshold(a: Sequence[float], b: Sequence[float]) -> float:
-    """The standardized 1% practical-difference threshold, 0.01/pooled_std."""
-    return delta_threshold_from_stats(SampleStats.from_sample(a), SampleStats.from_sample(b))
-
-
 def delta_threshold_from_stats(a: SampleStats, b: SampleStats) -> float:
+    """The standardized 1% practical-difference threshold, 0.01 / pooled sd."""
     pooled = pooled_std_from_stats(a, b)
     if pooled == 0.0:
         raise DegenerateSampleError("pooled standard deviation is zero")

@@ -109,21 +109,20 @@ class DistanceHistogram:
     num_pairs: int
 
 
-def build_probe(pretext_benchmark: Benchmark, seed: int,
-                config: TrainConfig | None = None,
+def build_probe(pretext_benchmark: Benchmark, seed: int, config: TrainConfig,
                 method: str = "pt", trained: TrainResult | None = None) -> Probe:
     """Train (or draw) a frozen probe on a held-out pretext benchmark.
 
-    `method="pt"` pre-trains on the pretext benchmark's union (the default
-    and the analogue of an off-the-shelf pretrained backbone);
-    `method="random"` freezes the seeded initialization instead, an
-    ablation option. Both draw from `seed`, which the provenance names, so
-    a `config` with another seed raises ValueError. `trained`, if given, is
+    `method="pt"` pre-trains on the pretext benchmark's union with `config`
+    (the default, and the analogue of an off-the-shelf pretrained
+    backbone); `method="random"` freezes the seeded initialization of
+    `config.hidden_dims` instead, an ablation option. Both draw from
+    `seed`, which the provenance names, so a `config` with another seed
+    raises ValueError. `trained`, if given, is
     `train_pt(pretext_benchmark, config)` run already (the harness passes
     a prefix of its PT leg); the pt probe is built from it without
     training, with the same provenance.
     """
-    config = config or TrainConfig(method="pt", seed=seed)
     if config.seed != seed:
         raise ValueError(f"seed {seed} differs from config.seed {config.seed}")
     if trained is not None and method != "pt":

@@ -1,11 +1,12 @@
 """Synthetic Gaussian few-shot benchmarks with dial-a-diversity geometry.
 
 A `Source` is a cloud of isotropic Gaussian class-conditionals (one mean
-per class, shared spread). A `Benchmark` is a list of sources under one
-contiguous global label space, partitioned into train/validation/test class
-pools. `benchmark_from_sources` assembles one, splitting each source on its
-own; the high-diversity presets are built that way from several sources
-translated apart. Episodes are n-way k-shot `FewShotTask`s with support
+per class, shared spread). A `Benchmark` is built from a list of sources
+alone: it puts them under one contiguous global label space and splits
+each source's classes into train/validation/test pools on their own
+(`benchmark_from_sources` is the same constructor over any iterable); the
+high-diversity presets are built that way from several sources translated
+apart. Episodes are n-way k-shot `FewShotTask`s with support
 and query batches relabeled 0..n_way-1.
 
 Ground-truth divergence between sources is analytic here (mean distance
@@ -19,7 +20,7 @@ seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -97,32 +98,34 @@ def translate_source(source: Source, offset: np.ndarray, name: str | None = None
 class Benchmark:
     """Sources under one global label space with train/val/test class pools.
 
-    `class_table[g]` is the (source index, local class) pair of global
-    label g; global labels are contiguous 0..total_classes-1 by
-    construction and re-checked here. The three pools partition the global
-    labels.
+    Built from its sources alone. Global labels run source by source in
+    order: `class_table[g]` is the (source index, local class) pair of
+    global label g. Each source's classes are split 64/16/20 on their own,
+    so every source contributes to every pool (mirroring how constituent
+    datasets keep their own train/test partitions inside a union). At least
+    one source is needed, and all must share one input_dim.
     """
 
     sources: tuple[Source, ...]
-    class_table: tuple[tuple[int, int], ...]
-    splits: Mapping[str, tuple[int, ...]]
+    class_table: tuple[tuple[int, int], ...] = field(init=False)
+    splits: Mapping[str, tuple[int, ...]] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sources", tuple(self.sources))
-        object.__setattr__(self, "class_table", tuple(
-            (int(s), int(c)) for s, c in self.class_table))
-        object.__setattr__(self, "splits", {
-            k: tuple(int(g) for g in v) for k, v in dict(self.splits).items()})
-        total = sum(s.num_classes for s in self.sources)
-        if len(self.class_table) != total:
-            raise ValueError("class table does not cover every (source, class) pair")
-        if sorted(set(self.class_table)) != sorted(self.class_table):
-            raise ValueError("class table must be injective")
-        pooled = sorted(g for pool in self.splits.values() for g in pool)
-        if pooled != list(range(total)):
-            raise ValueError("split pools must partition global labels 0..total-1")
-        if set(self.splits) != set(SPLIT_NAMES):
-            raise ValueError(f"splits must be exactly {SPLIT_NAMES}")
+        sources = tuple(self.sources)
+        if not sources:
+            raise ValueError("a benchmark needs at least one source")
+        if any(s.input_dim != sources[0].input_dim for s in sources):
+            raise ValueError("all sources must share input_dim")
+        table: list[tuple[int, int]] = []
+        pools: dict[str, list[int]] = {name: [] for name in SPLIT_NAMES}
+        for si, src in enumerate(sources):
+            local = _split_pools(src.num_classes)
+            for name in SPLIT_NAMES:
+                pools[name].extend(len(table) + g for g in local[name])
+            table.extend((si, ci) for ci in range(src.num_classes))
+        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "class_table", tuple(table))
+        object.__setattr__(self, "splits", {k: tuple(v) for k, v in pools.items()})
 
     @property
     def total_classes(self) -> int:
@@ -150,7 +153,7 @@ class Benchmark:
 
 
 def _split_pools(total: int) -> dict[str, tuple[int, ...]]:
-    """Contiguous 64/16/20 partition of global labels by index order."""
+    """Contiguous 64/16/20 partition of labels 0..total-1 by index order."""
     n_train = int(round(SPLIT_FRACTIONS[0] * total))
     n_val = int(round(SPLIT_FRACTIONS[1] * total))
     n_train = min(n_train, total)
@@ -163,29 +166,8 @@ def _split_pools(total: int) -> dict[str, tuple[int, ...]]:
 
 
 def benchmark_from_sources(sources: Iterable[Source]) -> Benchmark:
-    """Assemble sources into a benchmark, one split per source.
-
-    Global labels run source by source in order; each source's classes are
-    split 64/16/20 individually, so every source contributes to every pool
-    (mirroring how constituent datasets keep their own train/test
-    partitions inside a union). At least one source is needed.
-    """
-    sources = tuple(sources)
-    if not sources:
-        raise ValueError("a benchmark needs at least one source")
-    dim = sources[0].input_dim
-    if any(s.input_dim != dim for s in sources):
-        raise ValueError("all sources must share input_dim")
-    table: list[tuple[int, int]] = []
-    pools: dict[str, list[int]] = {name: [] for name in SPLIT_NAMES}
-    for si, src in enumerate(sources):
-        base = len(table)
-        table.extend((si, ci) for ci in range(src.num_classes))
-        local = _split_pools(src.num_classes)
-        for name in SPLIT_NAMES:
-            pools[name].extend(base + g for g in local[name])
-    return Benchmark(sources=sources, class_table=tuple(table),
-                     splits={k: tuple(v) for k, v in pools.items()})
+    """`Benchmark(tuple(sources))`: the sources, in order, under one label space."""
+    return Benchmark(tuple(sources))
 
 
 @dataclass(frozen=True)
@@ -221,6 +203,13 @@ def _episode_seed(rng_seed: int | tuple[int, ...]) -> tuple[int, tuple[int, ...]
     return int(rng_seed), ()
 
 
+def _class_draws(benchmark: Benchmark, classes: Iterable[int], rows: int,
+                 gen: np.random.Generator) -> list[np.ndarray]:
+    """`rows` draws from each global class's Gaussian, class by class, from `gen`."""
+    return [benchmark.class_mean(int(g)) + benchmark.class_spread_of(int(g))
+            * gen.normal(size=(rows, benchmark.input_dim)) for g in classes]
+
+
 def sample_task(benchmark: Benchmark, split: str, n_way: int, k_shot: int,
                 q_query: int, rng_seed: int | tuple[int, ...],
                 class_pool: Sequence[int] | None = None) -> FewShotTask:
@@ -239,15 +228,11 @@ def sample_task(benchmark: Benchmark, split: str, n_way: int, k_shot: int,
     root, indices = _episode_seed(rng_seed)
     gen = rng.stream(root, "episode", *indices)
     chosen = gen.choice(np.asarray(pool, dtype=np.int64), size=n_way, replace=False)
-    sup_rows, qry_rows = [], []
-    for g in chosen:
-        mean = benchmark.class_mean(int(g))
-        spread = benchmark.class_spread_of(int(g))
-        draws = mean + spread * gen.normal(size=(k_shot + q_query, benchmark.input_dim))
-        sup_rows.append(draws[:k_shot])
-        qry_rows.append(draws[k_shot:])
-    support = Batch(np.concatenate(sup_rows), np.repeat(np.arange(n_way), k_shot))
-    query = Batch(np.concatenate(qry_rows), np.repeat(np.arange(n_way), q_query))
+    draws = _class_draws(benchmark, chosen, k_shot + q_query, gen)
+    support = Batch(np.concatenate([d[:k_shot] for d in draws]),
+                    np.repeat(np.arange(n_way), k_shot))
+    query = Batch(np.concatenate([d[k_shot:] for d in draws]),
+                  np.repeat(np.arange(n_way), q_query))
     tid = f"{split}:{root}" + ("" if not indices else ":" + ",".join(map(str, indices)))
     return FewShotTask(
         n_way=n_way, k_shot=k_shot, q_query=q_query, support=support, query=query,
@@ -264,13 +249,8 @@ def union_dataset(benchmark: Benchmark, split: str, examples_per_class: int,
     root, indices = _episode_seed(rng_seed)
     gen = rng.stream(root, "union-data", *indices)
     pool = sorted(benchmark.split_pool(split))
-    rows, labels = [], []
-    for g in pool:
-        mean = benchmark.class_mean(g)
-        spread = benchmark.class_spread_of(g)
-        rows.append(mean + spread * gen.normal(size=(examples_per_class, benchmark.input_dim)))
-        labels.append(np.full(examples_per_class, g, dtype=np.int64))
-    return Batch(np.concatenate(rows), np.concatenate(labels))
+    return Batch(np.concatenate(_class_draws(benchmark, pool, examples_per_class, gen)),
+                 np.repeat(np.asarray(pool, dtype=np.int64), examples_per_class))
 
 
 def ground_truth_divergence(a: Source, b: Source) -> float:

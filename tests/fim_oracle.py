@@ -9,7 +9,7 @@ from metalab.nets import Batch, forward, loss_and_grad, net_loss, softmax
 def brute_fim_body(model: Model, batch: Batch) -> np.ndarray:
     """Posterior-weighted squared score, one autodiff pass per (example, class)."""
     spec = model.spec
-    probs = softmax(forward(spec, model.params, batch))
+    probs = softmax(forward(spec, model.params, batch.inputs))
     fim = np.zeros(len(model.params))
     for i in range(len(batch)):
         for c in range(spec.output_dim):

@@ -295,10 +295,21 @@ def test_console_entry_point_runs_in_a_subprocess(tmp_path, child_env):
     ("init_seed", -2, "init_seed=-2"),
     ("task_seed", -3, "task_seed=-3"),
     ("diversity_seed", -1, "diversity_seed=-1"),
+    # counts and seeds that are not integers are refused, not truncated
+    ("meta_batch", 3.5, "meta_batch"),
+    ("k_shot", 2.5, "k_shot"),
+    ("diversity_tasks", 3.5, "diversity_tasks"),
+    ("hidden_dims", [8.7], "hidden_dims"),
+    ("eval_steps", [5.5], "eval_steps"),
+    ("seed", True, "seed"),
+    ("pt", {"max_epochs": 10.5}, "max_epochs"),
+    ("benchmark", {"seed": 0, "sources": [{"num_classes": 10.9, "input_dim": 3,
+                                           "mean_scale": 2.0, "class_spread": 1.0}]},
+     "num_classes"),
 ])
 def test_run_refuses_a_bad_config_at_config_stage(tmp_path, capsys, key, value, named):
     with pytest.raises(ValueError, match=named):
-        _tiny_config(**{key: value})
+        _tiny_config(**{key: BenchmarkSpec.from_dict(value) if key == "benchmark" else value})
     doc = _tiny_config().to_dict()
     doc[key] = value
     cfg_path = tmp_path / "bad.yaml"

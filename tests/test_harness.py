@@ -184,6 +184,22 @@ def test_run_comparison_record_structure(tiny_record):
     assert all(tid.startswith("test:0:") for tid in rec.task_ids)
 
 
+def _assert_matches(got, want, path: str = "record") -> None:
+    """Same structure and non-float values; floats within a relative 1e-9."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            _assert_matches(got[key], want[key], f"{path}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0), path
+    else:
+        assert got == want, path
+
+
 def test_run_comparison_is_deterministic(tiny_record):
     again = run_comparison(_tiny_config())
     a = tiny_record.to_dict()
@@ -191,6 +207,19 @@ def test_run_comparison_is_deterministic(tiny_record):
     a.pop("wall_clock_seconds")
     b.pop("wall_clock_seconds")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    # A fresh run also reproduces the committed golden record: task ids,
+    # accuracies, verdicts and epoch counts exactly, every other float
+    # within a relative 1e-9, so that another BLAS build does not trip it.
+    golden = json.loads((GOLDEN / "record.json").read_text(encoding="utf-8"))
+    golden.pop("wall_clock_seconds")
+    assert a["task_ids"] == golden["task_ids"]
+    assert a["epochs_run"] == golden["epochs_run"]
+    for label, ev in golden["evals"].items():
+        assert a["evals"][label]["per_task_accuracy"] == ev["per_task_accuracy"]
+        assert a["evals"][label]["mean"] == ev["mean"]
+    assert [d["verdict"] for d in a["decisions"]] == [
+        d["verdict"] for d in golden["decisions"]]
+    _assert_matches(a, golden)
 
 
 def _shrunk_lowdiv(**overrides) -> ExperimentConfig:

@@ -113,7 +113,7 @@ def test_fit_head_reaches_the_scipy_optimum_identity_body(seed):
     # converged by its own criterion, not just stopped
     assert _head_grad_maxabs(support.inputs, support.labels, w, b) <= 1e-8
     ws, bs = _scipy_head(support.inputs, support.labels, 3)
-    ours = _ce(forward(fitted.spec, fitted.params, support), support.labels)
+    ours = _ce(forward(fitted.spec, fitted.params, support.inputs), support.labels)
     theirs = _ce(support.inputs @ ws + bs, support.labels)
     assert ours == pytest.approx(theirs, abs=1e-8)
     np.testing.assert_allclose(
@@ -241,7 +241,7 @@ def test_fit_head_width_override_and_validation():
     model = Model(NetSpec(2, (), 2), NetSpec(2, (), 2).init(0))
     wide = fit_head(model, support, n_classes=7)
     assert wide.spec.output_dim == 7
-    assert forward(wide.spec, wide.params, support).shape == (len(support), 7)
+    assert forward(wide.spec, wide.params, support.inputs).shape == (len(support), 7)
     with pytest.raises(ValueError):
         fit_head(model, Batch(np.zeros((0, 2)), np.zeros(0, dtype=int)))
     with pytest.raises(ValueError):
@@ -302,9 +302,10 @@ def test_adapt_zero_steps_is_the_identity():
 def test_adapt_reduces_support_loss():
     model = _tiny_model(5)
     _, task = _tiny_task(5)
-    before = _ce(forward(model.spec, model.params, task.support), task.support.labels)
+    before = _ce(forward(model.spec, model.params, task.support.inputs),
+                 task.support.labels)
     after_model = adapt(model, task.support, 10, 0.1)
-    after = _ce(forward(after_model.spec, after_model.params, task.support),
+    after = _ce(forward(after_model.spec, after_model.params, task.support.inputs),
                 task.support.labels)
     assert after < before
 
@@ -358,7 +359,8 @@ def test_stacked_maml_meta_test_is_adapt_per_episode_bitwise(steps, monkeypatch)
         assert np.array_equal(one.params.values, many.params.values)
     result = meta_test(model, "maml_adapt", tasks, steps=steps, lr=0.05)
     assert result.per_task_accuracy == tuple(
-        float(np.mean(np.argmax(forward(m.spec, m.params, t.query), axis=1) == t.query.labels))
+        float(np.mean(np.argmax(forward(m.spec, m.params, t.query.inputs), axis=1)
+                      == t.query.labels))
         for m, t in zip(serial, tasks))
 
 

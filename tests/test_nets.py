@@ -92,13 +92,6 @@ def test_forward_matches_nested_loop_oracle(input_dim, hidden, output_dim, n, se
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
-def test_forward_accepts_batch_or_raw_array():
-    spec = NetSpec(3, (5,), 2)
-    params = _random_params(spec, 0)
-    batch = _random_batch(spec, 7, 1)
-    assert np.array_equal(forward(spec, params, batch), forward(spec, params, batch.inputs))
-
-
 def test_forward_rejects_wrong_width_and_wrong_layout():
     spec = NetSpec(3, (5,), 2)
     params = _random_params(spec, 0)
@@ -168,7 +161,7 @@ def test_uniform_logits_cost_log_k():
         spec = NetSpec(4, (6,), k)
         zero = ParamVector(np.zeros(spec.param_count()), spec.layout())
         batch = _random_batch(spec, 20, k)
-        logits = forward(spec, zero, batch)
+        logits = forward(spec, zero, batch.inputs)
         assert cross_entropy(logits, batch.labels) == pytest.approx(np.log(k), rel=1e-12)
 
 
@@ -191,7 +184,7 @@ def test_net_loss_value_agrees_with_untraced_path():
     params = _random_params(spec, 3)
     batch = _random_batch(spec, 12, 4)
     traced = net_loss(spec, batch)(params_to_leaves(params)).item()
-    plain = cross_entropy(forward(spec, params, batch), batch.labels)
+    plain = cross_entropy(forward(spec, params, batch.inputs), batch.labels)
     assert traced == pytest.approx(plain, rel=1e-14)
 
 
@@ -213,7 +206,8 @@ def test_loss_and_grad_returns_matching_value():
     batch = _random_batch(spec, 9, 22)
     loss_fn = net_loss(spec, batch)
     value, g = loss_and_grad(loss_fn, params)
-    assert value == pytest.approx(cross_entropy(forward(spec, params, batch), batch.labels))
+    assert value == pytest.approx(
+        cross_entropy(forward(spec, params, batch.inputs), batch.labels))
     assert g.layout == params.layout
     assert np.array_equal(g.values, loss_and_grad(loss_fn, params)[1].values)
 

@@ -1,0 +1,54 @@
+"""Package hygiene: exports resolve and no module imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import metalab
+from metalab import harness
+
+PACKAGE_DIR = Path(metalab.__file__).parent
+MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+
+
+@pytest.mark.parametrize("module", [metalab, harness], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    assert len(set(module.__all__)) == len(module.__all__)
+    for name in module.__all__:
+        assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by import statements that the module never reads.
+
+    A name listed in the module's `__all__` counts as read, since the
+    package re-exports what it imports.
+    """
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_no_unused_name(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _unused_imports(tree) == []
+
+
+def test_the_unused_import_scan_sees_one():
+    tree = ast.parse("import os\nfrom math import pi, tau\nprint(pi)\n")
+    assert _unused_imports(tree) == ["os (line 1)", "tau (line 2)"]
+

@@ -1,11 +1,14 @@
 """Named random streams: identity, independence, cross-platform stability."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metalab.rng import stream, tag_hash
+from metalab.tasks import make_source
 
 
 def test_same_identity_gives_identical_stream():
@@ -76,3 +79,13 @@ def test_indices_are_coerced_to_int():
     a = stream(5, "body", np.int64(2)).standard_normal(8)
     b = stream(5, "body", 2).standard_normal(8)
     assert np.array_equal(a, b)
+
+
+def test_negative_seeds_and_indices_are_refused_by_name():
+    with pytest.raises(ValueError, match=re.escape("root seed -1")):
+        stream(-1, "episode")
+    with pytest.raises(ValueError, match=re.escape("indices (0, -2)")):
+        stream(3, "episode", 0, -2)
+    # the one check guards every consumer below the config layer
+    with pytest.raises(ValueError, match=re.escape("root seed -1")):
+        make_source(-1, 4, 2, 1.0, 1.0)

@@ -17,14 +17,13 @@ from metalab.stats import (
     SampleStats,
     ci95_halfwidth,
     ci_overlap,
-    cohens_d,
     cohens_d_from_stats,
     confidence_interval,
     decide_ci,
     decide_es,
     decide_from_es,
-    delta_threshold,
-    pooled_std,
+    delta_threshold_from_stats,
+    pooled_std_from_stats,
     read_table,
     sig6,
     summarize,
@@ -35,32 +34,39 @@ from metalab.stats import (
 samples = st.lists(st.floats(-10, 10), min_size=2, max_size=8)
 
 
+def _stats(*raw):
+    """One `SampleStats` per raw sample: the only input of the statistics."""
+    return [SampleStats.from_sample(s) for s in raw]
+
+
 # ---------------------------------------------------------------------------
 # pooled std, Cohen's d, delta
 # ---------------------------------------------------------------------------
 
 
 def test_hand_values_symmetric_unit_case():
-    a, b = [0.0, 1.0], [0.0, 1.0]
-    assert pooled_std(a, b) == pytest.approx(np.sqrt(0.5), rel=1e-12)
-    assert cohens_d(a, b) == 0.0
-    assert delta_threshold(a, b) == pytest.approx(0.01 / np.sqrt(0.5), rel=1e-12)
+    a, b = _stats([0.0, 1.0], [0.0, 1.0])
+    assert pooled_std_from_stats(a, b) == pytest.approx(np.sqrt(0.5), rel=1e-12)
+    assert cohens_d_from_stats(a, b) == 0.0
+    assert delta_threshold_from_stats(a, b) == pytest.approx(0.01 / np.sqrt(0.5), rel=1e-12)
 
 
 def test_hand_values_unequal_sizes():
-    a, b = [0.0, 1.0, 2.0], [0.0, 2.0]  # sd 1 and sqrt(2)
-    assert pooled_std(a, b) == pytest.approx(np.sqrt((2 * 1 + 1 * 2) / 3), rel=1e-12)
-    assert cohens_d(a, b) == pytest.approx((1.0 - 1.0) / np.sqrt(4 / 3), abs=1e-12)
+    a, b = _stats([0.0, 1.0, 2.0], [0.0, 2.0])  # sd 1 and sqrt(2)
+    assert pooled_std_from_stats(a, b) == pytest.approx(np.sqrt((2 * 1 + 1 * 2) / 3),
+                                                        rel=1e-12)
+    assert cohens_d_from_stats(a, b) == pytest.approx((1.0 - 1.0) / np.sqrt(4 / 3),
+                                                      abs=1e-12)
 
 
 def test_one_constant_sample_is_fine_both_constant_is_not():
-    a, b = [1.0, 2.0, 3.0], [0.5, 0.5, 0.5]
+    a, b = _stats([1.0, 2.0, 3.0], [0.5, 0.5, 0.5])
     # pooled = sqrt((2*1 + 2*0)/4) = sqrt(1/2); mean difference 1.5
-    assert cohens_d(a, b) == pytest.approx(1.5 / np.sqrt(0.5), rel=1e-12)
+    assert cohens_d_from_stats(a, b) == pytest.approx(1.5 / np.sqrt(0.5), rel=1e-12)
     with pytest.raises(DegenerateSampleError):
-        cohens_d([1.0, 1.0], [2.0, 2.0])
+        cohens_d_from_stats(*_stats([1.0, 1.0], [2.0, 2.0]))
     with pytest.raises(DegenerateSampleError):
-        delta_threshold([1.0, 1.0], [2.0, 2.0])
+        delta_threshold_from_stats(*_stats([1.0, 1.0], [2.0, 2.0]))
 
 
 def test_sample_stats_validation():
@@ -75,16 +81,17 @@ def test_sample_stats_validation():
 @given(a=samples, b=samples)
 @settings(max_examples=60, deadline=None)
 def test_cohens_d_antisymmetry_and_invariances(a, b):
-    assume(pooled_std(a, b) > 1e-3)
-    d = cohens_d(a, b)
-    assert cohens_d(b, a) == pytest.approx(-d, rel=1e-9, abs=1e-12)
-    shifted = cohens_d([x + 3.7 for x in a], [x + 3.7 for x in b])
+    sa, sb = _stats(a, b)
+    assume(pooled_std_from_stats(sa, sb) > 1e-3)
+    d = cohens_d_from_stats(sa, sb)
+    assert cohens_d_from_stats(sb, sa) == pytest.approx(-d, rel=1e-9, abs=1e-12)
+    shifted = cohens_d_from_stats(*_stats([x + 3.7 for x in a], [x + 3.7 for x in b]))
     assert shifted == pytest.approx(d, rel=1e-6, abs=1e-9)
-    scaled = cohens_d([2.5 * x for x in a], [2.5 * x for x in b])
-    assert scaled == pytest.approx(d, rel=1e-9, abs=1e-12)
+    scaled = _stats([2.5 * x for x in a], [2.5 * x for x in b])
+    assert cohens_d_from_stats(*scaled) == pytest.approx(d, rel=1e-9, abs=1e-12)
     # delta carries the units: scaling the data divides it
-    assert delta_threshold([2.5 * x for x in a], [2.5 * x for x in b]) == pytest.approx(
-        delta_threshold(a, b) / 2.5, rel=1e-9)
+    assert delta_threshold_from_stats(*scaled) == pytest.approx(
+        delta_threshold_from_stats(sa, sb) / 2.5, rel=1e-9)
 
 
 @given(a=st.lists(st.floats(0, 1), min_size=3, max_size=12))
@@ -137,8 +144,9 @@ def test_decide_es_is_consistent_with_its_parts():
     a = [0.70, 0.74, 0.72, 0.71, 0.73]
     b = [0.60, 0.66, 0.63, 0.61, 0.65]
     decision = decide_es(a, b, maml_variant="maml5")
-    assert decision.effect_size == pytest.approx(cohens_d(a, b), rel=1e-12)
-    assert decision.delta == pytest.approx(delta_threshold(a, b), rel=1e-12)
+    assert decision.effect_size == pytest.approx(cohens_d_from_stats(*_stats(a, b)), rel=1e-12)
+    assert decision.delta == pytest.approx(delta_threshold_from_stats(*_stats(a, b)),
+                                           rel=1e-12)
     assert decision.verdict == decide_from_es(decision.effect_size, decision.delta)
     assert decision.verdict == H1_PT
     assert decision.rule == "es"
@@ -203,7 +211,7 @@ def test_decide_ci_disjoint_and_contained():
     assert decide_ci(low, high).verdict == H1_MAML
     assert decide_ci(low, [x + 0.001 for x in low]).verdict == H0
     d = decide_ci(high, low, maml_variant="maml10")
-    assert d.effect_size == pytest.approx(cohens_d(high, low), rel=1e-12)
+    assert d.effect_size == pytest.approx(cohens_d_from_stats(*_stats(high, low)), rel=1e-12)
     assert d.maml_variant == "maml10"
 
 

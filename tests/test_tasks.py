@@ -141,18 +141,16 @@ def test_from_sources_shifts_labels_and_keeps_means():
 
 
 def test_benchmark_constructor_validation():
+    # A benchmark is built from its sources alone: the table and the split
+    # pools are derived, so only an empty or mixed-width source list is bad.
     src = make_source(0, 4, 2, 1.0, 1.0)
-    table = tuple((0, c) for c in range(4))
-    good = {"train": (0, 1), "val": (2,), "test": (3,)}
-    Benchmark(sources=(src,), class_table=table, splits=good)
-    with pytest.raises(ValueError):
-        Benchmark(sources=(src,), class_table=table[:3], splits=good)
-    with pytest.raises(ValueError):
-        Benchmark(sources=(src,), class_table=table,
-                  splits={"train": (0, 1), "val": (2,), "test": (2,)})
-    with pytest.raises(ValueError):
-        Benchmark(sources=(src,), class_table=table,
-                  splits={"train": (0, 1, 2, 3), "holdout": ()})
+    assert Benchmark((src,)) == benchmark_from_sources([src])
+    with pytest.raises(ValueError, match="at least one source"):
+        Benchmark(())
+    with pytest.raises(ValueError, match="input_dim"):
+        Benchmark((src, make_source(1, 4, 3, 1.0, 1.0)))
+    with pytest.raises(TypeError):
+        Benchmark((src,), class_table=((0, 0),), splits={})
 
 
 # ---------------------------------------------------------------------------
