@@ -89,12 +89,12 @@ from metalab.learners import (
     EvalResult,
     TrainConfig,
     TrainResult,
-    _integer,
     meta_test,
     model_l2_norm,
     train_maml,
     train_pt,
 )
+from metalab.rng import integer
 from metalab.stats import Decision, decide_ci, decide_es, sig6
 from metalab.task2vec import (
     DistanceHistogram,
@@ -205,9 +205,9 @@ class SourceSpec:
 
     def __post_init__(self):
         for attr in ("num_classes", "input_dim"):
-            object.__setattr__(self, attr, _integer(getattr(self, attr), attr))
+            object.__setattr__(self, attr, integer(getattr(self, attr), attr))
         if self.seed is not None:
-            object.__setattr__(self, "seed", _integer(self.seed, "source seed"))
+            object.__setattr__(self, "seed", integer(self.seed, "source seed"))
             if self.seed < 0:
                 raise ValueError(f"source seed must be nonnegative, got {self.seed}")
         if self.offset is not None:
@@ -246,7 +246,7 @@ class BenchmarkSpec:
         object.__setattr__(self, "sources", tuple(self.sources))
         if not self.sources:
             raise ValueError("a benchmark spec needs at least one source")
-        object.__setattr__(self, "seed", _integer(self.seed, "benchmark seed"))
+        object.__setattr__(self, "seed", integer(self.seed, "benchmark seed"))
         if self.seed < 0:
             raise ValueError(f"benchmark seed must be nonnegative, got {self.seed}")
 
@@ -311,14 +311,14 @@ class ExperimentConfig:
             raise ValueError(f"maml_order must be one of {_MAML_ORDERS}")
         for attr in ("seed", "n_way", "k_shot", "q_query", "meta_batch",
                      "diversity_tasks", "histogram_tasks", "histogram_bins"):
-            object.__setattr__(self, attr, _integer(getattr(self, attr), attr))
+            object.__setattr__(self, attr, integer(getattr(self, attr), attr))
         for attr in ("hidden_dims", "probe_hidden_dims", "eval_steps"):
             object.__setattr__(self, attr, tuple(
-                _integer(v, attr) for v in getattr(self, attr)))
+                integer(v, attr) for v in getattr(self, attr)))
         for attr in ("init_seed", "task_seed", "diversity_seed"):
             value = getattr(self, attr)
             object.__setattr__(self, attr,
-                               self.seed if value is None else _integer(value, attr))
+                               self.seed if value is None else integer(value, attr))
         if not self.eval_steps:
             raise ValueError("eval_steps must be nonempty")
         if any(s < 0 for s in self.eval_steps):

@@ -18,16 +18,15 @@ descent, windowed-plateau stop), so runs are reproducible to the bit.
 way (`prefix_epochs`), so a shorter run of the same config is not
 trained again.
 
-Every gradient runs on the closed-form numpy kernel `nets.MLPKernel`,
-built once per call with its buffers: `train_pt` (one full-batch call per
-epoch), `train_maml`, `adapt` and `meta_test`. MAML's inner loop is
-written once, `_descend`, and both MAML orders share `_meta_gradients`:
-each meta-batch is stacked into `(B, n, d)` arrays, so each inner step
-and the query gradient are one kernel call each, and the higher-order
-method adds a reverse sweep of `MLPKernel.hvp` calls. The meta-test
-supports are stacked the same way, one kernel call per adaptation step.
-Plain forward passes (features for the head, logits for accuracy) come
-from `nets.activations`. The head refit and `episodic_vs_union_loss` use
+Every gradient runs on the stateless numpy kernel `nets.cross_entropy_and_grad`:
+`train_pt` (one full-batch call per epoch), `train_maml`, `adapt` and
+`meta_test`. MAML's inner loop is written once, `_descend`, and both MAML
+orders share `_meta_gradients`: each meta-batch is stacked into
+`(B, n, d)` arrays, so each inner step and the query gradient are one
+call each, and the higher-order method adds a reverse sweep of
+`nets.cross_entropy_hvp` calls. The meta-test supports are stacked the
+same way, one call per adaptation step. Every forward pass is
+`nets.activations`. The head refit and `episodic_vs_union_loss` use
 their own closed-form Newton solve. No path here runs the autodiff tape;
 it is the oracle the tests check these paths against.
 
@@ -51,7 +50,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -59,15 +57,17 @@ import numpy as np
 
 from metalab.nets import (
     Batch,
-    MLPKernel,
     NetSpec,
     NumericalError,
     ParamVector,
     activations,
     cross_entropy,
+    cross_entropy_and_grad,
+    cross_entropy_hvp,
     forward,
     layout_slices,
 )
+from metalab.rng import integer
 from metalab.stats import ci95_halfwidth
 from metalab.tasks import Benchmark, FewShotTask, sample_task, union_dataset
 
@@ -81,13 +81,6 @@ MIN_STEP = 1e-10    # line-search step below which the head fit gives up
 
 class TrainingError(RuntimeError):
     """Training diverged or was misconfigured."""
-
-
-def _integer(value, what: str) -> int:
-    """`value` as an int; a bool, a float or any other non-integer raises ValueError."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -160,9 +153,9 @@ class TrainConfig:
             raise ValueError(f"unknown method {self.method!r}")
         for name in ("inner_steps_train", "meta_batch", "max_epochs", "seed", "n_way",
                      "k_shot", "q_query", "examples_per_class"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+            object.__setattr__(self, name, integer(getattr(self, name), name))
         object.__setattr__(self, "hidden_dims", tuple(
-            _integer(h, "hidden_dims") for h in self.hidden_dims))
+            integer(h, "hidden_dims") for h in self.hidden_dims))
         if not all(math.isfinite(lr) and lr > 0 for lr in (self.outer_lr, self.inner_lr)):
             raise ValueError("learning rates must be finite and positive")
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
@@ -298,10 +291,9 @@ def train_pt(benchmark: Benchmark, config: TrainConfig,
         raise ValueError(f"train_pt requires method 'pt', got {config.method!r}")
     spec = NetSpec(benchmark.input_dim, config.hidden_dims, benchmark.total_classes)
     data = union_dataset(benchmark, "train", config.examples_per_class, config.seed)
-    kernel = MLPKernel(spec, data.inputs.shape)
 
     def full_batch(epoch: int, params: ParamVector):
-        value, g = kernel.loss_and_grad(params.values, data.inputs, data.labels)
+        value, g = cross_entropy_and_grad(spec, params.values, data.inputs, data.labels)
         return [value], g
 
     return _train(spec, config, "pre-training", full_batch, prefix_epochs)
@@ -320,16 +312,13 @@ def train_maml(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
     if config.method not in ("fo_maml", "ho_maml"):
         raise ValueError(f"train_maml requires a maml method, got {config.method!r}")
     spec = NetSpec(benchmark.input_dim, config.hidden_dims, config.n_way)
-    kernels = tuple(
-        MLPKernel(spec, (config.meta_batch, config.n_way * rows, benchmark.input_dim))
-        for rows in (config.k_shot, config.q_query))
 
     def meta_batch(epoch: int, params: ParamVector):
         tasks = [sample_task(benchmark, "train", config.n_way, config.k_shot,
                              config.q_query, (config.seed, epoch, j))
                  for j in range(config.meta_batch)]
         values, per_task = _meta_gradients(
-            kernels, params, tasks, config.inner_steps_train, config.inner_lr,
+            spec, params, tasks, config.inner_steps_train, config.inner_lr,
             higher_order=config.method == "ho_maml")
         return values, per_task.sum(axis=0)
 
@@ -341,33 +330,33 @@ def _stacked(batches: Sequence[Batch]) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([b.inputs for b in batches]), np.stack([b.labels for b in batches])
 
 
-def _descend(kernel: MLPKernel, flat: np.ndarray, inputs: np.ndarray, labels: np.ndarray,
+def _descend(spec: NetSpec, flat: np.ndarray, inputs: np.ndarray, labels: np.ndarray,
              steps: int, lr: float) -> list[np.ndarray]:
-    """Plain gradient descent on the kernel's loss: `flat`, then each of `steps` iterates.
+    """Plain gradient descent on the cross-entropy: `flat`, then each of `steps` iterates.
 
     theta_{k+1} = theta_k - lr * grad(theta_k) from theta_0 = `flat`, in
     `(P,)` or stacked `(B, P)` arrays. The inner loop of MAML, in training
-    (`_meta_gradients`) and at test time (`_adapted_models`). The kernel
-    checks every loss and gradient for finiteness, since the iterates never
-    become `ParamVector`s.
+    (`_meta_gradients`) and at test time (`_adapted_models`).
+    `cross_entropy_and_grad` checks every loss and gradient for
+    finiteness, since the iterates never become `ParamVector`s.
     """
     iterates = [flat]
     for _ in range(steps):
-        _, g = kernel.loss_and_grad(iterates[-1], inputs, labels)
+        _, g = cross_entropy_and_grad(spec, iterates[-1], inputs, labels)
         iterates.append(iterates[-1] - lr * g)
     return iterates
 
 
-def _meta_gradients(kernels: tuple[MLPKernel, MLPKernel], params: ParamVector,
+def _meta_gradients(spec: NetSpec, params: ParamVector,
                     tasks: Sequence[FewShotTask], steps: int, lr: float,
                     higher_order: bool) -> tuple[np.ndarray, np.ndarray]:
     """Query losses `(B,)` and meta-gradients `(B, P)`, episodes stacked.
 
     The B episodes' support and query sets are stacked into `(B, n, d)`
     arrays, so each inner step (`_descend`) and the query gradient are one
-    kernel call each. With support loss S, query loss Q and iterates
-    theta_0 = `params`, ..., theta_K after K inner steps (MAML: Finn et al.
-    2017, arXiv 1703.03400):
+    `cross_entropy_and_grad` call each. With support loss S, query loss Q
+    and iterates theta_0 = `params`, ..., theta_K after K inner steps
+    (MAML: Finn et al. 2017, arXiv 1703.03400):
 
     - first-order: the meta-gradient is v_K = grad Q(theta_K), the query
       gradient at the adapted parameters;
@@ -376,18 +365,19 @@ def _meta_gradients(kernels: tuple[MLPKernel, MLPKernel], params: ParamVector,
 
           v_k = v_{k+1} - lr * H_S(theta_k) v_{k+1}   for k = K-1, ..., 0,
 
-      one `MLPKernel.hvp` call per step, and the meta-gradient is v_0.
+      one `cross_entropy_hvp` call per step, and the meta-gradient is v_0.
 
-    The kernels check every loss, gradient and product for finiteness; a
-    non-finite meta-gradient left by the sweep raises `NumericalError` too.
+    Both kernel functions check every loss, gradient and product for
+    finiteness; a non-finite meta-gradient left by the sweep raises
+    `NumericalError` too.
     """
-    support_kernel, query_kernel = kernels
     inputs, labels = _stacked([t.support for t in tasks])
-    iterates = _descend(support_kernel, params.values, inputs, labels, steps, lr)
-    values, v = query_kernel.loss_and_grad(iterates.pop(), *_stacked([t.query for t in tasks]))
+    iterates = _descend(spec, params.values, inputs, labels, steps, lr)
+    values, v = cross_entropy_and_grad(spec, iterates.pop(),
+                                       *_stacked([t.query for t in tasks]))
     if higher_order:
         for theta in reversed(iterates):
-            v = v - lr * support_kernel.hvp(theta, v, inputs, labels)
+            v = v - lr * cross_entropy_hvp(spec, theta, v, inputs, labels)
         if not np.all(np.isfinite(v)):
             raise NumericalError("non-finite meta-gradient after the Hessian-vector sweep")
     return values, v
@@ -523,7 +513,7 @@ def meta_test(model: Model, method: str, tasks: Sequence[FewShotTask],
     `method` is "pt_head_refit" (freeze body, refit head on support) or
     "maml_adapt" (`steps` full-parameter descent steps at `lr` on support).
     "maml_adapt" stacks the supports, which must share one shape, into one
-    descent: `steps` kernel calls in all, each episode's iterate bitwise
+    descent: `steps` gradient calls in all, each episode's iterate bitwise
     that of `adapt` on it alone. Results are order-independent per task,
     so the accuracy vector permutes with `tasks`.
     """
@@ -550,9 +540,8 @@ def _adapted_models(model: Model, supports: Sequence[Batch], steps: int,
     if steps == 0:
         return [model] * len(supports)
     inputs, labels = _stacked(supports)
-    kernel = MLPKernel(model.spec, inputs.shape)
     try:
-        flats = _descend(kernel, model.params.values, inputs, labels, steps, lr)[-1]
+        flats = _descend(model.spec, model.params.values, inputs, labels, steps, lr)[-1]
     except NumericalError as err:
         raise NumericalError(f"adaptation hit a non-finite loss: {err}") from err
     return [Model(model.spec, ParamVector(flat, model.params.layout)) for flat in flats]

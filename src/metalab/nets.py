@@ -4,21 +4,16 @@ A network is described by a `NetSpec` (dims; relu throughout) and a flat
 `ParamVector` whose layout names each weight matrix and bias;
 `layout_slices` is the one walk from a layout to its segments' flat slices.
 
-The layer structure is written down three times, each for one job:
-
-- `activations` is the one plain forward pass. It returns every layer's
-  output as its own array; `forward` (logits), `learners.Model.body_features`
-  (the features entering the head) and the Fisher information in
-  `metalab.task2vec` all read from it.
-- `MLPKernel` is for training: a closed-form numpy forward and backward
-  pass of the mean cross-entropy in buffers it allocates once, optionally
-  stacked over batches of one shape. Its `hvp` multiplies the Hessian by a
-  vector in one more forward and backward pass (Pearlmutter's R-operator).
-  Every training and adaptation gradient runs on it: pre-training, first-
-  and higher-order MAML and test-time adaptation. It overwrites its
-  buffers on every call, so it hands out no activations.
-- `forward_t` is the traced pass on the autodiff tape (`metalab.autodiff`),
-  the oracle the other two are tested against; demo 01 shows it.
+The layer structure is written down twice, once in numpy and once on the
+tape. `activations` is the one numpy forward pass, optionally stacked
+over batches of one shape. `forward` (logits), `learners.Model.body_features`,
+the Fisher information in `metalab.task2vec` and the training kernel all
+read from it, with `relu_masks` its rectifier pattern. The kernel is two
+stateless functions: `cross_entropy_and_grad` (mean cross-entropy and its
+closed-form gradient) and `cross_entropy_hvp` (a Hessian-vector product by
+Pearlmutter's R-operator); every training and adaptation gradient runs on
+them. `forward_t` is the traced pass on the autodiff tape
+(`metalab.autodiff`), the oracle both are tested against; demo 01 shows it.
 
 Losses for the tape are callables over a dict of named parameter
 `Tensor`s; `net_loss` builds the standard cross-entropy objective from a
@@ -119,7 +114,8 @@ class NetSpec:
 
     Layers are fully connected; the rectifier sits between hidden layers
     and the final layer emits raw logits. `output_dim >= 2` because every
-    use here is classification.
+    use here is classification. A dimension that is not an integer (a
+    float or a bool) raises ValueError; numpy integers become ints.
     """
 
     input_dim: int
@@ -127,7 +123,10 @@ class NetSpec:
     output_dim: int = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
+        object.__setattr__(self, "input_dim", rng.integer(self.input_dim, "input_dim"))
+        object.__setattr__(self, "hidden_dims", tuple(
+            rng.integer(d, "hidden_dims") for d in self.hidden_dims))
+        object.__setattr__(self, "output_dim", rng.integer(self.output_dim, "output_dim"))
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
         if any(d < 1 for d in dims):
             raise ValueError(f"dimensions must be positive, got {dims}")
@@ -194,35 +193,69 @@ class Batch:
         return self.inputs.shape[0]
 
 
-def _check_compatible(spec: NetSpec, params: ParamVector) -> None:
-    if params.layout != spec.layout():
+def _layers(spec: NetSpec, params: ParamVector | np.ndarray,
+            lead: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's weight `(..., d_in, d_out)` and bias `(..., d_out)`: views of `params`.
+
+    `params` is as in `activations`, with `lead` the inputs' leading shape.
+    """
+    layout = spec.layout()
+    if isinstance(params, ParamVector):
+        if params.layout != layout:
+            raise ShapeError(
+                f"parameter layout {params.layout} does not match spec layout {layout}")
+        params = params.values
+    flat = np.asarray(params, dtype=np.float64)
+    slices = layout_slices(layout)
+    size = slices[-1][1].stop
+    if flat.shape[-1:] != (size,) or flat.shape[:-1] not in ((), lead):
         raise ShapeError(
-            f"parameter layout {params.layout} does not match spec layout {spec.layout()}")
+            f"parameters of shape {flat.shape} do not fit {size} per batch "
+            f"over leading shape {lead}")
+    segs = [flat[..., part].reshape(*flat.shape[:-1], *shape) for _, part, shape in slices]
+    return list(zip(segs[0::2], segs[1::2]))
 
 
-def activations(spec: NetSpec, params: ParamVector, inputs: np.ndarray) -> list[np.ndarray]:
-    """Every layer's output on `inputs` `(n, input_dim)`: the one plain forward pass.
+def activations(spec: NetSpec, params: ParamVector | np.ndarray,
+                inputs: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output on `inputs` `(..., n, input_dim)`: the one plain forward pass.
 
-    Returns `inputs` (as float64), then each layer's output in order:
-    rectified below the top layer, raw logits at the top. So `[-1]` is the
-    logits and `[-2]` the features entering the head. Deterministic, pure
-    numpy, a fresh array per layer.
+    Leading axes of `inputs`, if any, stack independent batches of one
+    shape (the episodes of a meta-batch). `params` is a `ParamVector`, or
+    a flat array in `spec.layout()` order: `(P,)`, shared by every batch,
+    or `(..., P)`, one vector per batch. Returns `inputs` (as float64),
+    then each layer's output in order: rectified (`np.maximum(z, 0)`)
+    below the top layer, raw logits at the top. So `[-1]` is the logits
+    and `[-2]` the features entering the head. Deterministic, pure numpy,
+    a fresh array per layer.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    if inputs.ndim != 2 or inputs.shape[1] != spec.input_dim:
+    return _outputs(spec, _layers(spec, params, inputs.shape[:-2]), inputs)
+
+
+def _outputs(spec: NetSpec, layers: list[tuple[np.ndarray, np.ndarray]],
+             inputs: np.ndarray) -> list[np.ndarray]:
+    """The pass behind `activations`, over `_layers` views and float64 `inputs`."""
+    if inputs.ndim < 2 or inputs.shape[-1] != spec.input_dim:
         raise ShapeError(
-            f"batch width {inputs.shape} does not match input_dim {spec.input_dim}")
-    _check_compatible(spec, params)
-    segs = params.views()
+            f"batch shape {inputs.shape} does not end in input_dim {spec.input_dim}")
     out = [inputs]
-    for i in range(spec.num_layers):
-        h = out[-1] @ segs[f"W{i}"] + segs[f"b{i}"]
-        out.append(np.maximum(h, 0.0) if i < spec.num_layers - 1 else h)
+    for i, (w, b) in enumerate(layers):
+        h = out[-1] @ w
+        h += b[..., None, :]
+        if i < len(layers) - 1:
+            np.maximum(h, 0.0, out=h)
+        out.append(h)
     return out
 
 
-def forward(spec: NetSpec, params: ParamVector, inputs: np.ndarray) -> np.ndarray:
-    """Logits of the network on `inputs` `(n, input_dim)`: `activations(...)[-1]`."""
+def relu_masks(acts: list[np.ndarray]) -> list[np.ndarray]:
+    """The rectifier's pattern `a > 0` of each hidden output of `activations`, as bools."""
+    return [a > 0.0 for a in acts[1:-1]]
+
+
+def forward(spec: NetSpec, params: ParamVector | np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """Logits of the network on `inputs` `(..., n, input_dim)`: `activations(...)[-1]`."""
     return activations(spec, params, inputs)[-1]
 
 
@@ -249,219 +282,160 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(np.mean(lse - logits[np.arange(len(labels)), labels]))
 
 
-class MLPKernel:
-    """Mean cross-entropy of a relu MLP, its gradient and Hessian-vector products.
+# ---------------------------------------------------------------------------
+# the training kernel, over the outputs of `activations`
+# ---------------------------------------------------------------------------
 
-    Built once per spec and input shape `(..., n, input_dim)`. Leading
-    axes, if any, stack independent batches of one shape (the episodes of
-    a meta-batch). The activation, logit and backprop buffers, each
-    `(..., n, width)`, and their R-operator twins are allocated here and
-    refilled in place by every `loss_and_grad` and `hvp` call, so a
-    training loop allocates no large temporary per step. A kernel holds no
-    state between calls beyond those buffers.
 
-    The arithmetic is that of `net_loss` under `loss_and_grad`: the same
-    stabilized log-sum-exp, the rectifier as a multiplication by its 0/1
-    mask, and the mean as a sum times 1/n.
+def _checked_batch(spec: NetSpec, inputs: np.ndarray,
+                   labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`inputs` `(..., n, d)` and `labels` `(..., n)` as float64/int64, checked."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if inputs.ndim < 2 or labels.shape != inputs.shape[:-1]:
+        raise ShapeError(
+            f"labels of shape {labels.shape} do not match inputs of shape {inputs.shape}")
+    if inputs.shape[-2] == 0:
+        raise ValueError("cross_entropy of an empty batch is undefined")
+    if labels.min() < 0 or labels.max() >= spec.output_dim:
+        raise ValueError(
+            f"labels outside [0, {spec.output_dim}) for logits width {spec.output_dim}")
+    return inputs, labels
+
+
+def _softmax_loss(logits: np.ndarray,
+                  labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-batch mean cross-entropy of `logits` `(..., n, k)`; leaves the softmax there.
+
+    Overwrites `logits` with its row-wise softmax and returns the loss and
+    the flat indices of the true-class logits in the raveled array.
+    Raises `NumericalError` on a non-finite loss.
     """
+    n, k = logits.shape[-2:]
+    picks = np.arange(labels.size) * k + labels.reshape(-1)
+    picked = logits.reshape(-1)[picks].reshape(labels.shape)
+    shift = logits.max(axis=-1, keepdims=True)
+    logits -= shift
+    np.exp(logits, out=logits)
+    sumexp = logits.sum(axis=-1)
+    per_row = np.log(sumexp) + shift[..., 0] - picked
+    loss = per_row.sum(axis=-1) * (1.0 / n)
+    if not np.all(np.isfinite(loss)):
+        raise NumericalError("loss evaluated to a non-finite value")
+    logits /= sumexp[..., None]
+    return loss, picks
 
-    def __init__(self, spec: NetSpec, shape: tuple[int, ...]):
-        shape = tuple(int(s) for s in shape)
-        if len(shape) < 2 or shape[-1] != spec.input_dim:
-            raise ShapeError(
-                f"input shape {shape} does not end in input_dim {spec.input_dim}")
-        self.spec = spec
-        self.shape = shape
-        self._lead = shape[:-2]
-        rows = shape[:-1]
-        self._segments = layout_slices(spec.layout())
-        self.size = spec.param_count()
-        # _out[i] holds layer i's output (rectified below the top, logits at
-        # the top); the backward pass overwrites it with its backprop signal
-        self._out = [np.empty((*rows, width)) for width in spec.dims[1:]]
-        # the R-operator's twins of _out: R(z), then R(delta), for `hvp`
-        self._rout = [np.empty((*rows, width)) for width in spec.dims[1:]]
-        self._mask = [np.empty((*rows, width)) for width in spec.dims[1:-1]]
-        self._shift = np.empty((*rows, 1))
-        self._sumexp = np.empty(rows)
-        # flat index of each row's first logit in the raveled logit buffer
-        self._row_start = np.arange(math.prod(rows)) * spec.output_dim
 
-    def _checked_flat(self, flat: np.ndarray) -> np.ndarray:
-        """`flat` as float64, `(P,)` or one `(P,)` per stacked batch."""
-        flat = np.asarray(flat, dtype=np.float64)
-        if flat.shape[-1:] != (self.size,) or flat.shape[:-1] not in ((), self._lead):
-            raise ShapeError(
-                f"parameters of shape {flat.shape} do not fit {self.size} per batch "
-                f"over leading shape {self._lead}")
-        return flat
+def _logit_signal(probs: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """d loss / d logits = (softmax - onehot) / n, built in place of `probs`."""
+    probs.reshape(-1)[picks] -= 1.0
+    probs *= 1.0 / probs.shape[-2]
+    return probs
 
-    def _checked(self, flat: np.ndarray, inputs: np.ndarray,
-                 labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """`flat`, `inputs` and `labels` as float64/int64 arrays, shapes checked."""
-        flat = self._checked_flat(flat)
-        inputs = np.asarray(inputs, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
-        if inputs.shape != self.shape or labels.shape != self.shape[:-1]:
-            raise ShapeError(
-                f"inputs {inputs.shape} and labels {labels.shape} do not match the "
-                f"kernel's shape {self.shape}")
-        if self.shape[-2] == 0:
-            raise ValueError("cross_entropy of an empty batch is undefined")
-        if labels.min() < 0 or labels.max() >= self.spec.output_dim:
-            raise ValueError(
-                f"labels outside [0, {self.spec.output_dim}) for logits width "
-                f"{self.spec.output_dim}")
-        return flat, inputs, labels
 
-    def _segments_of(self, flat: np.ndarray) -> list[np.ndarray]:
-        """Views of each layout segment of `flat` (`(P,)` or `(..., P)`)."""
-        lead = flat.shape[:-1]
-        return [flat[..., part].reshape(*lead, *seg_shape)
-                for _, part, seg_shape in self._segments]
+def _checked_output(spec: NetSpec, blocks: list[np.ndarray], lead: tuple[int, ...],
+                    what: str) -> np.ndarray:
+    """Segment blocks in reverse layout order as one fresh `(*lead, P)` array.
 
-    def _layer_views(self, out: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Layer i's weight and bias blocks of a `(..., P)` output, as views."""
-        (_, w_part, w_shape), (_, b_part, _) = self._segments[2 * i:2 * i + 2]
-        return out[..., w_part].reshape(*self._lead, *w_shape), out[..., b_part]
+    Raises `NumericalError` naming the first non-finite segment.
+    """
+    out = np.concatenate([b.reshape(*lead, -1) for b in reversed(blocks)], axis=-1)
+    if not np.all(np.isfinite(out)):
+        for name, part, _ in layout_slices(spec.layout()):
+            if not np.all(np.isfinite(out[..., part])):
+                raise NumericalError(f"non-finite {what} in segment {name}")
+    return out
 
-    def _forward(self, segs: list[np.ndarray], inputs: np.ndarray,
-                 labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-batch loss; leaves the softmax in the logit buffer.
 
-        Returns the loss and the flat indices of the true-class logits in
-        the raveled logit buffer. Raises `NumericalError` on a non-finite
-        loss.
-        """
-        last = self.spec.num_layers - 1
-        h = inputs
-        for i in range(self.spec.num_layers):
-            out = self._out[i]
-            np.matmul(h, segs[2 * i], out=out)
-            np.add(out, segs[2 * i + 1][..., None, :], out=out)
-            if i < last:
-                np.greater(out, 0.0, out=self._mask[i])
-                np.multiply(out, self._mask[i], out=out)
-            h = out
+def cross_entropy_and_grad(spec: NetSpec, flat: np.ndarray, inputs: np.ndarray,
+                           labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-batch mean cross-entropy of the network at `flat`, and its gradient.
 
-        logits = self._out[last]
-        picks = self._row_start + labels.reshape(-1)
-        picked = logits.reshape(-1)[picks].reshape(self.shape[:-1])
-        np.max(logits, axis=-1, keepdims=True, out=self._shift)
-        np.subtract(logits, self._shift, out=logits)
-        np.exp(logits, out=logits)
-        np.sum(logits, axis=-1, out=self._sumexp)
-        per_row = np.log(self._sumexp) + self._shift[..., 0] - picked
-        loss = per_row.sum(axis=-1) * (1.0 / self.shape[-2])
-        if not np.all(np.isfinite(loss)):
-            raise NumericalError("loss evaluated to a non-finite value")
-        np.divide(logits, self._sumexp[..., None], out=logits)
-        return loss, picks
+    `inputs` `(..., n, input_dim)` and `labels` `(..., n)` stack independent
+    batches of one shape along their leading axes, if any; `flat` is as in
+    `activations`. Returns the loss with shape `...` (0-d when unstacked)
+    and a fresh gradient `(..., P)`. The arithmetic is that of `net_loss`
+    under `loss_and_grad`: the same stabilized log-sum-exp, the rectifier's
+    derivative as a multiplication by `relu_masks`, and the mean as a sum
+    times 1/n. A non-finite loss or gradient segment raises
+    `NumericalError`.
+    """
+    inputs, labels = _checked_batch(spec, inputs, labels)
+    lead = inputs.shape[:-2]
+    layers = _layers(spec, flat, lead)
+    acts = _outputs(spec, layers, inputs)
+    masks = relu_masks(acts)
+    loss, picks = _softmax_loss(acts[-1], labels)
+    signal = _logit_signal(acts[-1], picks)
+    blocks = []
+    for i in range(spec.num_layers - 1, -1, -1):
+        blocks += [np.sum(signal, axis=-2), np.swapaxes(acts[i], -1, -2) @ signal]
+        if i > 0:
+            # the outputs below are spent: their array takes the signal
+            signal = np.matmul(signal, np.swapaxes(layers[i][0], -1, -2), out=acts[i])
+            signal *= masks[i - 1]
+    return loss, _checked_output(spec, blocks, lead, "gradient")
 
-    def _logit_signal(self, picks: np.ndarray) -> np.ndarray:
-        """d loss / d logits = (softmax - onehot) / n, built in the logit buffer."""
-        signal = self._out[-1]
-        signal.reshape(-1)[picks] -= 1.0
-        np.multiply(signal, 1.0 / self.shape[-2], out=signal)
-        return signal
 
-    def _checked_output(self, out: np.ndarray, what: str) -> np.ndarray:
-        """`out`, or `NumericalError` naming its first non-finite segment."""
-        if not np.all(np.isfinite(out)):
-            for name, part, _ in self._segments:
-                if not np.all(np.isfinite(out[..., part])):
-                    raise NumericalError(f"non-finite {what} in segment {name}")
-        return out
+def cross_entropy_hvp(spec: NetSpec, flat: np.ndarray, vec: np.ndarray, inputs: np.ndarray,
+                      labels: np.ndarray) -> np.ndarray:
+    """Hessian of the per-batch mean cross-entropy at `flat`, times `vec`.
 
-    def loss_and_grad(self, flat: np.ndarray, inputs: np.ndarray,
-                      labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-batch mean cross-entropy and its gradient at `flat`.
+    Pearlmutter's R-operator ("Fast Exact Multiplication by the
+    Hessian", Neural Computation 1994): one forward pass carries
+    R(z) = d z(flat + r vec)/dr at r = 0 next to each pre-activation z,
+    and one backward pass carries R(delta) next to each backprop signal
+    delta. The rectifier contributes only its 0/1 mask, so the terms
+    are the softmax curvature at the logits,
+    R(delta_top) = p * (R(z) - <p, R(z)>) / n, and the bilinear terms
+    of each layer, R(a)^T delta + a^T R(delta) for the weights and
+    (R(delta) W^T + delta V^T) * mask for the signal below, with V the
+    weight segment of `vec`. The result is exact, not a difference.
 
-        `flat` is `(P,)`, shared by every stacked batch, or `(..., P)`, one
-        parameter vector per batch, in `spec.layout()` order. Returns the
-        loss with shape `...` (0-d when unstacked) and a freshly allocated
-        gradient `(..., P)`, never a view of a buffer. A non-finite loss or
-        gradient segment raises `NumericalError`.
-        """
-        flat, inputs, labels = self._checked(flat, inputs, labels)
-        segs = self._segments_of(flat)
-        loss, picks = self._forward(segs, inputs, labels)
-        signal = self._logit_signal(picks)
-        last = self.spec.num_layers - 1
-        grad = np.empty((*self._lead, self.size))
-        for i in range(last, -1, -1):
-            below = inputs if i == 0 else self._out[i - 1]
-            w_grad, b_grad = self._layer_views(grad, i)
-            np.matmul(np.swapaxes(below, -1, -2), signal, out=w_grad)
-            np.sum(signal, axis=-2, out=b_grad)
-            if i > 0:
-                # the activations below are spent: their buffer takes the signal
-                np.matmul(signal, np.swapaxes(segs[2 * i], -1, -2), out=below)
-                np.multiply(below, self._mask[i - 1], out=below)
-                signal = below
-        return loss, self._checked_output(grad, "gradient")
+    `flat` and `vec` are each `(P,)` or `(..., P)`, and the batch as in
+    `cross_entropy_and_grad`. Returns a fresh `(..., P)` array; a
+    non-finite loss or product segment raises `NumericalError`.
+    """
+    inputs, labels = _checked_batch(spec, inputs, labels)
+    lead = inputs.shape[:-2]
+    layers = _layers(spec, flat, lead)
+    dirs = _layers(spec, vec, lead)
+    acts = _outputs(spec, layers, inputs)
+    masks = relu_masks(acts)
+    _, picks = _softmax_loss(acts[-1], labels)
+    last = spec.num_layers - 1
+    # r_acts[i] is R(z_i), masked below the top into R(a_{i+1})
+    r_acts: list[np.ndarray] = []
+    for i, (v, v_bias) in enumerate(dirs):
+        r_out = acts[i] @ v
+        r_out += v_bias[..., None, :]
+        if i > 0:
+            r_out += r_acts[-1] @ layers[i][0]
+        if i < last:
+            r_out *= masks[i]
+        r_acts.append(r_out)
 
-    def hvp(self, flat: np.ndarray, vec: np.ndarray, inputs: np.ndarray,
-            labels: np.ndarray) -> np.ndarray:
-        """Hessian of the per-batch mean cross-entropy at `flat`, times `vec`.
-
-        Pearlmutter's R-operator ("Fast Exact Multiplication by the
-        Hessian", Neural Computation 1994): one forward pass carries
-        R(z) = d z(flat + r vec)/dr at r = 0 next to each pre-activation z,
-        and one backward pass carries R(delta) next to each backprop signal
-        delta. The rectifier contributes only its 0/1 mask, so the terms
-        are the softmax curvature at the logits,
-        R(delta_top) = p * (R(z) - <p, R(z)>) / n, and the bilinear terms
-        of each layer, R(a)^T delta + a^T R(delta) for the weights and
-        (R(delta) W^T + delta V^T) * mask for the signal below, with V the
-        weight segment of `vec`. The result is exact, not a difference.
-
-        `flat` and `vec` are each `(P,)` or `(..., P)` as in
-        `loss_and_grad`. Returns a freshly allocated `(..., P)` array; a
-        non-finite loss or product segment raises `NumericalError`.
-        """
-        flat, inputs, labels = self._checked(flat, inputs, labels)
-        vec = self._checked_flat(vec)
-        segs = self._segments_of(flat)
-        dirs = self._segments_of(vec)
-        _, picks = self._forward(segs, inputs, labels)
-        last = self.spec.num_layers - 1
-        # R pass: _rout[i] holds R(z_i), then R(a_{i+1}) = R(z_i) * mask below the top
-        below = inputs
-        for i in range(self.spec.num_layers):
-            r_out = self._rout[i]
-            np.matmul(below, dirs[2 * i], out=r_out)
-            np.add(r_out, dirs[2 * i + 1][..., None, :], out=r_out)
-            if i > 0:
-                r_out += self._rout[i - 1] @ segs[2 * i]
-            if i < last:
-                np.multiply(r_out, self._mask[i], out=r_out)
-            below = self._out[i]
-
-        # the softmax curvature turns R(logits) into R(delta_top)
-        probs = self._out[last]
-        r_signal = self._rout[last]
-        r_signal -= np.sum(probs * r_signal, axis=-1, keepdims=True)
-        r_signal *= probs
-        r_signal *= 1.0 / self.shape[-2]
-        signal = self._logit_signal(picks)
-        out = np.empty((*self._lead, self.size))
-        for i in range(last, -1, -1):
-            below = inputs if i == 0 else self._out[i - 1]
-            w_out, b_out = self._layer_views(out, i)
-            np.matmul(np.swapaxes(below, -1, -2), r_signal, out=w_out)
-            np.sum(r_signal, axis=-2, out=b_out)
-            if i > 0:
-                r_below = self._rout[i - 1]
-                w_out += np.swapaxes(r_below, -1, -2) @ signal
-                # R(a) and a below are spent: their buffers take R(delta) and delta
-                np.matmul(r_signal, np.swapaxes(segs[2 * i], -1, -2), out=r_below)
-                r_below += signal @ np.swapaxes(dirs[2 * i], -1, -2)
-                np.multiply(r_below, self._mask[i - 1], out=r_below)
-                np.matmul(signal, np.swapaxes(segs[2 * i], -1, -2), out=below)
-                np.multiply(below, self._mask[i - 1], out=below)
-                signal, r_signal = below, r_below
-        return self._checked_output(out, "Hessian-vector product")
+    # the softmax curvature turns R(logits) into R(delta_top)
+    probs = acts[-1]
+    r_signal = r_acts[last]
+    r_signal -= np.sum(probs * r_signal, axis=-1, keepdims=True)
+    r_signal *= probs
+    r_signal *= 1.0 / inputs.shape[-2]
+    signal = _logit_signal(probs, picks)
+    blocks = []
+    for i in range(last, -1, -1):
+        w_out = np.swapaxes(acts[i], -1, -2) @ r_signal
+        blocks += [np.sum(r_signal, axis=-2), w_out]
+        if i > 0:
+            w_out += np.swapaxes(r_acts[i - 1], -1, -2) @ signal
+            # R(a) and a below are spent: their arrays take R(delta) and delta
+            w_t = np.swapaxes(layers[i][0], -1, -2)
+            r_signal = np.matmul(r_signal, w_t, out=r_acts[i - 1])
+            r_signal += signal @ np.swapaxes(dirs[i][0], -1, -2)
+            r_signal *= masks[i - 1]
+            signal = np.matmul(signal, w_t, out=acts[i])
+            signal *= masks[i - 1]
+    return _checked_output(spec, blocks, lead, "Hessian-vector product")
 
 # ---------------------------------------------------------------------------
 # differentiable path

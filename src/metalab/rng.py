@@ -24,8 +24,16 @@ and histogram alike, keyed by a seed and an index, `tasks.sample_task`),
 from __future__ import annotations
 
 import hashlib
+import operator
 
 import numpy as np
+
+
+def integer(value, what: str) -> int:
+    """`value` as an int (numpy's too); a bool, a float or another non-integer: ValueError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
 
 
 def tag_hash(tag: str) -> int:
@@ -37,9 +45,11 @@ def tag_hash(tag: str) -> int:
 def stream(root_seed: int, tag: str, *indices: int) -> np.random.Generator:
     """The (root_seed, tag, indices) random stream as a numpy Generator.
 
-    A negative root seed or index raises ValueError naming it.
+    A negative or non-integer root seed or index raises ValueError naming
+    it.
     """
-    root, idx = int(root_seed), tuple(int(i) for i in indices)
+    root = integer(root_seed, f"root seed for tag {tag!r}")
+    idx = tuple(integer(i, f"stream index for tag {tag!r}") for i in indices)
     if min((root,) + idx) < 0:
         raise ValueError(f"stream seeds and indices must be nonnegative, got "
                          f"root seed {root} and indices {idx} for tag {tag!r}")

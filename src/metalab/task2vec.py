@@ -33,7 +33,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from metalab.learners import Model, TrainConfig, TrainResult, fit_head, train_pt
-from metalab.nets import Batch, NetSpec, activations, softmax
+from metalab.nets import Batch, NetSpec, activations, relu_masks, softmax
 from metalab.stats import ci95_halfwidth
 from metalab.tasks import Benchmark, FewShotTask, sample_task
 
@@ -165,7 +165,7 @@ def _fim_diag_body(model: Model, batch: Batch) -> np.ndarray:
         raise ValueError("a probe needs at least one hidden layer to embed with")
     n = batch.inputs.shape[0]
     acts = activations(spec, model.params, batch.inputs)
-    masks = [(a > 0.0).astype(np.float64) for a in acts[1:-1]]
+    masks = relu_masks(acts)
     w_head = segs[f"W{n_layers - 1}"]
     probs = softmax(acts[-1])
     if not np.all(np.isfinite(probs)):

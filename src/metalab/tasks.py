@@ -70,7 +70,10 @@ def make_source(seed: int, num_classes: int, input_dim: int, mean_scale: float,
 
     Means are iid normal scaled by `mean_scale`; the same seed always
     yields the same source. `mean_scale=0` collapses all means to zero.
+    A `num_classes` or `input_dim` that is not an integer raises ValueError.
     """
+    num_classes = rng.integer(num_classes, "num_classes")
+    input_dim = rng.integer(input_dim, "input_dim")
     if num_classes < 2:
         raise ValueError(f"a source needs at least 2 classes, got {num_classes}")
     if mean_scale < 0:
@@ -80,7 +83,7 @@ def make_source(seed: int, num_classes: int, input_dim: int, mean_scale: float,
     if name is None:
         name = f"gauss{seed}x{num_classes}"
     return Source(name=name, class_means=means, class_spread=float(class_spread),
-                  input_dim=int(input_dim))
+                  input_dim=input_dim)
 
 
 def translate_source(source: Source, offset: np.ndarray, name: str | None = None) -> Source:
@@ -198,9 +201,11 @@ class FewShotTask:
 
 
 def _episode_seed(rng_seed: int | tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(root, indices) of a bare or tuple seed; a non-integer part raises ValueError."""
     if isinstance(rng_seed, tuple):
-        return int(rng_seed[0]), tuple(int(i) for i in rng_seed[1:])
-    return int(rng_seed), ()
+        return (rng.integer(rng_seed[0], "episode seed"),
+                tuple(rng.integer(i, "episode index") for i in rng_seed[1:]))
+    return rng.integer(rng_seed, "episode seed"), ()
 
 
 def _class_draws(benchmark: Benchmark, classes: Iterable[int], rows: int,
@@ -219,9 +224,19 @@ def sample_task(benchmark: Benchmark, split: str, n_way: int, k_shot: int,
     and q_query query rows from its Gaussian. `rng_seed` may be a bare
     integer or a (seed, *indices) tuple when a caller enumerates many
     episodes from one root seed. `class_pool` restricts the draw to a
-    subset of the split's classes (used for source-pure episodes).
+    subset of the split's classes (used for source-pure episodes); a pool
+    with a class outside the split, or a class twice, raises ValueError
+    naming those classes.
     """
-    pool = benchmark.split_pool(split) if class_pool is None else tuple(class_pool)
+    pool = benchmark.split_pool(split)
+    if class_pool is not None:
+        allowed, pool = set(pool), tuple(class_pool)
+        outside = sorted({g for g in pool if g not in allowed})
+        repeated = sorted({g for g in pool if pool.count(g) > 1})
+        if outside or repeated:
+            raise ValueError(
+                f"class_pool must hold distinct classes of split {split!r}; "
+                f"outside it: {outside}, repeated: {repeated}")
     if len(pool) < n_way:
         raise ValueError(
             f"split {split!r} has {len(pool)} classes, cannot draw {n_way} ways")

@@ -18,6 +18,7 @@ import pytest
 import scipy.optimize
 import scipy.special
 
+from metalab import learners
 from metalab.learners import (
     HEAD_L2,
     EvalResult,
@@ -38,10 +39,10 @@ from metalab.learners import (
 from metalab.harness import low_diversity_preset
 from metalab.nets import (
     Batch,
-    MLPKernel,
     NetSpec,
     NumericalError,
     ParamVector,
+    cross_entropy_and_grad,
     forward,
     loss_and_grad,
     loss_and_grad_through_updates,
@@ -268,10 +269,10 @@ def test_adapt_matches_manual_descent_bitwise():
     model = _tiny_model()
     _, task = _tiny_task()
     adapted = adapt(model, task.support, 4, 0.07)
-    kernel = MLPKernel(model.spec, task.support.inputs.shape)
     params = model.params
     for _ in range(4):
-        _, g = kernel.loss_and_grad(params.values, task.support.inputs, task.support.labels)
+        _, g = cross_entropy_and_grad(model.spec, params.values, task.support.inputs,
+                                      task.support.labels)
         params = ParamVector(params.values - 0.07 * g, params.layout)
     assert np.array_equal(adapted.params.values, params.values)
 
@@ -350,9 +351,10 @@ def test_stacked_maml_meta_test_is_adapt_per_episode_bitwise(steps, monkeypatch)
     tasks = _lowdiv_episodes(16)
     serial = [adapt(model, task.support, steps, 0.05) for task in tasks]
     calls = []
-    original = MLPKernel.loss_and_grad
-    monkeypatch.setattr(MLPKernel, "loss_and_grad",
-                        lambda self, *a: calls.append(self.shape) or original(self, *a))
+    original = learners.cross_entropy_and_grad
+    monkeypatch.setattr(learners, "cross_entropy_and_grad",
+                        lambda spec, flat, inputs, labels: calls.append(inputs.shape)
+                        or original(spec, flat, inputs, labels))
     stacked = _adapted_models(model, [task.support for task in tasks], steps, 0.05)
     assert calls == [(16, 25, 8)] * steps  # one kernel call per step for all episodes
     for one, many in zip(serial, stacked):
@@ -486,9 +488,8 @@ def _assert_meta_gradients_match_autodiff(first_order: bool):
     spec = NetSpec(3, (8,), 3)
     params = spec.init(4)
     tasks = [sample_task(_bench(), "train", 3, 2, 4, (4, 1, j)) for j in range(5)]
-    kernels = tuple(MLPKernel(spec, (5, 3 * rows, 3)) for rows in (2, 4))
     for steps in (0, 1, 3):
-        values, grads = _meta_gradients(kernels, params, tasks, steps, 0.3,
+        values, grads = _meta_gradients(spec, params, tasks, steps, 0.3,
                                         higher_order=not first_order)
         assert values.shape == (5,) and grads.shape == (5, spec.param_count())
         for task, value, g in zip(tasks, values, grads):
@@ -516,11 +517,11 @@ def test_higher_order_sweep_flags_a_nonfinite_meta_gradient(monkeypatch):
     # must catch what no kernel call sees.
     spec = NetSpec(3, (8,), 3)
     tasks = [sample_task(_bench(), "train", 3, 2, 4, (4, 1, j)) for j in range(2)]
-    kernels = tuple(MLPKernel(spec, (2, 3 * rows, 3)) for rows in (2, 4))
-    monkeypatch.setattr(MLPKernel, "hvp", lambda self, flat, vec, *a: np.full_like(vec, 1e308))
+    monkeypatch.setattr(learners, "cross_entropy_hvp",
+                        lambda spec, flat, vec, *a: np.full_like(vec, 1e308))
     with np.errstate(over="ignore"):
         with pytest.raises(NumericalError, match="non-finite meta-gradient"):
-            _meta_gradients(kernels, spec.init(4), tasks, 1, 10.0, higher_order=True)
+            _meta_gradients(spec, spec.init(4), tasks, 1, 10.0, higher_order=True)
 
 
 def _autodiff_maml_loop(bench, cfg: TrainConfig, spec: NetSpec):

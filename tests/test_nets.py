@@ -2,9 +2,9 @@
 
 The forward pass is checked against nested pure-python loops, the loss
 against scipy's log_softmax, plain gradients against central differences,
-the closed-form kernel and its Hessian-vector product against the autodiff
-tape (single and double backward), the product also against central
-differences of the kernel gradient, and the unrolled
+the closed-form kernel (`cross_entropy_and_grad`, `cross_entropy_hvp`)
+against the autodiff tape (single and double backward), the product also
+against central differences of the kernel gradient, and the unrolled
 adaptation gradients against both closed forms (quadratic objective) and a
 manual numpy SGD loop.
 """
@@ -19,13 +19,14 @@ from metalab.autodiff import add, backward, constant, exp, mul, tsum
 from metalab.learners import Model
 from metalab.nets import (
     Batch,
-    MLPKernel,
     NetSpec,
     NumericalError,
     ParamVector,
     ShapeError,
     activations,
     cross_entropy,
+    cross_entropy_and_grad,
+    cross_entropy_hvp,
     finite_diff_grad,
     forward,
     forward_t,
@@ -127,6 +128,31 @@ def test_activations_are_the_one_plain_forward_pass(seed):
         forward(spec, params, wrong)
     with pytest.raises(ShapeError):
         model.body_features(wrong)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_stacked_activations_are_separate_calls_bitwise(seed):
+    # B batches of one shape stacked along a leading axis, under one shared
+    # (P,) vector and under one (B, P) vector per batch: every layer's
+    # output equals that of B separate calls, bit for bit.
+    gen = np.random.default_rng(seed)
+    spec = NetSpec(int(gen.integers(1, 6)),
+                   tuple(int(w) for w in gen.integers(1, 7, size=seed % 3)),
+                   int(gen.integers(2, 6)))
+    batches = int(gen.integers(1, 5))
+    inputs = gen.normal(size=(batches, int(gen.integers(1, 9)), spec.input_dim))
+    shared = _random_params(spec, seed).values
+    per_batch = np.stack([_random_params(spec, 100 * seed + b).values
+                          for b in range(batches)])
+    for flat, pick in ((shared, lambda b: shared), (per_batch, lambda b: per_batch[b])):
+        stacked = activations(spec, flat, inputs)
+        for b in range(batches):
+            alone = activations(spec, pick(b), inputs[b])
+            assert all(s[b].tobytes() == a.tobytes() for s, a in zip(stacked, alone))
+    with pytest.raises(ShapeError):
+        activations(spec, per_batch, inputs[0])
+    with pytest.raises(ShapeError):
+        activations(spec, shared[:-1], inputs)
 
 
 def test_softmax_rows_sum_to_one_and_survive_large_logits():
@@ -246,7 +272,7 @@ def test_kernel_matches_autodiff_value_and_gradient(seed):
     labels = gen.integers(0, spec.output_dim, size=(*lead, n))
     shared = seed % 8 == 0
     flat = gen.normal(0.0, 0.7, size=(() if shared else lead) + (spec.param_count(),))
-    value, g = MLPKernel(spec, inputs.shape).loss_and_grad(flat, inputs, labels)
+    value, g = cross_entropy_and_grad(spec, flat, inputs, labels)
     assert value.shape == lead and g.shape == (*lead, spec.param_count())
     if not lead:
         _assert_close_to_oracle(spec, flat, inputs, labels, value, g)
@@ -255,44 +281,38 @@ def test_kernel_matches_autodiff_value_and_gradient(seed):
                                 value[b], g[b])
 
 
-def test_kernel_reuses_buffers_but_returns_fresh_gradients():
+def test_kernel_returns_fresh_gradients_and_repeats_its_bits():
     spec = NetSpec(4, (6,), 3)
-    kernel = MLPKernel(spec, (10, 4))
     first, second = _random_batch(spec, 10, 1), _random_batch(spec, 10, 2)
     params = _random_params(spec, 3).values
-    v1, g1 = kernel.loss_and_grad(params, first.inputs, first.labels)
+    v1, g1 = cross_entropy_and_grad(spec, params, first.inputs, first.labels)
     kept = g1.copy()
-    v2, g2 = kernel.loss_and_grad(params, second.inputs, second.labels)
+    v2, g2 = cross_entropy_and_grad(spec, params, second.inputs, second.labels)
     assert np.array_equal(g1, kept) and not np.shares_memory(g1, g2)
     _assert_close_to_oracle(spec, params, second.inputs, second.labels, v2, g2)
-    again, g3 = kernel.loss_and_grad(params, first.inputs, first.labels)
+    again, g3 = cross_entropy_and_grad(spec, params, first.inputs, first.labels)
     assert again == v1 and np.array_equal(g3, g1)
 
 
 def test_kernel_validates_shapes_and_labels():
     spec = NetSpec(3, (4,), 2)
-    with pytest.raises(ShapeError):
-        MLPKernel(spec, (5, 4))
-    kernel = MLPKernel(spec, (2, 5, 3))
     params = _random_params(spec, 0).values
+    with pytest.raises(ShapeError):
+        cross_entropy_and_grad(spec, params, np.zeros((5, 4)), np.zeros(5, dtype=int))
     inputs, labels = np.zeros((2, 5, 3)), np.zeros((2, 5), dtype=int)
     with pytest.raises(ShapeError):
-        kernel.loss_and_grad(params[:-1], inputs, labels)
+        cross_entropy_and_grad(spec, params[:-1], inputs, labels)
     with pytest.raises(ShapeError):
-        kernel.loss_and_grad(np.stack([params] * 3), inputs, labels)
-    with pytest.raises(ShapeError):
-        kernel.loss_and_grad(params, inputs[0], labels[0])
+        cross_entropy_and_grad(spec, np.stack([params] * 3), inputs, labels)
     with pytest.raises(ValueError):
-        kernel.loss_and_grad(params, inputs, labels + 2)
+        cross_entropy_and_grad(spec, params, inputs, labels + 2)
     with pytest.raises(ValueError):
-        MLPKernel(spec, (0, 3)).loss_and_grad(params, np.zeros((0, 3)),
-                                              np.zeros(0, dtype=int))
+        cross_entropy_and_grad(spec, params, np.zeros((0, 3)), np.zeros(0, dtype=int))
 
 
 def test_kernel_flags_nonfinite_loss_and_gradient_like_autodiff():
     spec = NetSpec(2, (2,), 3)
     batch = Batch(np.ones((1, 2)), np.array([0]))
-    kernel = MLPKernel(spec, (1, 2))
     overflow = ParamVector(np.full(spec.param_count(), 1e200), spec.layout())
     # Both hidden units are held dead by their bias, so the logits are b1 and
     # the loss is finite; the backprop signal (-1, 0.5, 0.5) against head
@@ -306,7 +326,7 @@ def test_kernel_flags_nonfinite_loss_and_gradient_like_autodiff():
         for params, message in ((overflow, "non-finite value"),
                                 (dead, "non-finite gradient in segment W0")):
             with pytest.raises(NumericalError, match=message):
-                kernel.loss_and_grad(params.values, batch.inputs, batch.labels)
+                cross_entropy_and_grad(spec, params.values, batch.inputs, batch.labels)
             with pytest.raises(NumericalError, match=message):
                 loss_and_grad(net_loss(spec, batch), params)
 
@@ -337,7 +357,7 @@ def test_kernel_hvp_matches_tape_double_backward(seed):
     labels = gen.integers(0, spec.output_dim, size=(*lead, n))
     flat = gen.normal(0.0, 0.7, size=(() if seed % 4 == 0 else lead) + (spec.param_count(),))
     vec = gen.normal(size=(() if seed % 3 == 0 else lead) + (spec.param_count(),))
-    hv = MLPKernel(spec, inputs.shape).hvp(flat, vec, inputs, labels)
+    hv = cross_entropy_hvp(spec, flat, vec, inputs, labels)
     assert hv.shape == (*lead, spec.param_count())
     for b in range(lead[0]) if lead else (None,):
         def pick(a, stacked):
@@ -353,22 +373,20 @@ def test_kernel_hvp_matches_central_differences_of_the_kernel_gradient(hidden):
     batch = _random_batch(spec, 7, 71)
     flat = _random_params(spec, 72).values
     vec = np.random.default_rng(73).normal(size=spec.param_count())
-    kernel = MLPKernel(spec, batch.inputs.shape)
     eps = 1e-6
-    up = kernel.loss_and_grad(flat + eps * vec, batch.inputs, batch.labels)[1]
-    down = kernel.loss_and_grad(flat - eps * vec, batch.inputs, batch.labels)[1]
+    up = cross_entropy_and_grad(spec, flat + eps * vec, batch.inputs, batch.labels)[1]
+    down = cross_entropy_and_grad(spec, flat - eps * vec, batch.inputs, batch.labels)[1]
     want = (up - down) / (2 * eps)
-    got = kernel.hvp(flat, vec, batch.inputs, batch.labels)
+    got = cross_entropy_hvp(spec, flat, vec, batch.inputs, batch.labels)
     assert np.linalg.norm(got - want) <= 1e-7 * np.linalg.norm(want)
 
 
 def test_kernel_hvp_validates_and_flags_nonfinite_products():
     spec = NetSpec(2, (2,), 3)
     batch = Batch(np.ones((1, 2)), np.array([0]))
-    kernel = MLPKernel(spec, (1, 2))
     params = _random_params(spec, 0).values
     with pytest.raises(ShapeError):
-        kernel.hvp(params, params[:-1], batch.inputs, batch.labels)
+        cross_entropy_hvp(spec, params, params[:-1], batch.inputs, batch.labels)
     # Dead hidden units and a finite loss, as in the gradient case above: the
     # direction's head rows of +-1.7e308 overflow the R-signal below the
     # head, and inf * 0 = nan reaches W0 through the rectifier mask.
@@ -377,7 +395,7 @@ def test_kernel_hvp_validates_and_flags_nonfinite_products():
     vec = np.concatenate([np.zeros(6), np.tile([-big, big, big], 2), np.zeros(3)])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="non-finite Hessian-vector product in segment W0"):
-            kernel.hvp(dead, vec, batch.inputs, batch.labels)
+            cross_entropy_hvp(spec, dead, vec, batch.inputs, batch.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -539,6 +557,16 @@ def test_netspec_layout_and_validation():
     )
     assert spec.head_names() == ("W2", "b2")
     assert spec.param_count() == 4 * 6 + 6 + 6 * 5 + 5 + 5 * 3 + 3
+    # a dimension that is not an integer is refused, not truncated
+    for bad in (8.7, True):
+        with pytest.raises(ValueError, match=str(bad)):
+            NetSpec(3, (bad,), 2)
+    with pytest.raises(ValueError, match="2.5"):
+        NetSpec(2.5, (6,), 2)
+    with pytest.raises(ValueError, match="3.0"):
+        NetSpec(2, (6,), 3.0)
+    numpy_dims = NetSpec(np.int64(4), (np.int32(6), np.int64(5)), np.int64(3))
+    assert numpy_dims == spec and all(type(d) is int for d in numpy_dims.dims)
     with pytest.raises(ValueError):
         NetSpec(4, (6,), 1)
     with pytest.raises(ValueError):

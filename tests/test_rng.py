@@ -89,3 +89,11 @@ def test_negative_seeds_and_indices_are_refused_by_name():
     # the one check guards every consumer below the config layer
     with pytest.raises(ValueError, match=re.escape("root seed -1")):
         make_source(-1, 4, 2, 1.0, 1.0)
+    # so does the integer check: a float or a bool is refused, not truncated
+    for bad in (1.7, True):
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            stream(bad, "episode")
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            stream(3, "episode", 0, bad)
+        with pytest.raises(ValueError, match=re.escape(f"got {bad!r}")):
+            make_source(bad, 4, 2, 1.0, 1.0)

@@ -1,5 +1,7 @@
 """Synthetic benchmark construction, episode sampling and analytic divergence."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,14 @@ def test_make_source_validation_and_naming():
         make_source(0, 4, 3, -1.0, 1.0)
     assert make_source(3, 4, 2, 1.0, 1.0).name == "gauss3x4"
     assert make_source(3, 4, 2, 1.0, 1.0, name="pet").name == "pet"
+    # counts are refused, not truncated, unless they are integers (numpy's too)
+    with pytest.raises(ValueError, match=re.escape("3.9")):
+        make_source(0, 10, 3.9, 1.0, 1.0)
+    with pytest.raises(ValueError, match=re.escape("4.5")):
+        make_source(0, 4.5, 3, 1.0, 1.0)
+    numpy_counts = make_source(np.int64(0), np.int64(10), np.int32(3), 1.0, 1.0)
+    assert type(numpy_counts.input_dim) is int
+    assert np.array_equal(numpy_counts.class_means, make_source(0, 10, 3, 1.0, 1.0).class_means)
 
 
 def test_source_validation():
@@ -177,6 +187,14 @@ def test_tuple_seed_enumerates_distinct_episodes():
     assert sample_task(bench, "train", 5, 2, 2, rng_seed=9).task_id == "train:9"
     flat = [t.support.inputs.tobytes() for t in tasks]
     assert len(set(flat)) == 4
+    # a seed that is not an integer is refused, not truncated; numpy's pass
+    with pytest.raises(ValueError, match=re.escape("1.7")):
+        sample_task(bench, "train", 5, 2, 2, rng_seed=(0, 1.7))
+    with pytest.raises(ValueError, match=re.escape("2.9")):
+        sample_task(bench, "train", 5, 2, 2, rng_seed=2.9)
+    numpy_seed = sample_task(bench, "train", 5, 2, 2, rng_seed=(np.int64(9), np.int32(1)))
+    assert numpy_seed.task_id == tasks[1].task_id
+    assert numpy_seed.support.inputs.tobytes() == flat[1]
 
 
 @given(seed=st.integers(0, 10**6), n_way=st.integers(2, 5))
@@ -214,6 +232,13 @@ def test_class_pool_restriction():
     assert set(task.class_ids) == set(pool)
     with pytest.raises(ValueError):
         sample_task(bench, "test", 4, 2, 2, rng_seed=1, class_pool=pool)
+    # a pool must hold distinct classes of the split; the error names the rest
+    train = bench.split_pool("train")
+    for bad, named in ((train, f"outside it: {list(train)}"),
+                       ((8, 8), "repeated: [8]"),
+                       ((8, 99), "outside it: [99]")):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            sample_task(bench, "test", 2, 1, 1, 0, class_pool=bad)
 
 
 def test_sample_task_rejects_thin_pools_and_unknown_splits():
