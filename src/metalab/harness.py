@@ -587,15 +587,13 @@ def run_comparison(config: ExperimentConfig,
             label = _variant_label(steps)
             variant = label if label in ("maml5", "maml10") else "other"
             maml_accs = evals[label].per_task_accuracy
-            for rule_name, decision in (
-                ("es", decide_es(pt_accs, maml_accs, maml_variant=variant)),
-                ("ci", decide_ci(pt_accs, maml_accs, overlap_threshold=0.0,
-                                 maml_variant=variant)),
-                ("ci_1pct", decide_ci(pt_accs, maml_accs, overlap_threshold=0.01,
-                                      maml_variant=variant)),
+            for decision in (
+                decide_es(pt_accs, maml_accs, maml_variant=variant),
+                decide_ci(pt_accs, maml_accs, overlap_threshold=0.0, maml_variant=variant),
+                decide_ci(pt_accs, maml_accs, overlap_threshold=0.01, maml_variant=variant),
             ):
                 decisions.append(decision)
-                decision_ids.append(f"{label}/{rule_name}")
+                decision_ids.append(f"{label}/{decision.rule}")
 
     record = RunRecord(
         config=config,

@@ -26,24 +26,24 @@ orders share `_meta_gradients`: each meta-batch is stacked into
 call each, and the higher-order method adds a reverse sweep of
 `nets.cross_entropy_hvp` calls. The meta-test supports are stacked the
 same way, one call per adaptation step. Every forward pass is
-`nets.activations`. The head refit and `episodic_vs_union_loss` use
-their own closed-form Newton solve. No path here runs the autodiff tape;
-it is the oracle the tests check these paths against.
+`nets.activations`. The head refit, which `episodic_vs_union_loss` also
+runs, is its own closed-form Newton solve. No path here runs the autodiff
+tape; it is the oracle the tests check these paths against.
 
 The head refit is the L2-penalized logistic-regression head of Tian et
 al. 2020 ("Rethinking Few-Shot Image Classification", arXiv 2003.11539):
 it minimizes mean cross-entropy + (HEAD_L2/2)*||[W; b]||^2, bias included,
-by damped Newton until max|grad| <= HEAD_TOL. The penalty makes the optimum
-finite and unique even on separable 5-shot supports, so every refit is
-trained to convergence, and one that is not raises `NumericalError`.
+by damped Newton from zero until max|grad| <= HEAD_TOL. The penalty makes
+the optimum finite and unique even on separable 5-shot supports, so every
+refit is trained to convergence, and one that is not raises
+`NumericalError`. It is the only head fit here.
 
 `episodic_vs_union_loss` is the executable form of the bound that the best
-union model upper-bounds episodic performance: per-task optimal heads are
-warm-started from the global head's row restriction, which makes the
-inequality hold by monotone descent rather than by hoping for convergence.
-Those per-task fits are unregularized (`l2=0.0`): the bound compares plain
-cross-entropies, and descent on a penalized objective could raise the
-cross-entropy while lowering the penalty.
+union model upper-bounds episodic performance. Both sides are that fit's
+objective at its optimum: per-task heads against one global head, each
+fitted from zero. The inequality holds because the global head's
+restriction to a task's classes is a feasible per-task head with no
+larger objective, so it needs no warm start.
 """
 
 from __future__ import annotations
@@ -394,67 +394,57 @@ def adapt(model: Model, support: Batch, steps: int, lr: float) -> Model:
     return _adapted_models(model, [support], steps, lr)[0]
 
 
-def _head_objective(xa: np.ndarray, onehot: np.ndarray, wa: np.ndarray,
-                    l2: float) -> tuple[float, np.ndarray]:
-    """J = mean cross-entropy + (l2/2)*||wa||^2 at `wa`, and the softmax."""
+def _head_objective(xa: np.ndarray, onehot: np.ndarray,
+                    wa: np.ndarray) -> tuple[float, np.ndarray]:
+    """J = mean cross-entropy + (HEAD_L2/2)*||wa||^2 at `wa`, and the softmax."""
     scores = xa @ wa
     shifted = scores - scores.max(axis=1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=1))
     logp = shifted - logz[:, None]
-    value = -float(np.mean((logp * onehot).sum(axis=1))) + 0.5 * l2 * float(np.sum(wa * wa))
+    value = (-float(np.mean((logp * onehot).sum(axis=1)))
+             + 0.5 * HEAD_L2 * float(np.sum(wa * wa)))
     return value, np.exp(logp)
 
 
-def _logistic_head_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
-                       init: tuple[np.ndarray, np.ndarray] | None,
-                       l2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton descent on L2-regularized multinomial logistic regression.
+def _logistic_head_fit(features: np.ndarray, labels: np.ndarray,
+                       n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton descent on L2-penalized multinomial logistic regression.
 
-    Minimizes J(wa) = mean cross-entropy + (l2/2)*||wa||^2 over the stacked
-    head wa = [W; b], bias row included. With l2 > 0 the Hessian is
-    positive definite, so the optimum is unique and Newton converges to it
-    quadratically. Each round builds the dense (f+1)*k Hessian, solves for
-    the Newton direction and backtracks (Armijo) on J, so every accepted
-    step lowers J. The fit stops when max|grad J| <= HEAD_TOL.
-
-    At l2 > 0, reaching HEAD_MAX_ITER above HEAD_TOL (or a line search that
-    can no longer lower J) raises `NumericalError`. At l2 == 0 the optimum of
-    a separable support lies at infinity and the softmax gauge makes the
-    Hessian singular, so a tiny relative ridge keeps the solve defined and
-    stopping at the cap (or on a stalled line search) returns the last
-    iterate normally: it is the best J reached by monotone descent.
+    Minimizes J(wa) = mean cross-entropy + (HEAD_L2/2)*||wa||^2 over the
+    stacked head wa = [W; b], bias row included, from wa = 0. The penalty
+    makes the Hessian positive definite, so the optimum is finite and
+    unique and Newton converges to it quadratically. Each round builds the
+    dense (f+1)*k Hessian, solves for the Newton direction and backtracks
+    (Armijo) on J, so every accepted step lowers J. The fit stops when
+    max|grad J| <= HEAD_TOL; reaching HEAD_MAX_ITER above it, or a line
+    search that can no longer lower J, raises `NumericalError`.
     """
     n, f = features.shape
     dim = (f + 1) * n_classes
     xa = np.hstack([features, np.ones((n, 1))])
     outer = np.einsum("ra,rb->rab", xa, xa)
-    if init is None:
-        wa = np.zeros((f + 1, n_classes))
-    else:
-        w0, b0 = init
-        wa = np.vstack([np.asarray(w0, dtype=np.float64),
-                        np.asarray(b0, dtype=np.float64)[None, :]])
+    wa = np.zeros((f + 1, n_classes))
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), labels] = 1.0
     eye = np.eye(n_classes)
-    value, probs = _head_objective(xa, onehot, wa, l2)
+    value, probs = _head_objective(xa, onehot, wa)
     diag = np.arange(dim)
     iterations = 0
     while True:
-        g = xa.T @ (probs - onehot) / n + l2 * wa
+        g = xa.T @ (probs - onehot) / n + HEAD_L2 * wa
         gmax = float(np.abs(g).max())
         if gmax <= HEAD_TOL or iterations == HEAD_MAX_ITER:
             break
         curvature = probs[:, :, None] * (eye[None] - probs[:, None, :])
         hess = np.tensordot(outer, curvature, axes=(0, 0)).transpose(0, 2, 1, 3)
         hess = hess.reshape(dim, dim) / n
-        hess[diag, diag] += l2 if l2 > 0 else 1e-12 * float(hess[diag, diag].max())
+        hess[diag, diag] += HEAD_L2
         step = -np.linalg.solve(hess, g.ravel()).reshape(wa.shape)
         slope = float(g.ravel() @ step.ravel())
         t = 1.0
         while t >= MIN_STEP:
             cand = wa + t * step
-            cand_value, cand_probs = _head_objective(xa, onehot, cand, l2)
+            cand_value, cand_probs = _head_objective(xa, onehot, cand)
             if cand_value <= value + ARMIJO * t * slope:
                 break
             t *= 0.5
@@ -462,31 +452,23 @@ def _logistic_head_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
             break
         wa, value, probs = cand, cand_value, cand_probs
         iterations += 1
-    if gmax > HEAD_TOL and l2 > 0:
+    if gmax > HEAD_TOL:
         raise NumericalError(
             f"head fit stopped after {iterations} Newton iterations with "
             f"max|grad J| = {gmax:.3g} above tol {HEAD_TOL:g}")
     return wa[:-1], wa[-1]
 
 
-def fit_head(model: Model, support: Batch, n_classes: int | None = None,
-             init_head: tuple[np.ndarray, np.ndarray] | None = None,
-             l2: float = HEAD_L2) -> Model:
-    """Freeze the body and refit a fresh L2-regularized logistic-regression head.
+def fit_head(model: Model, support: Batch, n_classes: int | None = None) -> Model:
+    """Freeze the body and refit a fresh L2-penalized logistic-regression head.
 
-    The head minimizes mean support cross-entropy + (l2/2)*||[W; b]||^2 on
-    the body's features, solved by damped Newton until max|grad| <= HEAD_TOL
-    (see `_logistic_head_fit`). The default `l2=HEAD_L2` makes the optimum
-    finite and unique even on separable supports, and a fit that does not
-    reach HEAD_TOL within HEAD_MAX_ITER Newton rounds raises
-    `NumericalError`. `l2=0.0` fits the plain multinomial-logistic head; on
-    a separable support its optimum is at infinity, so reaching
-    HEAD_MAX_ITER there is expected and returns the last iterate.
-
-    The head width defaults to the number of label values in `support`.
-    `init_head` warm-starts the fit (used by the episodic-vs-union bound,
-    where starting at the global head's restriction makes monotonicity do
-    the proving); the default zero start is the deterministic baseline.
+    The head minimizes mean support cross-entropy + (HEAD_L2/2)*||[W; b]||^2
+    on the body's features, solved from zero by damped Newton until
+    max|grad| <= HEAD_TOL (`_logistic_head_fit`). The penalty makes the
+    optimum finite and unique even on separable supports, and a fit that
+    does not reach HEAD_TOL within HEAD_MAX_ITER Newton rounds raises
+    `NumericalError`. The head width defaults to the number of label
+    values in `support`.
     """
     if len(support) == 0:
         raise ValueError("fit_head needs a nonempty support set")
@@ -495,7 +477,7 @@ def fit_head(model: Model, support: Batch, n_classes: int | None = None,
     if width < 2:
         raise ValueError("head needs at least 2 classes")
     features = model.body_features(support.inputs)
-    w, b = _logistic_head_fit(features, labels, width, init_head, l2)
+    w, b = _logistic_head_fit(features, labels, width)
     new_spec = NetSpec(model.spec.input_dim, model.spec.hidden_dims, width)
     flat = np.concatenate([model.body_values(), w.ravel(), b])
     return Model(new_spec, ParamVector(flat, new_spec.layout()))
@@ -552,43 +534,49 @@ def model_l2_norm(model: Model) -> float:
     return float(np.linalg.norm(model.params.values))
 
 
+def _head_fit_objective(model: Model, batch: Batch) -> float:
+    """The J that `fit_head` minimizes, at `model`'s head on `batch`.
+
+    Mean cross-entropy + (HEAD_L2/2)*||[W; b]||^2, bias included.
+    """
+    w, b = model.head()
+    loss = cross_entropy(forward(model.spec, model.params, batch.inputs), batch.labels)
+    return loss + 0.5 * HEAD_L2 * float(np.sum(w * w) + np.sum(b * b))
+
+
 def episodic_vs_union_loss(model: Model, benchmark: Benchmark,
                            tasks: Sequence[FewShotTask]) -> tuple[float, float]:
-    """Evaluate the episodic-optimal-head loss against the one-global-head loss.
+    """The per-task head objective against the one-global-head objective.
 
-    Pools every task's query rows under their global labels, fits one
-    global head on the pool (body frozen), and reports:
+    Both sides are the objective J = mean cross-entropy +
+    (HEAD_L2/2)*||[W; b]||^2 of `fit_head`, at its fitted head (body
+    frozen):
 
-    - union loss: cross-entropy of that single head over the pooled rows;
-    - episodic loss: example-weighted mean over tasks of the cross-entropy
-      of a per-task head fitted on that task's rows, warm-started at the
-      global head's restriction to the task's classes.
+    - union: J of one global head fitted on every task's query rows,
+      pooled under their global labels (`benchmark.total_classes` wide);
+    - episodic: the row-weighted mean over tasks of J of each task's own
+      head, fitted on that task's query rows.
 
-    Restricting the softmax to a task's classes can only drop the loss,
-    and descent from the restriction can only drop it further, so
-    episodic <= union holds for any fixed body, converged or not.
+    Why episodic <= union: restrict the union head to a task's classes
+    (their columns of W and b). On that task's rows the restricted softmax
+    drops the other classes from each normalizer, so its cross-entropy is
+    no larger than the union head's, and its penalty is no larger either.
+    Each task's minimum J is at most that restriction's J, and the pooled
+    cross-entropy is the row-weighted mean of the per-task ones, so
+    averaging gives episodic <= union. That holds for whichever union head
+    the fit returns, so only the per-task fits' tolerance enters: each stops
+    at max|grad J| <= HEAD_TOL, and J is HEAD_L2-strongly convex, so it lies
+    above its minimum by at most ||grad J||^2 / (2*HEAD_L2), at most
+    HEAD_TOL^2 / (2*HEAD_L2) = 5e-15 per head parameter.
     """
     if not tasks:
         raise ValueError("episodic_vs_union_loss needs at least one task")
-    pooled_inputs = np.concatenate([t.query.inputs for t in tasks])
-    pooled_globals = np.concatenate([
-        np.asarray(t.class_ids, dtype=np.int64)[t.query.labels] for t in tasks])
-    pooled = Batch(pooled_inputs, pooled_globals)
-    global_model = fit_head(model, pooled, n_classes=benchmark.total_classes)
-    union_loss = cross_entropy(
-        forward(global_model.spec, global_model.params, pooled_inputs), pooled.labels)
-    w_global, b_global = global_model.head()
-    total_rows = 0
-    weighted = 0.0
-    for task in tasks:
-        cols = np.asarray(task.class_ids, dtype=np.int64)
-        restricted = (w_global[:, cols], b_global[cols])
-        task_model = fit_head(model, task.query, n_classes=task.n_way,
-                              init_head=restricted, l2=0.0)
-        loss = cross_entropy(
-            forward(task_model.spec, task_model.params, task.query.inputs),
-            task.query.labels)
-        rows = len(task.query)
-        weighted += loss * rows
-        total_rows += rows
-    return weighted / total_rows, union_loss
+    pooled = Batch(
+        np.concatenate([t.query.inputs for t in tasks]),
+        np.concatenate([np.asarray(t.class_ids, dtype=np.int64)[t.query.labels]
+                        for t in tasks]))
+    union = _head_fit_objective(
+        fit_head(model, pooled, n_classes=benchmark.total_classes), pooled)
+    episodic = [_head_fit_objective(fit_head(model, t.query, n_classes=t.n_way), t.query)
+                for t in tasks]
+    return float(np.average(episodic, weights=[len(t.query) for t in tasks])), union

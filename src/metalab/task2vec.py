@@ -15,7 +15,7 @@ Implementation choices that matter for comparing numbers:
 - the raw diagonal is used, with no per-layer normalization;
 - the data for both the head refit and the FIM is the task's support and
   query sets concatenated, drawn from the benchmark's `test` split;
-- the refitted head is `fit_head`'s default: L2-penalized multinomial
+- the refitted head is `fit_head`'s, the L2-penalized multinomial
   logistic regression (penalty `learners.HEAD_L2`, bias included) solved
   to max|grad| <= `learners.HEAD_TOL`, so the posterior weighting the FIM
   is that of the converged head.

@@ -226,11 +226,16 @@ def sample_task(benchmark: Benchmark, split: str, n_way: int, k_shot: int,
     episodes from one root seed. `class_pool` restricts the draw to a
     subset of the split's classes (used for source-pure episodes); a pool
     with a class outside the split, or a class twice, raises ValueError
-    naming those classes.
+    naming those classes. A count or pool entry that is not an integer (a
+    float or a bool) raises ValueError naming it.
     """
+    n_way = rng.integer(n_way, "n_way")
+    k_shot = rng.integer(k_shot, "k_shot")
+    q_query = rng.integer(q_query, "q_query")
     pool = benchmark.split_pool(split)
     if class_pool is not None:
-        allowed, pool = set(pool), tuple(class_pool)
+        allowed = set(pool)
+        pool = tuple(rng.integer(g, "class_pool entry") for g in class_pool)
         outside = sorted({g for g in pool if g not in allowed})
         repeated = sorted({g for g in pool if pool.count(g) > 1})
         if outside or repeated:
@@ -258,7 +263,11 @@ def sample_task(benchmark: Benchmark, split: str, n_way: int, k_shot: int,
 
 def union_dataset(benchmark: Benchmark, split: str, examples_per_class: int,
                   rng_seed: int | tuple[int, ...]) -> Batch:
-    """Flat supervised dataset over a split's classes under global labels."""
+    """Flat supervised dataset over a split's classes under global labels.
+
+    An `examples_per_class` that is not a positive integer raises ValueError.
+    """
+    examples_per_class = rng.integer(examples_per_class, "examples_per_class")
     if examples_per_class < 1:
         raise ValueError("examples_per_class must be at least 1")
     root, indices = _episode_seed(rng_seed)

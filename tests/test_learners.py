@@ -1,10 +1,11 @@
 """Training regimes, head refitting and meta-test evaluation.
 
-The logistic head fit is checked against scipy's L-BFGS on the same convex
-objective (plain and L2-regularized) from a different starting point;
+The logistic head fit is checked against scipy's L-BFGS on the same
+L2-penalized convex objective from a different starting point;
 adaptation and first- and higher-order MAML against manual loops through the
-kernel and through the autodiff tape; and the episodic-vs-union pooled-loss
-inequality on random bodies, where it must hold for structural reasons.
+kernel and through the autodiff tape; and the episodic-vs-union inequality
+on that objective over random bodies, where it must hold for structural
+reasons.
 """
 
 import dataclasses
@@ -18,7 +19,7 @@ import pytest
 import scipy.optimize
 import scipy.special
 
-from metalab import learners
+from metalab import harness, learners
 from metalab.learners import (
     HEAD_L2,
     EvalResult,
@@ -42,6 +43,7 @@ from metalab.nets import (
     NetSpec,
     NumericalError,
     ParamVector,
+    cross_entropy,
     cross_entropy_and_grad,
     forward,
     loss_and_grad,
@@ -65,7 +67,7 @@ def _overlapping_batch(seed: int, n_per_class: int = 20, k: int = 3, dim: int = 
     return Batch(rows, np.repeat(np.arange(k), n_per_class))
 
 
-def _scipy_head(features: np.ndarray, labels: np.ndarray, k: int, l2: float = 0.0):
+def _scipy_head(features: np.ndarray, labels: np.ndarray, k: int, l2: float):
     """L-BFGS on the multinomial logistic loss + (l2/2)*||[W; b]||^2, random start."""
     n, f = features.shape
     onehot = np.zeros((n, k))
@@ -87,7 +89,7 @@ def _scipy_head(features: np.ndarray, labels: np.ndarray, k: int, l2: float = 0.
     return wa[:-1], wa[-1]
 
 
-def _head_grad_maxabs(features, labels, w, b, l2: float = 0.0) -> float:
+def _head_grad_maxabs(features, labels, w, b, l2: float) -> float:
     n = len(labels)
     k = w.shape[1]
     onehot = np.zeros((n, k))
@@ -103,23 +105,6 @@ def _head_objective(features, labels, w, b, l2: float) -> float:
 # ---------------------------------------------------------------------------
 # head refitting
 # ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_fit_head_reaches_the_scipy_optimum_identity_body(seed):
-    support = _overlapping_batch(seed)
-    model = Model(NetSpec(2, (), 2), NetSpec(2, (), 2).init(seed))
-    fitted = fit_head(model, support, l2=0.0)
-    w, b = fitted.head()
-    # converged by its own criterion, not just stopped
-    assert _head_grad_maxabs(support.inputs, support.labels, w, b) <= 1e-8
-    ws, bs = _scipy_head(support.inputs, support.labels, 3)
-    ours = _ce(forward(fitted.spec, fitted.params, support.inputs), support.labels)
-    theirs = _ce(support.inputs @ ws + bs, support.labels)
-    assert ours == pytest.approx(theirs, abs=1e-8)
-    np.testing.assert_allclose(
-        scipy.special.softmax(support.inputs @ w + b, axis=1),
-        scipy.special.softmax(support.inputs @ ws + bs, axis=1), atol=1e-5)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -162,25 +147,6 @@ def test_fit_head_through_hidden_body_fits_on_body_features(seed):
     theirs = _head_objective(feats, support.labels, ws, bs, HEAD_L2)
     assert ours <= theirs + 1e-12
     assert ours < np.log(3)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_unregularized_warm_start_never_raises_the_objective(seed, monkeypatch):
-    # Episodic-vs-union (criterion 8) rests on this: from any warm start the
-    # l2=0 fit only descends, even on a separable support whose optimum is
-    # at infinity, where stopping at the iteration cap is not an error.
-    gen = np.random.default_rng(seed)
-    means = 8.0 * np.eye(3)[:, :2]
-    rows = np.concatenate([m + 0.3 * gen.normal(size=(6, 2)) for m in means])
-    support = Batch(rows, np.repeat(np.arange(3), 6))
-    model = Model(NetSpec(2, (), 3), NetSpec(2, (), 3).init(seed))
-    start = (gen.normal(size=(2, 3)), gen.normal(size=3))
-    for max_iter in (1, 3, 100):
-        monkeypatch.setattr("metalab.learners.HEAD_MAX_ITER", max_iter)
-        fitted = fit_head(model, support, init_head=start, l2=0.0)
-        w, b = fitted.head()
-        assert (_head_objective(rows, support.labels, w, b, 0.0)
-                <= _head_objective(rows, support.labels, *start, 0.0))
 
 
 def test_fit_head_that_misses_tol_under_l2_is_loud(monkeypatch):
@@ -227,14 +193,6 @@ def test_head_refit_and_embedding_leave_scipy_optimize_unimported(child_env):
                           text=True, timeout=120, env=child_env)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
-
-
-def test_fit_head_warm_start_at_the_optimum_is_a_fixed_point():
-    support = _overlapping_batch(3)
-    model = Model(NetSpec(2, (), 2), NetSpec(2, (), 2).init(0))
-    first = fit_head(model, support)
-    again = fit_head(model, support, init_head=first.head())
-    assert np.array_equal(again.params.values, first.params.values)
 
 
 def test_fit_head_width_override_and_validation():
@@ -607,28 +565,31 @@ def test_no_training_path_runs_the_tape(monkeypatch):
     assert not calls, f"ho train_maml ran autodiff.backward {len(calls)} times"
 
 
-def test_tracing_the_benchmark_spans_leaves_ho_training_bit_identical(monkeypatch):
-    # The benchmark's tracer binds wrappers in place of named metalab
-    # functions (`nets.loss_and_grad`, `nets.loss_and_grad_through_updates`,
-    # `autodiff.backward`, ...), looked up in each module's namespace. It must
-    # still install over this library, and a traced run must reproduce an
-    # untraced one bit for bit without entering the tape.
+def _benchmark_tracer(monkeypatch):
+    """The benchmark's `spans.Tracer`, over every metalab module it looks up."""
     import metalab.autodiff  # noqa: F401  the tracer looks these modules up
-    import metalab.harness  # noqa: F401
-    import metalab.learners
     import metalab.stats  # noqa: F401
     import metalab.task2vec  # noqa: F401
 
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
     import spans
 
+    return spans.Tracer()
+
+
+def test_tracing_the_benchmark_spans_leaves_ho_training_bit_identical(monkeypatch):
+    # The benchmark's tracer binds wrappers in place of named metalab
+    # functions (`nets.loss_and_grad`, `nets.loss_and_grad_through_updates`,
+    # `autodiff.backward`, ...), looked up in each module's namespace. It must
+    # still install over this library, and a traced run must reproduce an
+    # untraced one bit for bit without entering the tape.
     cfg = TrainConfig(method="ho_maml", hidden_dims=(8,), max_epochs=3, meta_batch=2,
                       n_way=3, k_shot=2, q_query=3, seed=2)
     untraced = train_maml(_bench(), cfg)
-    tracer = spans.Tracer()
+    tracer = _benchmark_tracer(monkeypatch)
     tracer.install()
     try:
-        traced = metalab.learners.train_maml(_bench(), cfg)
+        traced = learners.train_maml(_bench(), cfg)
     finally:
         tracer.uninstall()
     assert np.array_equal(traced.model.params.values, untraced.model.params.values)
@@ -636,6 +597,32 @@ def test_tracing_the_benchmark_spans_leaves_ho_training_bit_identical(monkeypatc
     names = {span[3] for span in tracer.spans}
     assert "learners.train_maml" in names
     assert not names & {"autodiff.backward", "nets.loss_and_grad_through_updates"}
+
+
+def test_tracing_the_benchmark_spans_leaves_a_comparison_record_unchanged(
+        monkeypatch, tmp_path):
+    # The benchmark traces whole `run_comparison` units, whose wrappers read
+    # more of the library than training does: the `fit_head` wrapper checks
+    # the returned head (`spans.head_gradient_max` reads `body_features` and
+    # `head()`), and `RunRecord.save` is a traced method. A traced unit must
+    # still run and write the untraced record.
+    config = low_diversity_preset(0, meta_batch=4, eval_steps=(1,), diversity_tasks=4,
+                                  histogram_tasks=4, maml={"max_epochs": 2})
+    untraced = harness.run_comparison(config, out_dir=tmp_path / "untraced")
+    tracer = _benchmark_tracer(monkeypatch)
+    tracer.install()
+    try:
+        traced = harness.run_comparison(config, out_dir=tmp_path / "traced")
+    finally:
+        tracer.uninstall()
+
+    def plain(record):
+        return {k: v for k, v in record.to_dict().items() if k != "wall_clock_seconds"}
+
+    assert plain(traced) == plain(untraced)
+    names = {span[3] for span in tracer.spans}
+    assert {"learners.fit_head", "learners.meta_test.pt", "learners.meta_test.maml",
+            "task2vec.embed_task", "harness.persist"} <= names
 
 
 def test_plateau_detector_window_semantics():
@@ -725,3 +712,27 @@ def test_episodic_loss_never_exceeds_union_loss(seed):
     assert episodic <= union_loss + 1e-9
     with pytest.raises(ValueError):
         episodic_vs_union_loss(model, bench, [])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_episodic_side_is_the_penalized_objective_on_separable_queries(seed):
+    # Means 8 apart at spread 0.3: every query set is separable, so an
+    # unpenalized per-task head runs off toward zero loss. The bound compares
+    # the objective the refit minimizes, which stays well above zero there.
+    bench = benchmark_from_sources([make_source(40 + seed, 20, 4, 8.0, 0.3)])
+    spec = NetSpec(4, (16,), 2)
+    model = Model(spec, spec.init(seed))
+    tasks = [sample_task(bench, "test", 3, 2, 4, rng_seed=(seed, i)) for i in range(4)]
+    episodic, union_loss = episodic_vs_union_loss(model, bench, tasks)
+    objectives, rows = [], []
+    for task in tasks:
+        fitted = fit_head(model, task.query, n_classes=task.n_way)
+        logits = forward(fitted.spec, fitted.params, task.query.inputs)
+        assert np.array_equal(np.argmax(logits, axis=1), task.query.labels)
+        w, b = fitted.head()
+        objectives.append(cross_entropy(logits, task.query.labels)
+                          + HEAD_L2 / 2 * (np.sum(w * w) + np.sum(b * b)))
+        rows.append(len(task.query))
+    assert episodic == pytest.approx(np.average(objectives, weights=rows), rel=1e-12)
+    assert episodic > 1e-3
+    assert episodic <= union_loss + 1e-9

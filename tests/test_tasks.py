@@ -192,6 +192,11 @@ def test_tuple_seed_enumerates_distinct_episodes():
         sample_task(bench, "train", 5, 2, 2, rng_seed=(0, 1.7))
     with pytest.raises(ValueError, match=re.escape("2.9")):
         sample_task(bench, "train", 5, 2, 2, rng_seed=2.9)
+    # so are counts that are not integers, each named
+    for counts, named in (((2.0, 2, 2), "n_way"), ((5, 1.5, 2), "k_shot"),
+                          ((5, 2, True), "q_query")):
+        with pytest.raises(ValueError, match=named):
+            sample_task(bench, "train", *counts, rng_seed=9)
     numpy_seed = sample_task(bench, "train", 5, 2, 2, rng_seed=(np.int64(9), np.int32(1)))
     assert numpy_seed.task_id == tasks[1].task_id
     assert numpy_seed.support.inputs.tobytes() == flat[1]
@@ -236,7 +241,8 @@ def test_class_pool_restriction():
     train = bench.split_pool("train")
     for bad, named in ((train, f"outside it: {list(train)}"),
                        ((8, 8), "repeated: [8]"),
-                       ((8, 99), "outside it: [99]")):
+                       ((8, 99), "outside it: [99]"),
+                       ((8.0, 9), "class_pool entry must be an integer, got 8.0")):
         with pytest.raises(ValueError, match=re.escape(named)):
             sample_task(bench, "test", 2, 1, 1, 0, class_pool=bad)
 
@@ -283,6 +289,9 @@ def test_union_dataset_counts_labels_and_determinism():
         data.inputs, union_dataset(bench, "train", 6, rng_seed=5).inputs)
     with pytest.raises(ValueError):
         union_dataset(bench, "train", 0, rng_seed=0)
+    with pytest.raises(ValueError, match=re.escape("examples_per_class must be an "
+                                                   "integer, got 2.5")):
+        union_dataset(bench, "train", 2.5, rng_seed=0)
 
 
 def test_union_dataset_zero_spread_repeats_means():
