@@ -18,11 +18,9 @@ holds record.json is refused before any training), build-benchmark,
 train-pt, train-maml, meta-test, diversity (`measure_diversity`, which the
 CLI's diversity verb also runs), decide, persist (the record is written).
 Each runs under one guard that turns a failure into a HarnessError naming
-the stage. When the pt probe's training run is a prefix of the PT leg's
-(`_probe_prefix_epochs`: the same TrainConfig but a cap no larger, as in
-the low-diversity preset), train-pt takes the probe on the way and the
-diversity stage trains nothing; the probe's training time then sits in
-stage train-pt, and the record is the same bytes.
+the stage. A pt probe with the PT leg's seed and widths is the PT leg
+(`ExperimentConfig.probe_config`), as in the low-diversity preset: the
+diversity stage then embeds with the PT leg's model and trains nothing.
 
 Configuration document (YAML) schema, with defaults:
 
@@ -275,11 +273,10 @@ class ExperimentConfig:
     episodes: both draw `(seed, i)` (ROADMAP item 4). The `TrainConfig`s
     of both legs and of the pt probe are built here, by one builder
     (`_leg_config`, which pins their seed, widths and episode shape), so
-    a bad setting fails before training. When `probe_config()` is
-    `pt_config()` but for a cap no larger (same seed, widths and settings,
-    as in the low-diversity preset), the pt probe's run is the first
-    epochs of the PT leg's, and `run_comparison` trains it once, in stage
-    train-pt. Fields are declared in the order config.yaml lists them.
+    a bad setting fails before training. A probe with the PT leg's seed
+    and widths is the PT leg (`probe_config`), and `run_comparison`
+    embeds with the leg's model. Fields are declared in the order
+    config.yaml lists them.
     """
 
     name: str
@@ -364,7 +361,16 @@ class ExperimentConfig:
                                 self.hidden_dims, self.maml)
 
     def probe_config(self) -> TrainConfig:
-        """The pt probe's training run: `TrainConfig` defaults, no overrides."""
+        """The pt probe's training run.
+
+        A probe with the PT leg's seed and widths is the PT leg: when
+        `(diversity_seed, probe_hidden_dims) == (init_seed, hidden_dims)`
+        this is `pt_config()`. Any other probe trains on `TrainConfig`
+        defaults at its own seed and widths.
+        """
+        if (self.diversity_seed, self.probe_hidden_dims) == (self.init_seed,
+                                                             self.hidden_dims):
+            return self.pt_config()
         return self._leg_config("pt", self.diversity_seed, self.probe_hidden_dims, {})
 
     def to_dict(self) -> dict:
@@ -530,11 +536,10 @@ def run_comparison(config: ExperimentConfig,
 
     Stages run in order: persist (with `out_dir` only: refuse a directory
     that already holds a record.json, before any training), build-benchmark,
-    train-pt, train-maml, meta-test, diversity, decide, persist. When the
-    pt probe's run is a prefix of the PT leg's (`_probe_prefix_epochs`),
-    train-pt also returns the probe and diversity trains nothing, so the
-    probe's training time is booked in train-pt; the record is the same
-    bytes either way. A failure raises HarnessError naming the stage. When
+    train-pt, train-maml, meta-test, diversity, decide, persist. The PT
+    leg's run goes to the diversity stage, which embeds with it when the
+    pt probe is the PT leg (`ExperimentConfig.probe_config`) and then
+    trains nothing. A failure raises HarnessError naming the stage. When
     `out_dir` is given, a failure after the early check leaves a
     failed.json marker with the stage name there and keeps partial
     artifacts. A directory refused by the early check is left untouched,
@@ -556,8 +561,7 @@ def run_comparison(config: ExperimentConfig,
                 f"fewer than n_way={config.n_way}")
 
     with _stage("train-pt", run_dir):
-        pt_result = train_pt(benchmark, config.pt_config(),
-                             prefix_epochs=_probe_prefix_epochs(config))
+        pt_result = train_pt(benchmark, config.pt_config())
 
     with _stage("train-maml", run_dir):
         maml_cfg = config.maml_config()
@@ -576,8 +580,7 @@ def run_comparison(config: ExperimentConfig,
                 steps=steps, lr=maml_cfg.inner_lr)
 
     with _stage("diversity", run_dir):
-        diversity, histogram = measure_diversity(config, benchmark,
-                                                 probe_run=pt_result.prefix)
+        diversity, histogram = measure_diversity(config, benchmark, pt_run=pt_result)
 
     with _stage("decide", run_dir):
         pt_accs = evals["pt"].per_task_accuracy
@@ -618,24 +621,8 @@ def run_comparison(config: ExperimentConfig,
     return record
 
 
-def _probe_prefix_epochs(config: ExperimentConfig) -> int | None:
-    """The probe's epoch cap if its run is a prefix of the PT leg's, else None.
-
-    That holds when the diversity stage will pre-train a probe, and the
-    probe's `TrainConfig` is the PT leg's but for a cap no larger: same
-    seed, widths, rate, data and loop, hence the same first epochs.
-    """
-    probe, pt = config.probe_config(), config.pt_config()
-    diversity_runs = config.diversity_tasks >= 2 or config.histogram_tasks >= 2
-    if (config.probe_method == "pt" and diversity_runs
-            and dataclasses.replace(probe, max_epochs=pt.max_epochs) == pt
-            and probe.max_epochs <= pt.max_epochs):
-        return probe.max_epochs
-    return None
-
-
 def measure_diversity(config: ExperimentConfig, benchmark: Benchmark,
-                      probe_run: TrainResult | None = None,
+                      pt_run: TrainResult | None = None,
                       ) -> tuple[DiversityReport | None, DistanceHistogram | None]:
     """The diversity stage: one frozen probe, the coefficient, the histogram.
 
@@ -645,15 +632,19 @@ def measure_diversity(config: ExperimentConfig, benchmark: Benchmark,
     of them runs. The config is the only source of both counts (the CLI's
     `diversity --meta-batch N` sets `diversity_tasks` in it). Everything
     draws from `config.diversity_seed`. The pt probe trains on
-    `config.probe_config()` unless `probe_run` is that run already:
-    `run_comparison` passes the PT leg's prefix when the two runs share
-    their first epochs, so the probe's training time is then in train-pt.
+    `config.probe_config()`. When that is `config.pt_config()`, the probe
+    is the PT leg: `pt_run`, the leg's run on `benchmark`, serves as the
+    probe untrained (`run_comparison` passes it). Without it (the CLI's
+    diversity verb) the same config is trained here, so both report the
+    same numbers.
     """
     if config.diversity_tasks < 2 and config.histogram_tasks < 2:
         return None, None
     seed = config.diversity_seed
-    probe = build_probe(benchmark, seed, config=config.probe_config(),
-                        method=config.probe_method, trained=probe_run)
+    probe_cfg = config.probe_config()
+    is_pt_leg = config.probe_method == "pt" and probe_cfg == config.pt_config()
+    probe = build_probe(benchmark, seed, config=probe_cfg, method=config.probe_method,
+                        trained=pt_run if is_pt_leg else None)
     episode = dict(n_way=config.n_way, k_shot=config.k_shot, q_query=config.q_query)
     diversity = histogram = None
     if config.diversity_tasks >= 2:

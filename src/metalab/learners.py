@@ -14,9 +14,6 @@ models take a few full-parameter descent steps on the support set, every
 episode's support stacked into one descent (`adapt` is that descent on
 one episode). Both train through one loop, `_train` (fixed-rate gradient
 descent, windowed-plateau stop), so runs are reproducible to the bit.
-`train_pt` can also hand back the run at an earlier cap, taken on the
-way (`prefix_epochs`), so a shorter run of the same config is not
-trained again.
 
 Every gradient runs on the stateless numpy kernel `nets.cross_entropy_and_grad`:
 `train_pt` (one full-batch call per epoch), `train_maml`, `adapt` and
@@ -48,7 +45,6 @@ larger objective, so it needs no warm start.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -175,16 +171,11 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
-    """Final model, per-epoch train loss curve, and stop diagnostics.
-
-    `prefix` is the same run stopped at an earlier cap, when one was asked
-    for (`train_pt`'s `prefix_epochs`), else None.
-    """
+    """Final model, per-epoch train loss curve, and stop diagnostics."""
 
     model: Model
     loss_curve: tuple[float, ...]
     converged: bool
-    prefix: TrainResult | None = None
 
     @property
     def epochs_run(self) -> int:
@@ -233,32 +224,16 @@ def _plateaued(curve: list[float], tol: float) -> bool:
 
 
 def _train(spec: NetSpec, config: TrainConfig, leg: str,
-           objective: Callable[[int, ParamVector], tuple],
-           prefix_epochs: int | None = None) -> TrainResult:
+           objective: Callable[[int, ParamVector], tuple]) -> TrainResult:
     """Descend from `spec.init(config.seed)` until `_plateaued` or `max_epochs`.
 
     `objective(epoch, params)` returns per-item losses and their gradient
     sum; the curve gains their mean, the step is `outer_lr * sum / count`,
     and a `NumericalError` becomes `TrainingError("<leg> diverged ...")`.
-
-    With `prefix_epochs` = k, the result's `prefix` is the run as a cap of
-    k epochs would have returned it, bit for bit: the state after epoch k,
-    or the final run if the plateau stopped it by then.
     """
-    if prefix_epochs is not None and not 0 <= prefix_epochs <= config.max_epochs:
-        raise ValueError(f"prefix_epochs {prefix_epochs} lies outside "
-                         f"[0, max_epochs={config.max_epochs}]")
-
-    def result(params: ParamVector, curve: list[float]) -> TrainResult:
-        return TrainResult(model=Model(spec, params), loss_curve=tuple(curve),
-                           converged=_plateaued(curve, config.convergence_tol))
-
     params = spec.init(config.seed)
     curve: list[float] = []
-    prefix = None
     for epoch in range(1, config.max_epochs + 1):
-        if epoch - 1 == prefix_epochs:
-            prefix = result(params, curve)
         try:
             losses, grad_sum = objective(epoch, params)
         except NumericalError as err:
@@ -271,21 +246,16 @@ def _train(spec: NetSpec, config: TrainConfig, leg: str,
         curve.append(total / len(losses))
         if _plateaued(curve, config.convergence_tol):
             break
-    final = result(params, curve)
-    if prefix_epochs is None:
-        return final
-    return dataclasses.replace(final, prefix=final if prefix is None else prefix)
+    return TrainResult(model=Model(spec, params), loss_curve=tuple(curve),
+                       converged=_plateaued(curve, config.convergence_tol))
 
 
-def train_pt(benchmark: Benchmark, config: TrainConfig,
-             prefix_epochs: int | None = None) -> TrainResult:
+def train_pt(benchmark: Benchmark, config: TrainConfig) -> TrainResult:
     """Supervised descent on the union dataset under global labels.
 
     The head spans every global class of the benchmark; classes outside the
     train split simply never occur. Full-batch gradient descent at
-    `outer_lr` until plateau or `max_epochs` (`_train`). With
-    `prefix_epochs` = k <= `max_epochs`, the result's `prefix` is bitwise
-    `train_pt(benchmark, replace(config, max_epochs=k))`, taken on the way.
+    `outer_lr` until plateau or `max_epochs` (`_train`).
     """
     if config.method != "pt":
         raise ValueError(f"train_pt requires method 'pt', got {config.method!r}")
@@ -296,7 +266,7 @@ def train_pt(benchmark: Benchmark, config: TrainConfig,
         value, g = cross_entropy_and_grad(spec, params.values, data.inputs, data.labels)
         return [value], g
 
-    return _train(spec, config, "pre-training", full_batch, prefix_epochs)
+    return _train(spec, config, "pre-training", full_batch)
 
 
 def train_maml(benchmark: Benchmark, config: TrainConfig) -> TrainResult:

@@ -111,17 +111,19 @@ class DistanceHistogram:
 
 def build_probe(pretext_benchmark: Benchmark, seed: int, config: TrainConfig,
                 method: str = "pt", trained: TrainResult | None = None) -> Probe:
-    """Train (or draw) a frozen probe on a held-out pretext benchmark.
+    """Train (or draw) a frozen probe on `pretext_benchmark`.
 
-    `method="pt"` pre-trains on the pretext benchmark's union with `config`
-    (the default, and the analogue of an off-the-shelf pretrained
-    backbone); `method="random"` freezes the seeded initialization of
+    `method="pt"` pre-trains on the benchmark's union with `config` (the
+    default, and the analogue of an off-the-shelf pretrained backbone);
+    `method="random"` freezes the seeded initialization of
     `config.hidden_dims` instead, an ablation option. Both draw from
     `seed`, which the provenance names, so a `config` with another seed
-    raises ValueError. `trained`, if given, is
-    `train_pt(pretext_benchmark, config)` run already (the harness passes
-    a prefix of its PT leg); the pt probe is built from it without
-    training, with the same provenance.
+    raises ValueError. Every library caller passes the benchmark it then
+    measures, so the probe is not held out from it (ROADMAP item 16).
+    `trained`, if given, is `train_pt(pretext_benchmark, config)` run
+    already (the harness passes its PT leg when the probe is that leg);
+    the pt probe is built from it without training, with the same
+    provenance.
     """
     if config.seed != seed:
         raise ValueError(f"seed {seed} differs from config.seed {config.seed}")

@@ -106,7 +106,8 @@ class Benchmark:
     global label g. Each source's classes are split 64/16/20 on their own,
     so every source contributes to every pool (mirroring how constituent
     datasets keep their own train/test partitions inside a union). At least
-    one source is needed, and all must share one input_dim.
+    one source is needed, all must share one input_dim, and no two may
+    share a name (the distance histogram keys its partitions by name).
     """
 
     sources: tuple[Source, ...]
@@ -119,6 +120,10 @@ class Benchmark:
             raise ValueError("a benchmark needs at least one source")
         if any(s.input_dim != sources[0].input_dim for s in sources):
             raise ValueError("all sources must share input_dim")
+        names = [s.name for s in sources]
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise ValueError(f"source names must be distinct; repeated: {repeated}")
         table: list[tuple[int, int]] = []
         pools: dict[str, list[int]] = {name: [] for name in SPLIT_NAMES}
         for si, src in enumerate(sources):
@@ -227,11 +232,17 @@ def sample_task(benchmark: Benchmark, split: str, n_way: int, k_shot: int,
     subset of the split's classes (used for source-pure episodes); a pool
     with a class outside the split, or a class twice, raises ValueError
     naming those classes. A count or pool entry that is not an integer (a
-    float or a bool) raises ValueError naming it.
+    float or a bool), an `n_way` below 2, or a `k_shot` or `q_query` below
+    1 raises ValueError naming it.
     """
     n_way = rng.integer(n_way, "n_way")
     k_shot = rng.integer(k_shot, "k_shot")
     q_query = rng.integer(q_query, "q_query")
+    if n_way < 2:
+        raise ValueError(f"n_way must be at least 2, got {n_way}")
+    for name, count in (("k_shot", k_shot), ("q_query", q_query)):
+        if count < 1:
+            raise ValueError(f"{name} must be positive, got {count}")
     pool = benchmark.split_pool(split)
     if class_pool is not None:
         allowed = set(pool)

@@ -1,7 +1,16 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules.
+
+BLAS is pinned to one thread before `metalab` (and so numpy) is imported,
+as the benchmark pins it: the arrays here are small, so BLAS threads only
+add overhead. A value already set in the environment wins, and
+`child_env` passes the pins on to child interpreters.
+"""
 
 import os
 from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import pytest
 

@@ -28,6 +28,7 @@ from metalab.harness import (
     run_suite,
     write_reproduction_table,
 )
+from metalab.learners import TrainConfig
 from metalab.tasks import make_source
 
 GOLDEN = Path(__file__).parent / "data" / "golden_tiny"
@@ -229,37 +230,45 @@ def _shrunk_lowdiv(**overrides) -> ExperimentConfig:
     return low_diversity_preset(0, **base)
 
 
-def test_probe_is_the_pt_legs_prefix_only_when_the_runs_share_their_first_epochs():
-    assert harness._probe_prefix_epochs(low_diversity_preset(0)) == 300
-    assert harness._probe_prefix_epochs(_shrunk_lowdiv(diversity_tasks=0,
-                                                       histogram_tasks=2)) == 300
-    assert harness._probe_prefix_epochs(_shrunk_lowdiv(pt={"max_epochs": 300})) == 300
-    for unshared in (
+def test_probe_is_the_pt_leg_exactly_when_it_has_the_legs_seed_and_widths():
+    for shared in (
+        low_diversity_preset(0),
+        _shrunk_lowdiv(diversity_tasks=0, histogram_tasks=2),
+        _shrunk_lowdiv(pt={"max_epochs": 300}),
         _shrunk_lowdiv(probe_method="random"),
         _shrunk_lowdiv(diversity_tasks=0),                  # no diversity stage
-        _shrunk_lowdiv(pt={"max_epochs": 299}),             # the probe runs longer
+        _shrunk_lowdiv(pt={"max_epochs": 299}),
         _shrunk_lowdiv(pt={"max_epochs": 400, "outer_lr": 0.1}),
+        _shrunk_lowdiv(init_seed=1, diversity_seed=1),
+    ):
+        assert shared.probe_config() == shared.pt_config()
+    for unshared in (
         _shrunk_lowdiv(diversity_seed=1),
         _shrunk_lowdiv(probe_hidden_dims=(16,)),
-        high_diversity_preset(0),                           # widths (8,) vs (32,)
+        high_diversity_preset(0),                           # probe (32,), PT leg (8,)
     ):
-        assert harness._probe_prefix_epochs(unshared) is None
+        assert unshared.probe_config() != unshared.pt_config()
+        # any other probe trains on TrainConfig defaults at its own seed and widths
+        assert unshared.probe_config() == TrainConfig(
+            method="pt", seed=unshared.diversity_seed,
+            hidden_dims=unshared.probe_hidden_dims, n_way=unshared.n_way,
+            k_shot=unshared.k_shot, q_query=unshared.q_query)
 
 
 def test_run_comparison_takes_the_probe_from_the_pt_leg(monkeypatch):
     cfg = _shrunk_lowdiv()
     bench = cfg.benchmark.build()
-    standalone = measure_diversity(cfg, bench)  # trains its own probe
+    standalone = measure_diversity(cfg, bench)  # trains the same config itself
     caps = []
     original = harness.train_pt
-    monkeypatch.setattr(harness, "train_pt", lambda b, c, **kw: caps.append(
-        (c.max_epochs, kw.get("prefix_epochs"))) or original(b, c, **kw))
+    monkeypatch.setattr(harness, "train_pt", lambda b, c: caps.append(
+        c.max_epochs) or original(b, c))
     monkeypatch.setattr("metalab.task2vec.train_pt", lambda *a, **kw: pytest.fail(
         "the diversity stage trained a probe"))
     record = run_comparison(cfg)
-    assert caps == [(400, 300)]
+    assert caps == [400]
     assert record.diversity == standalone[0]
-    assert record.diversity.probe_provenance == "pt(seed=0, classes=40, epochs=300)"
+    assert record.diversity.probe_provenance == "pt(seed=0, classes=40, epochs=400)"
 
 
 def test_run_comparison_leaves_scipy_unimported(tmp_path, child_env):

@@ -8,7 +8,6 @@ on that objective over random bodies, where it must hold for structural
 reasons.
 """
 
-import dataclasses
 import subprocess
 import sys
 import textwrap
@@ -639,41 +638,6 @@ def test_convergence_stops_before_max_epochs():
     out = train_pt(_bench(1), cfg)
     assert out.converged
     assert out.epochs_run < 3000
-
-
-def _assert_same_run(a, b):
-    assert a.model.spec == b.model.spec
-    assert np.array_equal(a.model.params.values, b.model.params.values)
-    assert a.loss_curve == b.loss_curve
-    assert a.converged == b.converged
-
-
-# A convergence_tol of 10 accepts any curve, so those runs stop by plateau
-# at epoch 2 * PLATEAU_WINDOW = 40.
-@pytest.mark.parametrize("max_epochs, prefix, tol, stop", [
-    (50, 20, 1e-4, 50),     # capped: both runs stop at their caps
-    (100, 60, 10.0, 40),    # the plateau stops the run before the prefix
-    (100, 30, 10.0, 40),    # the prefix ends before the plateau
-    (30, 30, 1e-4, 30),     # the prefix is the whole run
-    (30, 0, 1e-4, 30),      # the prefix is the initialization
-])
-def test_train_pt_prefix_is_the_run_at_the_smaller_cap_bitwise(max_epochs, prefix, tol, stop):
-    cfg = TrainConfig(method="pt", hidden_dims=(8,), max_epochs=max_epochs, seed=3,
-                      convergence_tol=tol)
-    full = train_pt(_bench(), cfg, prefix_epochs=prefix)
-    alone = train_pt(_bench(), dataclasses.replace(cfg, max_epochs=prefix))
-    _assert_same_run(full.prefix, alone)
-    assert full.prefix.epochs_run == min(prefix, stop)
-    assert full.epochs_run == stop
-    _assert_same_run(full, train_pt(_bench(), cfg))  # the full run is unchanged
-    assert alone.prefix is None and full.prefix.prefix is None
-
-
-def test_train_pt_prefix_must_lie_within_the_cap():
-    cfg = TrainConfig(method="pt", hidden_dims=(8,), max_epochs=5)
-    for prefix in (-1, 6):
-        with pytest.raises(ValueError, match="prefix_epochs"):
-            train_pt(_bench(), cfg, prefix_epochs=prefix)
 
 
 # ---------------------------------------------------------------------------

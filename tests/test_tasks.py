@@ -152,13 +152,22 @@ def test_from_sources_shifts_labels_and_keeps_means():
 
 def test_benchmark_constructor_validation():
     # A benchmark is built from its sources alone: the table and the split
-    # pools are derived, so only an empty or mixed-width source list is bad.
+    # pools are derived, so only an empty or mixed-width source list, or
+    # one whose names repeat, is bad.
     src = make_source(0, 4, 2, 1.0, 1.0)
     assert Benchmark((src,)) == benchmark_from_sources([src])
     with pytest.raises(ValueError, match="at least one source"):
         Benchmark(())
     with pytest.raises(ValueError, match="input_dim"):
         Benchmark((src, make_source(1, 4, 3, 1.0, 1.0)))
+    # Two sources with one name would share a histogram partition.
+    cloud = make_source(1, 12, 4, 2.0, 1.0, name="cloud")
+    moved = translate_source(make_source(2, 12, 4, 2.0, 1.0), np.full(4, 5.0),
+                             name="cloud")
+    with pytest.raises(ValueError, match=re.escape("repeated: ['cloud']")):
+        Benchmark((cloud, moved))
+    with pytest.raises(ValueError, match=re.escape("repeated: ['gauss0x4']")):
+        benchmark_from_sources([src, src, make_source(1, 4, 2, 1.0, 1.0)])
     with pytest.raises(TypeError):
         Benchmark((src,), class_table=((0, 0),), splits={})
 
@@ -192,9 +201,14 @@ def test_tuple_seed_enumerates_distinct_episodes():
         sample_task(bench, "train", 5, 2, 2, rng_seed=(0, 1.7))
     with pytest.raises(ValueError, match=re.escape("2.9")):
         sample_task(bench, "train", 5, 2, 2, rng_seed=2.9)
-    # so are counts that are not integers, each named
+    # so are counts that are not integers or too small, each named
     for counts, named in (((2.0, 2, 2), "n_way"), ((5, 1.5, 2), "k_shot"),
-                          ((5, 2, True), "q_query")):
+                          ((5, 2, True), "q_query"),
+                          ((1, 2, 2), "n_way must be at least 2, got 1"),
+                          ((5, 0, 2), "k_shot must be positive, got 0"),
+                          ((5, -1, 2), "k_shot must be positive, got -1"),
+                          ((5, 2, 0), "q_query must be positive, got 0"),
+                          ((5, 2, -3), "q_query must be positive, got -3")):
         with pytest.raises(ValueError, match=named):
             sample_task(bench, "train", *counts, rng_seed=9)
     numpy_seed = sample_task(bench, "train", 5, 2, 2, rng_seed=(np.int64(9), np.int32(1)))
