@@ -11,10 +11,11 @@ Module map:
 
 - ``autodiff``: reverse-mode engine over numpy arrays with second-order
   support (gradients of gradients); the test oracle.
-- ``nets``: parameter layouts, MLP forward pass, cross-entropy, the numpy
-  gradient and Hessian-vector kernel, and the tape-based oracle entry
-  points (``loss_and_grad``, ``loss_and_grad_through_updates`` for
-  differentiating through inner-loop updates, ``finite_diff_grad``).
+- ``nets``: parameter layouts, MLP forward pass, the one softmax
+  cross-entropy, the numpy gradient and Hessian-vector kernel on it, and
+  the tape-based oracle entry points (``loss_and_grad``,
+  ``loss_and_grad_through_updates`` for differentiating through
+  inner-loop updates, ``finite_diff_grad``).
 - ``rng``: the named, splittable random-stream scheme used everywhere.
 - ``tasks``: synthetic Gaussian sources, benchmarks built from their
   sources alone (``Benchmark(sources)``), episode sampling.
@@ -34,7 +35,6 @@ from metalab.nets import (
     Batch,
     NetSpec,
     ParamVector,
-    cross_entropy,
     finite_diff_grad,
     forward,
 )
@@ -128,7 +128,6 @@ __all__ = [
     "build_probe",
     "confidence_interval",
     "cosine_distance",
-    "cross_entropy",
     "decide_ci",
     "decide_es",
     "decide_from_es",

@@ -88,7 +88,8 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         raise HarnessError("config", f"no *.yaml configs in {args.config_dir}")
     configs = [_load_config(str(p), args) for p in paths]
     records = harness.run_suite(configs, args.out)
-    report_dir = harness.emit_report(records, Path(args.out) / "report")
+    with harness._stage("report"):
+        report_dir = harness.emit_report(records, Path(args.out) / "report")
     for record in records:
         print(f"[{record.config.name}] status {record.status}, "
               f"{record.wall_clock_seconds:.1f} s")
@@ -97,14 +98,11 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce_tables(args: argparse.Namespace) -> int:
-    try:
+    table = Path(args.out) / "reproduction.csv"
+    with harness._stage("reproduce"):
         rows = harness.reproduce_decisions(args.es, args.delta)
-    except (OSError, KeyError, ValueError) as exc:
-        raise HarnessError("reproduce", str(exc)) from exc
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table = out_dir / "reproduction.csv"
-    harness.write_reproduction_table(table, rows)
+        table.parent.mkdir(parents=True, exist_ok=True)
+        harness.write_reproduction_table(table, rows)
     verifiable = [r for r in rows if r.match is not None]
     mismatches = [r for r in verifiable if not r.match]
     print(f"rows: {len(rows)}, verifiable: {len(verifiable)}, "
@@ -135,17 +133,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
         records = [RunRecord.load(d) for d in dict.fromkeys(d.resolve() for d in run_dirs)]
     except (OSError, KeyError, ValueError, TypeError) as exc:
         raise HarnessError("report", f"unreadable record: {exc}") from exc
-    try:
+    with harness._stage("report"):
         report_dir = harness.emit_report(records, args.out)
-    except ValueError as exc:
-        raise HarnessError("report", str(exc)) from exc
     print(f"report over {len(records)} records: {report_dir}")
     return 0
 
 
 def _cmd_diversity(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args)
-    if config.diversity_tasks < 2:
+    if not config.diversity_tasks:
         raise HarnessError("config", "diversity needs at least 2 tasks")
     with harness._stage("build-benchmark"):
         benchmark = config.benchmark.build()
@@ -158,10 +154,11 @@ def _cmd_diversity(args: argparse.Namespace) -> int:
         for part, mean in sorted(histogram.partition_means.items()):
             print(f"partition {part}: mean distance {mean:.6f}")
     if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        harness.write_diversity_table(out_dir / "diversity.csv", [(config.name, report)])
-        print(f"table: {out_dir / 'diversity.csv'}")
+        table = Path(args.out) / "diversity.csv"
+        with harness._stage("diversity"):
+            table.parent.mkdir(parents=True, exist_ok=True)
+            harness.write_diversity_table(table, [(config.name, report)])
+        print(f"table: {table}")
     return 0
 
 

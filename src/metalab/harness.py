@@ -37,10 +37,10 @@ Configuration document (YAML) schema, with defaults:
     q_query: 15
     meta_batch: 300        # meta-test episodes
     eval_steps: [5, 10]    # adaptation depths evaluated for the meta-learner
-    diversity_tasks: 150   # episodes embedded for the coefficient; 0 disables
+    diversity_tasks: 150   # episodes embedded for the coefficient; 0 disables, else >= 2
     probe_method: pt       # pt | random
     probe_hidden_dims: [32]
-    histogram_tasks: 0     # source-pure episodes for the histogram; 0 disables
+    histogram_tasks: 0     # source-pure episodes for the histogram; 0 disables, else >= 2
     histogram_bins: 20
     pt: {}                 # TrainConfig overrides for the pre-training leg
     maml: {}               # TrainConfig overrides for the meta-learning leg
@@ -57,7 +57,8 @@ Configuration document (YAML) schema, with defaults:
 
 `pt:` / `maml:` may override any TrainConfig field except method, seed,
 hidden_dims, and the episode shape (those are pinned by the experiment so
-the two legs stay comparable).
+the two legs stay comparable), and except the fields that leg never reads
+(pt: inner_lr, inner_steps_train, meta_batch; maml: examples_per_class).
 
 Persistence: one directory per run holding config.yaml, record.json (the
 authority; every reported number traces back to it), decisions.csv, and
@@ -131,6 +132,9 @@ __all__ = [
 
 _MAML_ORDERS = ("fo", "ho")
 _RESERVED_OVERRIDES = ("method", "seed", "hidden_dims", "n_way", "k_shot", "q_query")
+# TrainConfig fields that a leg's training function never reads
+_UNREAD_OVERRIDES = {"pt": ("inner_lr", "inner_steps_train", "meta_batch"),
+                     "maml": ("examples_per_class",)}
 
 
 class HarnessError(RuntimeError):
@@ -330,6 +334,11 @@ class ExperimentConfig:
             raise ValueError("probe_hidden_dims needs a hidden layer to embed tasks with")
         if self.histogram_bins < 1:
             raise ValueError("histogram_bins must be positive")
+        for attr, what in (("diversity_tasks", "diversity"), ("histogram_tasks", "histogram")):
+            count = getattr(self, attr)
+            if count != 0 and count < 2:
+                raise ValueError(f"{what} needs at least 2 tasks: {attr}={count} "
+                                 "(0 disables it)")
         for attr in ("seed", "init_seed", "task_seed", "diversity_seed"):
             if getattr(self, attr) < 0:
                 raise ValueError(f"seeds must be nonnegative, got {attr}={getattr(self, attr)}")
@@ -341,6 +350,10 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{leg} overrides may not set {sorted(clash)}; "
                     "those fields are pinned by the experiment config")
+            unread = sorted(set(overrides) & set(_UNREAD_OVERRIDES.get(leg, ())))
+            if unread:
+                raise ValueError(f"{leg} leg never reads {', '.join(unread)}; "
+                                 "overriding it would have no effect")
             try:
                 build()
             except (TypeError, ValueError) as err:
@@ -534,8 +547,9 @@ def run_comparison(config: ExperimentConfig,
                    out_dir: str | Path | None = None) -> RunRecord:
     """Train both methods, evaluate on shared episodes, decide, persist.
 
-    Stages run in order: persist (with `out_dir` only: refuse a directory
-    that already holds a record.json, before any training), build-benchmark,
+    Stages run in order: persist (with `out_dir` only: make the directory,
+    and refuse one that cannot be made or already holds a record.json,
+    before any training), build-benchmark,
     train-pt, train-maml, meta-test, diversity, decide, persist. The PT
     leg's run goes to the diversity stage, which embeds with it when the
     pt probe is the PT leg (`ExperimentConfig.probe_config`) and then
@@ -546,11 +560,10 @@ def run_comparison(config: ExperimentConfig,
     so its record.json gets no marker.
     """
     t0 = time.perf_counter()
-    run_dir = None
-    if out_dir is not None:
-        run_dir = Path(out_dir)
-        run_dir.mkdir(parents=True, exist_ok=True)
+    run_dir = None if out_dir is None else Path(out_dir)
+    if run_dir is not None:
         with _stage("persist"):  # no marker: a refused directory keeps its record
+            run_dir.mkdir(parents=True, exist_ok=True)
             _new_record_path(run_dir)
 
     with _stage("build-benchmark", run_dir):
@@ -628,8 +641,8 @@ def measure_diversity(config: ExperimentConfig, benchmark: Benchmark,
 
     `config.diversity_tasks` episodes are embedded for the coefficient and
     `config.histogram_tasks` source-pure ones for the histogram; a count
-    below 2 skips that result (None), and the probe is built only if one
-    of them runs. The config is the only source of both counts (the CLI's
+    of 0 skips that result (None), and the probe is built only if one of
+    them runs. The config is the only source of both counts (the CLI's
     `diversity --meta-batch N` sets `diversity_tasks` in it). Everything
     draws from `config.diversity_seed`. The pt probe trains on
     `config.probe_config()`. When that is `config.pt_config()`, the probe
@@ -638,7 +651,7 @@ def measure_diversity(config: ExperimentConfig, benchmark: Benchmark,
     diversity verb) the same config is trained here, so both report the
     same numbers.
     """
-    if config.diversity_tasks < 2 and config.histogram_tasks < 2:
+    if not (config.diversity_tasks or config.histogram_tasks):
         return None, None
     seed = config.diversity_seed
     probe_cfg = config.probe_config()
@@ -647,10 +660,10 @@ def measure_diversity(config: ExperimentConfig, benchmark: Benchmark,
                         trained=pt_run if is_pt_leg else None)
     episode = dict(n_way=config.n_way, k_shot=config.k_shot, q_query=config.q_query)
     diversity = histogram = None
-    if config.diversity_tasks >= 2:
+    if config.diversity_tasks:
         diversity = diversity_coefficient(probe, benchmark, config.diversity_tasks,
                                           seed, **episode)
-    if config.histogram_tasks >= 2:
+    if config.histogram_tasks:
         histogram = distance_histogram(probe, benchmark, config.histogram_tasks,
                                        config.histogram_bins, seed, **episode)
     return diversity, histogram

@@ -24,8 +24,9 @@ call each, and the higher-order method adds a reverse sweep of
 `nets.cross_entropy_hvp` calls. The meta-test supports are stacked the
 same way, one call per adaptation step. Every forward pass is
 `nets.activations`. The head refit, which `episodic_vs_union_loss` also
-runs, is its own closed-form Newton solve. No path here runs the autodiff
-tape; it is the oracle the tests check these paths against.
+runs, is its own Newton solve on the kernel's `nets.softmax_cross_entropy`
+and `nets.logit_signal`. No path here runs the autodiff tape; it is the
+oracle the tests check these paths against.
 
 The head refit is the L2-penalized logistic-regression head of Tian et
 al. 2020 ("Rethinking Few-Shot Image Classification", arXiv 2003.11539):
@@ -37,10 +38,10 @@ refit is trained to convergence, and one that is not raises
 
 `episodic_vs_union_loss` is the executable form of the bound that the best
 union model upper-bounds episodic performance. Both sides are that fit's
-objective at its optimum: per-task heads against one global head, each
-fitted from zero. The inequality holds because the global head's
-restriction to a task's classes is a feasible per-task head with no
-larger objective, so it needs no warm start.
+objective at its optimum, the J the fit itself returns: per-task heads
+against one global head, each fitted from zero. The inequality holds
+because the global head's restriction to a task's classes is a feasible
+per-task head with no larger objective, so it needs no warm start.
 """
 
 from __future__ import annotations
@@ -57,11 +58,12 @@ from metalab.nets import (
     NumericalError,
     ParamVector,
     activations,
-    cross_entropy,
     cross_entropy_and_grad,
     cross_entropy_hvp,
     forward,
     layout_slices,
+    logit_signal,
+    softmax_cross_entropy,
 )
 from metalab.rng import integer
 from metalab.stats import ci95_halfwidth
@@ -364,20 +366,16 @@ def adapt(model: Model, support: Batch, steps: int, lr: float) -> Model:
     return _adapted_models(model, [support], steps, lr)[0]
 
 
-def _head_objective(xa: np.ndarray, onehot: np.ndarray,
-                    wa: np.ndarray) -> tuple[float, np.ndarray]:
-    """J = mean cross-entropy + (HEAD_L2/2)*||wa||^2 at `wa`, and the softmax."""
-    scores = xa @ wa
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1))
-    logp = shifted - logz[:, None]
-    value = (-float(np.mean((logp * onehot).sum(axis=1)))
-             + 0.5 * HEAD_L2 * float(np.sum(wa * wa)))
-    return value, np.exp(logp)
+def _head_objective(xa: np.ndarray, labels: np.ndarray,
+                    wa: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """J = mean cross-entropy + (HEAD_L2/2)*||wa||^2 at `wa`, the softmax, and its picks."""
+    probs = xa @ wa
+    loss, picks = softmax_cross_entropy(probs, labels)
+    return float(loss) + 0.5 * HEAD_L2 * float(np.sum(wa * wa)), probs, picks
 
 
 def _logistic_head_fit(features: np.ndarray, labels: np.ndarray,
-                       n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+                       n_classes: int) -> tuple[np.ndarray, np.ndarray, float]:
     """Damped Newton descent on L2-penalized multinomial logistic regression.
 
     Minimizes J(wa) = mean cross-entropy + (HEAD_L2/2)*||wa||^2 over the
@@ -386,22 +384,21 @@ def _logistic_head_fit(features: np.ndarray, labels: np.ndarray,
     unique and Newton converges to it quadratically. Each round builds the
     dense (f+1)*k Hessian, solves for the Newton direction and backtracks
     (Armijo) on J, so every accepted step lowers J. The fit stops when
-    max|grad J| <= HEAD_TOL; reaching HEAD_MAX_ITER above it, or a line
-    search that can no longer lower J, raises `NumericalError`.
+    max|grad J| <= HEAD_TOL and returns W, b and J there; reaching
+    HEAD_MAX_ITER above it, or a line search that can no longer lower J,
+    raises `NumericalError`. `labels` must lie in `[0, n_classes)`.
     """
     n, f = features.shape
     dim = (f + 1) * n_classes
     xa = np.hstack([features, np.ones((n, 1))])
     outer = np.einsum("ra,rb->rab", xa, xa)
     wa = np.zeros((f + 1, n_classes))
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), labels] = 1.0
     eye = np.eye(n_classes)
-    value, probs = _head_objective(xa, onehot, wa)
+    value, probs, picks = _head_objective(xa, labels, wa)
     diag = np.arange(dim)
     iterations = 0
     while True:
-        g = xa.T @ (probs - onehot) / n + HEAD_L2 * wa
+        g = xa.T @ logit_signal(probs.copy(), picks) + HEAD_L2 * wa
         gmax = float(np.abs(g).max())
         if gmax <= HEAD_TOL or iterations == HEAD_MAX_ITER:
             break
@@ -414,7 +411,7 @@ def _logistic_head_fit(features: np.ndarray, labels: np.ndarray,
         t = 1.0
         while t >= MIN_STEP:
             cand = wa + t * step
-            cand_value, cand_probs = _head_objective(xa, onehot, cand)
+            cand_value, cand_probs, _ = _head_objective(xa, labels, cand)
             if cand_value <= value + ARMIJO * t * slope:
                 break
             t *= 0.5
@@ -426,7 +423,27 @@ def _logistic_head_fit(features: np.ndarray, labels: np.ndarray,
         raise NumericalError(
             f"head fit stopped after {iterations} Newton iterations with "
             f"max|grad J| = {gmax:.3g} above tol {HEAD_TOL:g}")
-    return wa[:-1], wa[-1]
+    return wa[:-1], wa[-1], value
+
+
+def _refit_head(model: Model, support: Batch,
+                n_classes: int | None) -> tuple[Model, float]:
+    """`fit_head`'s model, and the objective J its head stopped at."""
+    if len(support) == 0:
+        raise ValueError("fit_head needs a nonempty support set")
+    labels = support.labels
+    top = int(labels.max())  # a Batch's labels are nonnegative
+    width = top + 1 if n_classes is None else int(n_classes)
+    if width < 2:
+        raise ValueError("head needs at least 2 classes")
+    if top >= width:
+        raise ValueError(f"support labels {sorted(set(labels[labels >= width].tolist()))} "
+                         f"lie outside [0, {width})")
+    features = model.body_features(support.inputs)
+    w, b, value = _logistic_head_fit(features, labels, width)
+    new_spec = NetSpec(model.spec.input_dim, model.spec.hidden_dims, width)
+    flat = np.concatenate([model.body_values(), w.ravel(), b])
+    return Model(new_spec, ParamVector(flat, new_spec.layout())), value
 
 
 def fit_head(model: Model, support: Batch, n_classes: int | None = None) -> Model:
@@ -438,19 +455,10 @@ def fit_head(model: Model, support: Batch, n_classes: int | None = None) -> Mode
     optimum finite and unique even on separable supports, and a fit that
     does not reach HEAD_TOL within HEAD_MAX_ITER Newton rounds raises
     `NumericalError`. The head width defaults to the number of label
-    values in `support`.
+    values in `support`; a support label outside `[0, n_classes)` raises
+    ValueError naming it, before any fitting.
     """
-    if len(support) == 0:
-        raise ValueError("fit_head needs a nonempty support set")
-    labels = support.labels
-    width = int(labels.max()) + 1 if n_classes is None else int(n_classes)
-    if width < 2:
-        raise ValueError("head needs at least 2 classes")
-    features = model.body_features(support.inputs)
-    w, b = _logistic_head_fit(features, labels, width)
-    new_spec = NetSpec(model.spec.input_dim, model.spec.hidden_dims, width)
-    flat = np.concatenate([model.body_values(), w.ravel(), b])
-    return Model(new_spec, ParamVector(flat, new_spec.layout()))
+    return _refit_head(model, support, n_classes)[0]
 
 
 def _accuracy(model: Model, batch: Batch) -> float:
@@ -504,23 +512,13 @@ def model_l2_norm(model: Model) -> float:
     return float(np.linalg.norm(model.params.values))
 
 
-def _head_fit_objective(model: Model, batch: Batch) -> float:
-    """The J that `fit_head` minimizes, at `model`'s head on `batch`.
-
-    Mean cross-entropy + (HEAD_L2/2)*||[W; b]||^2, bias included.
-    """
-    w, b = model.head()
-    loss = cross_entropy(forward(model.spec, model.params, batch.inputs), batch.labels)
-    return loss + 0.5 * HEAD_L2 * float(np.sum(w * w) + np.sum(b * b))
-
-
 def episodic_vs_union_loss(model: Model, benchmark: Benchmark,
                            tasks: Sequence[FewShotTask]) -> tuple[float, float]:
     """The per-task head objective against the one-global-head objective.
 
     Both sides are the objective J = mean cross-entropy +
-    (HEAD_L2/2)*||[W; b]||^2 of `fit_head`, at its fitted head (body
-    frozen):
+    (HEAD_L2/2)*||[W; b]||^2 of `fit_head`, as the fit returns it at the
+    head it stopped at (body frozen):
 
     - union: J of one global head fitted on every task's query rows,
       pooled under their global labels (`benchmark.total_classes` wide);
@@ -545,8 +543,6 @@ def episodic_vs_union_loss(model: Model, benchmark: Benchmark,
         np.concatenate([t.query.inputs for t in tasks]),
         np.concatenate([np.asarray(t.class_ids, dtype=np.int64)[t.query.labels]
                         for t in tasks]))
-    union = _head_fit_objective(
-        fit_head(model, pooled, n_classes=benchmark.total_classes), pooled)
-    episodic = [_head_fit_objective(fit_head(model, t.query, n_classes=t.n_way), t.query)
-                for t in tasks]
+    union = _refit_head(model, pooled, benchmark.total_classes)[1]
+    episodic = [_refit_head(model, t.query, t.n_way)[1] for t in tasks]
     return float(np.average(episodic, weights=[len(t.query) for t in tasks])), union

@@ -14,6 +14,9 @@ closed-form gradient) and `cross_entropy_hvp` (a Hessian-vector product by
 Pearlmutter's R-operator); every training and adaptation gradient runs on
 them. `forward_t` is the traced pass on the autodiff tape
 (`metalab.autodiff`), the oracle both are tested against; demo 01 shows it.
+The kernel, the head refit and the Fisher posterior share the one softmax
+cross-entropy outside the tape, `softmax_cross_entropy` (with
+`logit_signal`, its gradient at the logits).
 
 Losses for the tape are callables over a dict of named parameter
 `Tensor`s; `net_loss` builds the standard cross-entropy objective from a
@@ -259,78 +262,64 @@ def forward(spec: NetSpec, params: ParamVector | np.ndarray, inputs: np.ndarray)
     return activations(spec, params, inputs)[-1]
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, shift-stabilized."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Mean negative log-softmax of the true class."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be 2-d, got {logits.shape}")
-    if logits.shape[0] == 0:
-        raise ValueError("cross_entropy of an empty batch is undefined")
-    if labels.min() < 0 or labels.max() >= logits.shape[1]:
-        raise ValueError(
-            f"labels outside [0, {logits.shape[1]}) for logits width {logits.shape[1]}")
-    shift = logits.max(axis=1, keepdims=True)
-    lse = shift[:, 0] + np.log(np.exp(logits - shift).sum(axis=1))
-    return float(np.mean(lse - logits[np.arange(len(labels)), labels]))
-
-
 # ---------------------------------------------------------------------------
-# the training kernel, over the outputs of `activations`
+# the softmax cross-entropy, and the training kernel over `activations`
 # ---------------------------------------------------------------------------
 
 
-def _checked_batch(spec: NetSpec, inputs: np.ndarray,
-                   labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`inputs` `(..., n, d)` and `labels` `(..., n)` as float64/int64, checked."""
-    inputs = np.asarray(inputs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if inputs.ndim < 2 or labels.shape != inputs.shape[:-1]:
-        raise ShapeError(
-            f"labels of shape {labels.shape} do not match inputs of shape {inputs.shape}")
-    if inputs.shape[-2] == 0:
-        raise ValueError("cross_entropy of an empty batch is undefined")
-    if labels.min() < 0 or labels.max() >= spec.output_dim:
-        raise ValueError(
-            f"labels outside [0, {spec.output_dim}) for logits width {spec.output_dim}")
-    return inputs, labels
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray | None = None
+                          ) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
+    """Per-batch mean cross-entropy of float64 `logits` `(..., n, k)`; leaves the softmax there.
 
-
-def _softmax_loss(logits: np.ndarray,
-                  labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-batch mean cross-entropy of `logits` `(..., n, k)`; leaves the softmax there.
-
-    Overwrites `logits` with its row-wise softmax and returns the loss and
-    the flat indices of the true-class logits in the raveled array.
-    Raises `NumericalError` on a non-finite loss.
+    Shift-stabilized: exp(z - max z), its row sums s, the softmax as their
+    quotient, log-sum-exp = log s + max z. With `labels` `(..., n)`, which
+    the caller keeps in `[0, k)`, returns the loss (shape `...`) and
+    `picks`, the flat indices of the true-class entries in the raveled
+    array, for `logit_signal`; a non-finite loss raises `NumericalError`.
+    Without labels it returns `(None, None)`, and the caller checks the
+    softmax.
     """
+    if logits.ndim < 2:
+        raise ShapeError(f"logits must be at least 2-d, got {logits.shape}")
     n, k = logits.shape[-2:]
-    picks = np.arange(labels.size) * k + labels.reshape(-1)
-    picked = logits.reshape(-1)[picks].reshape(labels.shape)
+    if labels is not None:
+        if labels.shape != logits.shape[:-1]:
+            raise ShapeError(
+                f"labels of shape {labels.shape} do not match logits of shape {logits.shape}")
+        if n == 0:
+            raise ValueError("cross_entropy of an empty batch is undefined")
+        picks = np.arange(labels.size) * k + labels.reshape(-1)
+        picked = logits.reshape(-1)[picks].reshape(labels.shape)
     shift = logits.max(axis=-1, keepdims=True)
     logits -= shift
     np.exp(logits, out=logits)
     sumexp = logits.sum(axis=-1)
+    logits /= sumexp[..., None]
+    if labels is None:
+        return None, None
     per_row = np.log(sumexp) + shift[..., 0] - picked
     loss = per_row.sum(axis=-1) * (1.0 / n)
     if not np.all(np.isfinite(loss)):
         raise NumericalError("loss evaluated to a non-finite value")
-    logits /= sumexp[..., None]
     return loss, picks
 
 
-def _logit_signal(probs: np.ndarray, picks: np.ndarray) -> np.ndarray:
-    """d loss / d logits = (softmax - onehot) / n, built in place of `probs`."""
+def logit_signal(probs: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """d loss / d logits = (softmax - one-hot labels) / n, built in place of the softmax."""
     probs.reshape(-1)[picks] -= 1.0
     probs *= 1.0 / probs.shape[-2]
     return probs
+
+
+def _checked_batch(spec: NetSpec, inputs: np.ndarray,
+                   labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`inputs` and `labels` as float64/int64; a label outside `[0, output_dim)` raises."""
+    inputs = np.asarray(inputs, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.size and (labels.min() < 0 or labels.max() >= spec.output_dim):
+        raise ValueError(
+            f"labels outside [0, {spec.output_dim}) for logits width {spec.output_dim}")
+    return inputs, labels
 
 
 def _checked_output(spec: NetSpec, blocks: list[np.ndarray], lead: tuple[int, ...],
@@ -365,8 +354,8 @@ def cross_entropy_and_grad(spec: NetSpec, flat: np.ndarray, inputs: np.ndarray,
     layers = _layers(spec, flat, lead)
     acts = _outputs(spec, layers, inputs)
     masks = relu_masks(acts)
-    loss, picks = _softmax_loss(acts[-1], labels)
-    signal = _logit_signal(acts[-1], picks)
+    loss, picks = softmax_cross_entropy(acts[-1], labels)
+    signal = logit_signal(acts[-1], picks)
     blocks = []
     for i in range(spec.num_layers - 1, -1, -1):
         blocks += [np.sum(signal, axis=-2), np.swapaxes(acts[i], -1, -2) @ signal]
@@ -402,7 +391,7 @@ def cross_entropy_hvp(spec: NetSpec, flat: np.ndarray, vec: np.ndarray, inputs: 
     dirs = _layers(spec, vec, lead)
     acts = _outputs(spec, layers, inputs)
     masks = relu_masks(acts)
-    _, picks = _softmax_loss(acts[-1], labels)
+    _, picks = softmax_cross_entropy(acts[-1], labels)
     last = spec.num_layers - 1
     # r_acts[i] is R(z_i), masked below the top into R(a_{i+1})
     r_acts: list[np.ndarray] = []
@@ -421,7 +410,7 @@ def cross_entropy_hvp(spec: NetSpec, flat: np.ndarray, vec: np.ndarray, inputs: 
     r_signal -= np.sum(probs * r_signal, axis=-1, keepdims=True)
     r_signal *= probs
     r_signal *= 1.0 / inputs.shape[-2]
-    signal = _logit_signal(probs, picks)
+    signal = logit_signal(probs, picks)
     blocks = []
     for i in range(last, -1, -1):
         w_out = np.swapaxes(acts[i], -1, -2) @ r_signal

@@ -21,8 +21,9 @@ Implementation choices that matter for comparing numbers:
   is that of the converged head.
 
 The in-module FIM is a closed-form layer-by-layer computation (squared
-backprop signals over the outputs of `nets.activations`); the test suite
-certifies it against a brute-force autodiff loop over (example, class) pairs.
+backprop signals over the outputs of `nets.activations`, the posterior
+from `nets.softmax_cross_entropy`); the test suite certifies it against a
+brute-force autodiff loop over (example, class) pairs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from metalab.learners import Model, TrainConfig, TrainResult, fit_head, train_pt
-from metalab.nets import Batch, NetSpec, activations, relu_masks, softmax
+from metalab.nets import Batch, NetSpec, activations, relu_masks, softmax_cross_entropy
 from metalab.stats import ci95_halfwidth
 from metalab.tasks import Benchmark, FewShotTask, sample_task
 
@@ -169,7 +170,8 @@ def _fim_diag_body(model: Model, batch: Batch) -> np.ndarray:
     acts = activations(spec, model.params, batch.inputs)
     masks = relu_masks(acts)
     w_head = segs[f"W{n_layers - 1}"]
-    probs = softmax(acts[-1])
+    probs = acts[-1]
+    softmax_cross_entropy(probs)  # the logits become the posterior in place
     if not np.all(np.isfinite(probs)):
         bad = int(np.argwhere(~np.isfinite(probs).all(axis=1))[0][0])
         raise EmbeddingError(f"non-finite posterior at example {bad}")

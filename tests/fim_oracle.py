@@ -1,15 +1,16 @@
 """Brute-force oracle for the body's Fisher-information diagonal."""
 
 import numpy as np
+import scipy.special
 
 from metalab.learners import Model
-from metalab.nets import Batch, forward, loss_and_grad, net_loss, softmax
+from metalab.nets import Batch, forward, loss_and_grad, net_loss
 
 
 def brute_fim_body(model: Model, batch: Batch) -> np.ndarray:
     """Posterior-weighted squared score, one autodiff pass per (example, class)."""
     spec = model.spec
-    probs = softmax(forward(spec, model.params, batch.inputs))
+    probs = scipy.special.softmax(forward(spec, model.params, batch.inputs), axis=1)
     fim = np.zeros(len(model.params))
     for i in range(len(batch)):
         for c in range(spec.output_dim):

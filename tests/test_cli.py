@@ -267,6 +267,26 @@ def test_diversity_verb_rejects_single_task(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("verb", ["run", "suite", "reproduce-tables", "diversity", "report"])
+def test_an_out_path_naming_a_file_fails_at_a_stage(tmp_path, capsys, verb):
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
+    cfg = _tiny_config(diversity_tasks=0, histogram_tasks=0)
+    cfg_path = _write_yaml(cfg_dir, cfg if verb != "diversity" else _tiny_config())
+    if verb == "report":
+        harness.run_suite([cfg], out_root=tmp_path / "runs")
+    afile = tmp_path / "afile"
+    afile.write_text("not a directory\n", encoding="utf-8")
+    argv = {"run": ["run", str(cfg_path)],
+            "suite": ["suite", str(cfg_dir)],
+            "reproduce-tables": ["reproduce-tables"],
+            "diversity": ["diversity", str(cfg_path)],
+            "report": ["report", str(tmp_path / "runs")]}[verb]
+    assert main(argv + ["--out", str(afile)]) == 1
+    assert "failed at stage" in capsys.readouterr().err
+    assert afile.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_console_entry_point_runs_in_a_subprocess(tmp_path, child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "metalab", "reproduce-tables",
@@ -306,6 +326,16 @@ def test_console_entry_point_runs_in_a_subprocess(tmp_path, child_env):
     ("benchmark", {"seed": 0, "sources": [{"num_classes": 10.9, "input_dim": 3,
                                            "mean_scale": 2.0, "class_spread": 1.0}]},
      "num_classes"),
+    # overrides that the leg's training never reads
+    ("pt", {"inner_lr": 0.3}, "pt leg never reads inner_lr"),
+    ("pt", {"inner_steps_train": 7}, "pt leg never reads inner_steps_train"),
+    ("pt", {"meta_batch": 99}, "pt leg never reads meta_batch"),
+    ("maml", {"examples_per_class": 999}, "maml leg never reads examples_per_class"),
+    # a task count is 0 (disabled) or at least 2
+    ("diversity_tasks", -3, "diversity needs at least 2 tasks: diversity_tasks=-3"),
+    ("diversity_tasks", 1, "diversity needs at least 2 tasks: diversity_tasks=1"),
+    ("histogram_tasks", -1, "histogram needs at least 2 tasks: histogram_tasks=-1"),
+    ("histogram_tasks", 1, "histogram needs at least 2 tasks: histogram_tasks=1"),
 ])
 def test_run_refuses_a_bad_config_at_config_stage(tmp_path, capsys, key, value, named):
     with pytest.raises(ValueError, match=named):

@@ -42,7 +42,6 @@ from metalab.nets import (
     NetSpec,
     NumericalError,
     ParamVector,
-    cross_entropy,
     cross_entropy_and_grad,
     forward,
     loss_and_grad,
@@ -204,6 +203,16 @@ def test_fit_head_width_override_and_validation():
         fit_head(model, Batch(np.zeros((0, 2)), np.zeros(0, dtype=int)))
     with pytest.raises(ValueError):
         fit_head(model, Batch(np.zeros((3, 2)), np.zeros(3, dtype=int)))  # width 1
+
+
+def test_fit_head_refuses_a_label_outside_its_width():
+    # The refit's cross-entropy reads each row's true-class entry by flat
+    # index, so label 3 of a 3-wide head would read the next row's logit.
+    support = _overlapping_batch(0, n_per_class=2)
+    support = Batch(support.inputs, np.array([3, 0, 1, 2, 0, 1]))
+    model = Model(NetSpec(2, (), 2), NetSpec(2, (), 2).init(0))
+    with pytest.raises(ValueError, match=r"labels \[3\] lie outside \[0, 3\)"):
+        fit_head(model, support, n_classes=3)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +703,7 @@ def test_episodic_side_is_the_penalized_objective_on_separable_queries(seed):
         logits = forward(fitted.spec, fitted.params, task.query.inputs)
         assert np.array_equal(np.argmax(logits, axis=1), task.query.labels)
         w, b = fitted.head()
-        objectives.append(cross_entropy(logits, task.query.labels)
+        objectives.append(_ce(logits, task.query.labels)
                           + HEAD_L2 / 2 * (np.sum(w * w) + np.sum(b * b)))
         rows.append(len(task.query))
     assert episodic == pytest.approx(np.average(objectives, weights=rows), rel=1e-12)

@@ -24,7 +24,6 @@ from metalab.nets import (
     ParamVector,
     ShapeError,
     activations,
-    cross_entropy,
     cross_entropy_and_grad,
     cross_entropy_hvp,
     finite_diff_grad,
@@ -34,7 +33,7 @@ from metalab.nets import (
     loss_and_grad_through_updates,
     net_loss,
     params_to_leaves,
-    softmax,
+    softmax_cross_entropy,
 )
 
 
@@ -155,11 +154,26 @@ def test_stacked_activations_are_separate_calls_bitwise(seed):
         activations(spec, shared[:-1], inputs)
 
 
+def _scipy_ce(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Mean negative log-softmax of the true class, by scipy."""
+    logp = scipy.special.log_softmax(logits, axis=-1)
+    return -float(np.mean(logp[np.arange(len(labels)), labels]))
+
+
+def _ce(logits: np.ndarray, labels: np.ndarray) -> float:
+    """`softmax_cross_entropy` on a copy of `logits`, as a float."""
+    loss, _ = softmax_cross_entropy(np.array(logits, dtype=np.float64), np.asarray(labels))
+    return float(loss)
+
+
 def test_softmax_rows_sum_to_one_and_survive_large_logits():
     logits = np.array([[1000.0, 999.0, 0.0], [-1000.0, -999.0, -998.0]])
-    p = softmax(logits)
-    assert np.all(np.isfinite(p))
-    np.testing.assert_allclose(p.sum(axis=1), [1.0, 1.0], rtol=1e-12)
+    for labels in (np.array([0, 2]), None):
+        p = logits.copy()
+        softmax_cross_entropy(p, labels)
+        assert np.all(np.isfinite(p))
+        np.testing.assert_allclose(p.sum(axis=1), [1.0, 1.0], rtol=1e-12)
+        np.testing.assert_allclose(p, scipy.special.softmax(logits, axis=1), rtol=1e-12)
 
 
 @given(n=st.integers(1, 8), k=st.integers(2, 5), seed=st.integers(0, 10**6))
@@ -168,17 +182,15 @@ def test_cross_entropy_matches_scipy_log_softmax(n, k, seed):
     gen = np.random.default_rng(seed)
     logits = gen.normal(scale=5.0, size=(n, k))
     labels = gen.integers(0, k, size=n)
-    want = -float(np.mean(scipy.special.log_softmax(logits, axis=1)[np.arange(n), labels]))
-    assert cross_entropy(logits, labels) == pytest.approx(want, rel=1e-12)
+    assert _ce(logits, labels) == pytest.approx(_scipy_ce(logits, labels), rel=1e-12)
 
 
 def test_cross_entropy_is_stable_for_extreme_logits():
     logits = np.array([[1000.0, 0.0], [-1000.0, 0.0]])
     labels = np.array([0, 0])
-    want = -float(np.mean(scipy.special.log_softmax(logits, axis=1)[[0, 1], labels]))
-    got = cross_entropy(logits, labels)
+    got = _ce(logits, labels)
     assert np.isfinite(got)
-    assert got == pytest.approx(want, rel=1e-12)
+    assert got == pytest.approx(_scipy_ce(logits, labels), rel=1e-12)
 
 
 def test_uniform_logits_cost_log_k():
@@ -188,16 +200,19 @@ def test_uniform_logits_cost_log_k():
         zero = ParamVector(np.zeros(spec.param_count()), spec.layout())
         batch = _random_batch(spec, 20, k)
         logits = forward(spec, zero, batch.inputs)
-        assert cross_entropy(logits, batch.labels) == pytest.approx(np.log(k), rel=1e-12)
+        assert _ce(logits, batch.labels) == pytest.approx(np.log(k), rel=1e-12)
 
 
 def test_cross_entropy_validation():
     with pytest.raises(ShapeError):
-        cross_entropy(np.zeros(3), np.array([0]))
+        softmax_cross_entropy(np.zeros(3), np.array([0]))
+    with pytest.raises(ShapeError):
+        softmax_cross_entropy(np.zeros((2, 2)), np.array([0]))
     with pytest.raises(ValueError):
-        cross_entropy(np.zeros((0, 2)), np.array([], dtype=int))
-    with pytest.raises(ValueError):
-        cross_entropy(np.zeros((2, 2)), np.array([0, 2]))
+        softmax_cross_entropy(np.zeros((0, 2)), np.array([], dtype=int))
+    # It reads labels as flat picks, unchecked: its callers refuse a label
+    # outside [0, k) (test_kernel_validates_shapes_and_labels and
+    # test_fit_head_refuses_a_label_outside_its_width).
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +225,7 @@ def test_net_loss_value_agrees_with_untraced_path():
     params = _random_params(spec, 3)
     batch = _random_batch(spec, 12, 4)
     traced = net_loss(spec, batch)(params_to_leaves(params)).item()
-    plain = cross_entropy(forward(spec, params, batch.inputs), batch.labels)
+    plain = _scipy_ce(forward(spec, params, batch.inputs), batch.labels)
     assert traced == pytest.approx(plain, rel=1e-14)
 
 
@@ -233,7 +248,7 @@ def test_loss_and_grad_returns_matching_value():
     loss_fn = net_loss(spec, batch)
     value, g = loss_and_grad(loss_fn, params)
     assert value == pytest.approx(
-        cross_entropy(forward(spec, params, batch.inputs), batch.labels))
+        _scipy_ce(forward(spec, params, batch.inputs), batch.labels))
     assert g.layout == params.layout
     assert np.array_equal(g.values, loss_and_grad(loss_fn, params)[1].values)
 

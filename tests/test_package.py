@@ -1,4 +1,5 @@
-"""Package hygiene: exports resolve and no module imports a name it never uses."""
+"""Package hygiene: exports resolve, and no module imports a name it never uses
+or another metalab module's private name."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,26 @@ def test_the_unused_import_scan_sees_one():
     tree = ast.parse("import os\nfrom math import pi, tau\nprint(pi)\n")
     assert _unused_imports(tree) == ["os (line 1)", "tau (line 2)"]
 
+
+def _private_imports(tree: ast.Module, module: str) -> list[str]:
+    """`from metalab.<other> import _name` statements: another module's private names.
+
+    `module` is the scanned module's own name, whose private names it may import.
+    """
+    return sorted(f"{node.module}.{alias.name} (line {node.lineno})"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and node.module
+                  and node.module.startswith("metalab.") and node.module != f"metalab.{module}"
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_no_private_name_of_another_module(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _private_imports(tree, path.stem) == []
+
+
+def test_the_private_import_scan_sees_one():
+    tree = ast.parse("from metalab.nets import forward, _layers\n"
+                     "from metalab.learners import _train\nfrom os import _exit\n")
+    assert _private_imports(tree, "learners") == ["metalab.nets._layers (line 1)"]
