@@ -60,7 +60,6 @@ def _apply_overrides(config: ExperimentConfig,
     d = config.to_dict()
     if getattr(args, "seed", None) is not None:
         d["seed"] = args.seed
-        d["init_seed"] = d["task_seed"] = d["diversity_seed"] = None
     if getattr(args, "meta_batch", None) is not None:
         d["meta_batch"] = args.meta_batch
     if getattr(args, "diversity_tasks", None) is not None:
@@ -143,9 +142,12 @@ def _cmd_diversity(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args)
     if not config.diversity_tasks:
         raise HarnessError("config", "diversity needs at least 2 tasks")
+    table = None if args.out is None else Path(args.out) / "diversity.csv"
     with harness._stage("build-benchmark"):
         benchmark = config.benchmark.build()
     with harness._stage("diversity"):
+        if table is not None:  # a bad --out is refused before any embedding
+            table.parent.mkdir(parents=True, exist_ok=True)
         report, histogram = harness.measure_diversity(config, benchmark)
     print(f"diversity: {report.coefficient:.6f} +/- {report.ci95_halfwidth:.6f} "
           f"({report.num_tasks} tasks, {report.num_pairs} pairs)")
@@ -153,10 +155,8 @@ def _cmd_diversity(args: argparse.Namespace) -> int:
     if histogram is not None:
         for part, mean in sorted(histogram.partition_means.items()):
             print(f"partition {part}: mean distance {mean:.6f}")
-    if args.out is not None:
-        table = Path(args.out) / "diversity.csv"
+    if table is not None:
         with harness._stage("diversity"):
-            table.parent.mkdir(parents=True, exist_ok=True)
             harness.write_diversity_table(table, [(config.name, report)])
         print(f"table: {table}")
     return 0

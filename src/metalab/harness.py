@@ -10,15 +10,16 @@ executes that pipeline and persists a `RunRecord`; `emit_report` renders
 any number of records into decision tables, grouped summaries, histogram
 files, and a plain-text digest (`run_lines` is one run's block of it,
 which `metalab run` prints); `reproduce_decisions` replays the effect-size
-rule over externally reported tables and flags mismatches. Tables go
-through `stats.write_table` and `stats.read_table`.
+rule over externally reported tables and flags mismatches. Tables are
+written through `stats.write_table`; reported tables are read through
+`refdata.load_rows`.
 
 The pipeline's stages, in order: persist (a run directory that already
 holds record.json is refused before any training), build-benchmark,
 train-pt, train-maml, meta-test, diversity (`measure_diversity`, which the
 CLI's diversity verb also runs), decide, persist (the record is written).
 Each runs under one guard that turns a failure into a HarnessError naming
-the stage. A pt probe with the PT leg's seed and widths is the PT leg
+the stage. A pt probe with the PT leg's widths is the PT leg
 (`ExperimentConfig.probe_config`), as in the low-diversity preset: the
 diversity stage then embeds with the PT leg's model and trains nothing.
 
@@ -26,10 +27,7 @@ Configuration document (YAML) schema, with defaults:
 
     name: lowdiv-0         # required; also names the run directory
     regime: all            # report grouping label, e.g. lowdiv / highdiv
-    seed: 0                # root seed; the specific seeds below default to it
-    init_seed: null        # model init + training episode draws
-    task_seed: null        # meta-test episode draws
-    diversity_seed: null   # probe training + diversity episode draws
+    seed: 0                # every draw of the run: init, episodes, probe
     maml_order: fo         # fo | ho (first- vs higher-order outer gradient)
     hidden_dims: [32]      # shared body architecture for both methods
     n_way: 5
@@ -51,9 +49,10 @@ Configuration document (YAML) schema, with defaults:
           input_dim: 8     # required
           mean_scale: 2.0  # required
           class_spread: 1.0  # required
-          seed: null       # default: benchmark seed * 1000 + source index
           offset: null     # optional translation added to every class mean
           name: null       # default: gauss<seed>x<num_classes>
+
+Source i draws from `benchmark.seed * 1000 + i`.
 
 `pt:` / `maml:` may override any TrainConfig field except method, seed,
 hidden_dims, and the episode shape (those are pinned by the experiment so
@@ -195,30 +194,24 @@ def _or_empty(overrides: Mapping | None) -> Mapping:
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Recipe for one Gaussian source (serializable, seed included)."""
+    """Recipe for one Gaussian source; its benchmark supplies the seed."""
 
     num_classes: int
     input_dim: int
     mean_scale: float
     class_spread: float
-    seed: int | None = None
     offset: tuple[float, ...] | None = None
     name: str | None = None
 
     def __post_init__(self):
         for attr in ("num_classes", "input_dim"):
             object.__setattr__(self, attr, integer(getattr(self, attr), attr))
-        if self.seed is not None:
-            object.__setattr__(self, "seed", integer(self.seed, "source seed"))
-            if self.seed < 0:
-                raise ValueError(f"source seed must be nonnegative, got {self.seed}")
         if self.offset is not None:
             object.__setattr__(self, "offset", tuple(float(v) for v in self.offset))
             if len(self.offset) != self.input_dim:
                 raise ValueError("offset length must equal input_dim")
 
-    def build(self, default_seed: int) -> Source:
-        seed = self.seed if self.seed is not None else default_seed
+    def build(self, seed: int) -> Source:
         src = make_source(seed, self.num_classes, self.input_dim,
                           self.mean_scale, self.class_spread, name=self.name)
         if self.offset is not None:
@@ -236,7 +229,7 @@ class SourceSpec:
 
 @dataclass(frozen=True, kw_only=True)
 class BenchmarkSpec:
-    """Recipe for a benchmark: sources plus a seed for unseeded ones.
+    """Recipe for a benchmark: sources plus the seed they draw from.
 
     Fields are declared in the order config.yaml lists them.
     """
@@ -270,25 +263,23 @@ class BenchmarkSpec:
 class ExperimentConfig:
     """Everything one comparison run needs; round-trips through YAML.
 
-    The three specific seeds default to the root `seed`; no seed may be
-    negative, and a seed or count that is not an integer (a float or a
-    bool) is refused, not truncated. At the default `task_seed ==
-    diversity_seed` the diversity episodes are the first meta-test
-    episodes: both draw `(seed, i)` (ROADMAP item 4). The `TrainConfig`s
-    of both legs and of the pt probe are built here, by one builder
-    (`_leg_config`, which pins their seed, widths and episode shape), so
-    a bad setting fails before training. A probe with the PT leg's seed
-    and widths is the PT leg (`probe_config`), and `run_comparison`
-    embeds with the leg's model. Fields are declared in the order
-    config.yaml lists them.
+    Every draw of the run keys off `seed`: the init of both legs, the
+    meta-test episodes, the probe, and the diversity and histogram
+    episodes (the benchmark's sources draw from `benchmark.seed`). The
+    seed may not be negative, and a seed or count that is not an integer
+    (a float or a bool) is refused, not truncated. The diversity episodes
+    are the first meta-test episodes: both draw `(seed, i)` (ROADMAP item
+    4). The `TrainConfig`s of both legs and of the pt probe are built
+    here, by one builder (`_leg_config`, which pins their seed, widths and
+    episode shape), so a bad setting fails before training. A probe with
+    the PT leg's widths is the PT leg (`probe_config`), and
+    `run_comparison` embeds with the leg's model. Fields are declared in
+    the order config.yaml lists them.
     """
 
     name: str
     regime: str = "all"
     seed: int = 0
-    init_seed: int | None = None
-    task_seed: int | None = None
-    diversity_seed: int | None = None
     maml_order: str = "fo"
     hidden_dims: tuple[int, ...] = (32,)
     n_way: int = 5
@@ -316,10 +307,6 @@ class ExperimentConfig:
         for attr in ("hidden_dims", "probe_hidden_dims", "eval_steps"):
             object.__setattr__(self, attr, tuple(
                 integer(v, attr) for v in getattr(self, attr)))
-        for attr in ("init_seed", "task_seed", "diversity_seed"):
-            value = getattr(self, attr)
-            object.__setattr__(self, attr,
-                               self.seed if value is None else integer(value, attr))
         if not self.eval_steps:
             raise ValueError("eval_steps must be nonempty")
         if any(s < 0 for s in self.eval_steps):
@@ -339,9 +326,8 @@ class ExperimentConfig:
             if count != 0 and count < 2:
                 raise ValueError(f"{what} needs at least 2 tasks: {attr}={count} "
                                  "(0 disables it)")
-        for attr in ("seed", "init_seed", "task_seed", "diversity_seed"):
-            if getattr(self, attr) < 0:
-                raise ValueError(f"seeds must be nonnegative, got {attr}={getattr(self, attr)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got seed={self.seed}")
         for leg, overrides, build in (("pt", self.pt, self.pt_config),
                                       ("maml", self.maml, self.maml_config),
                                       ("probe", {}, self.probe_config)):
@@ -359,32 +345,29 @@ class ExperimentConfig:
             except (TypeError, ValueError) as err:
                 raise ValueError(f"{leg} leg: {err}") from err
 
-    def _leg_config(self, method: str, seed: int, hidden_dims: tuple[int, ...],
+    def _leg_config(self, method: str, hidden_dims: tuple[int, ...],
                     overrides: Mapping) -> TrainConfig:
         """A leg's `TrainConfig`: seed, widths and episode shape pinned here."""
-        return TrainConfig(method=method, seed=seed, hidden_dims=hidden_dims,
+        return TrainConfig(method=method, seed=self.seed, hidden_dims=hidden_dims,
                            n_way=self.n_way, k_shot=self.k_shot,
                            q_query=self.q_query, **overrides)
 
     def pt_config(self) -> TrainConfig:
-        return self._leg_config("pt", self.init_seed, self.hidden_dims, self.pt)
+        return self._leg_config("pt", self.hidden_dims, self.pt)
 
     def maml_config(self) -> TrainConfig:
-        return self._leg_config(f"{self.maml_order}_maml", self.init_seed,
-                                self.hidden_dims, self.maml)
+        return self._leg_config(f"{self.maml_order}_maml", self.hidden_dims, self.maml)
 
     def probe_config(self) -> TrainConfig:
         """The pt probe's training run.
 
-        A probe with the PT leg's seed and widths is the PT leg: when
-        `(diversity_seed, probe_hidden_dims) == (init_seed, hidden_dims)`
-        this is `pt_config()`. Any other probe trains on `TrainConfig`
-        defaults at its own seed and widths.
+        A probe with the PT leg's widths is the PT leg: when
+        `probe_hidden_dims == hidden_dims` this is `pt_config()`. Any other
+        probe trains on `TrainConfig` defaults at `seed` and its own widths.
         """
-        if (self.diversity_seed, self.probe_hidden_dims) == (self.init_seed,
-                                                             self.hidden_dims):
+        if self.probe_hidden_dims == self.hidden_dims:
             return self.pt_config()
-        return self._leg_config("pt", self.diversity_seed, self.probe_hidden_dims, {})
+        return self._leg_config("pt", self.probe_hidden_dims, {})
 
     def to_dict(self) -> dict:
         return _plain(self)
@@ -582,7 +565,7 @@ def run_comparison(config: ExperimentConfig,
 
     with _stage("meta-test", run_dir):
         tasks = [sample_task(benchmark, "test", config.n_way, config.k_shot,
-                             config.q_query, (config.task_seed, i))
+                             config.q_query, (config.seed, i))
                  for i in range(config.meta_batch)]
         evals: dict[str, EvalResult] = {
             "pt": meta_test(pt_result.model, "pt_head_refit", tasks)
@@ -644,7 +627,7 @@ def measure_diversity(config: ExperimentConfig, benchmark: Benchmark,
     of 0 skips that result (None), and the probe is built only if one of
     them runs. The config is the only source of both counts (the CLI's
     `diversity --meta-batch N` sets `diversity_tasks` in it). Everything
-    draws from `config.diversity_seed`. The pt probe trains on
+    draws from `config.seed`. The pt probe trains on
     `config.probe_config()`. When that is `config.pt_config()`, the probe
     is the PT leg: `pt_run`, the leg's run on `benchmark`, serves as the
     probe untrained (`run_comparison` passes it). Without it (the CLI's
@@ -653,19 +636,18 @@ def measure_diversity(config: ExperimentConfig, benchmark: Benchmark,
     """
     if not (config.diversity_tasks or config.histogram_tasks):
         return None, None
-    seed = config.diversity_seed
     probe_cfg = config.probe_config()
     is_pt_leg = config.probe_method == "pt" and probe_cfg == config.pt_config()
-    probe = build_probe(benchmark, seed, config=probe_cfg, method=config.probe_method,
-                        trained=pt_run if is_pt_leg else None)
+    probe = build_probe(benchmark, config.seed, config=probe_cfg,
+                        method=config.probe_method, trained=pt_run if is_pt_leg else None)
     episode = dict(n_way=config.n_way, k_shot=config.k_shot, q_query=config.q_query)
     diversity = histogram = None
     if config.diversity_tasks:
         diversity = diversity_coefficient(probe, benchmark, config.diversity_tasks,
-                                          seed, **episode)
+                                          config.seed, **episode)
     if config.histogram_tasks:
         histogram = distance_histogram(probe, benchmark, config.histogram_tasks,
-                                       config.histogram_bins, seed, **episode)
+                                       config.histogram_bins, config.seed, **episode)
     return diversity, histogram
 
 
@@ -722,25 +704,25 @@ def reproduce_decisions(es_table: str | Path,
     match=None. A table without its required columns raises ValueError
     naming them.
     """
-    es_rows = stats.read_table(es_table, ("group", "dataset", "variant", "es", "verdict"))
-    delta_rows = stats.read_table(delta_table, ("group", "dataset", "variant", "delta"))
-    deltas = {(r["group"], r["dataset"], r["variant"]): float(r["delta"])
-              for r in delta_rows}
+    # imported here: building the refdata row classes adds about 5 ms to
+    # every `import metalab`, and only this replay reads them
+    from metalab.refdata import ReportedDelta, ReportedEffectSize, load_rows
+
+    deltas = {(r.group, r.dataset, r.variant): r.delta
+              for r in load_rows(ReportedDelta, delta_table)}
     out = []
-    for r in es_rows:
-        key = (r["group"], r["dataset"], r["variant"])
-        alias = (_DELTA_GROUP_ALIASES.get(r["group"], r["group"]),
-                 r["dataset"], r["variant"])
+    for r in load_rows(ReportedEffectSize, es_table):
+        key = (r.group, r.dataset, r.variant)
+        alias = (_DELTA_GROUP_ALIASES.get(r.group, r.group), r.dataset, r.variant)
         delta = deltas.get(key, deltas.get(alias))
-        es = float(r["es"])
         if delta is None:
             computed, match = None, None
         else:
-            computed = stats.decide_from_es(es, delta)
-            match = computed == r["verdict"]
+            computed = stats.decide_from_es(r.es, delta)
+            match = computed == r.verdict
         out.append(ReproducedDecision(
-            group=r["group"], dataset=r["dataset"], variant=r["variant"],
-            es=es, reported_verdict=r["verdict"], delta=delta,
+            group=r.group, dataset=r.dataset, variant=r.variant,
+            es=r.es, reported_verdict=r.verdict, delta=delta,
             computed_verdict=computed, match=match))
     return tuple(out)
 

@@ -158,10 +158,14 @@ class TrainConfig:
             raise ValueError("learning rates must be finite and positive")
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):
             raise ValueError("convergence_tol must be finite and nonnegative")
-        if min(self.inner_steps_train, self.max_epochs, self.seed) < 0:
-            raise ValueError("inner_steps_train, max_epochs and seed must be nonnegative")
-        if min(self.meta_batch, self.examples_per_class) < 1:
-            raise ValueError("meta_batch and examples_per_class must be positive")
+        for name in ("inner_steps_train", "max_epochs", "seed"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {name}={value}")
+        for name in ("meta_batch", "examples_per_class"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be positive, got {name}={value}")
         if any(h < 1 for h in self.hidden_dims):
             raise ValueError(f"hidden_dims must be positive widths, got {self.hidden_dims}")
         if self.n_way < 2:

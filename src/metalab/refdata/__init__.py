@@ -18,9 +18,11 @@ plus ``pooled_lowdiv`` / ``pooled_highdiv`` rows in the summary-means table
 (verdict buckets pooled across settings) and a plain ``highdiv`` key in the
 delta table (thresholds were only published for one high-diversity batch).
 
-Each table has one frozen row class; a loader reads the table through
-`stats.read_table` and converts every cell by its field's annotation
-(`str`, `int`, `float`, or `float | None`, where a blank cell is None).
+Each table has one frozen row class; `load_rows` reads a table of that
+shape from any path through `stats.read_table` and converts every cell by
+its field's annotation (`str`, `int`, `float`, or `float | None`, where a
+blank cell is None). The `load_*` functions read the packaged tables with
+it, and `harness.reproduce_decisions` reads tables given to it.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "ReportedCounts",
     "ReportedMeans",
     "ReportedNorms",
+    "load_rows",
     "load_effect_sizes",
     "load_deltas",
     "load_accuracies",
@@ -124,35 +127,39 @@ _CONVERTERS = {
 }
 
 
-def _load(cls, name: str, group: str | None = None) -> tuple:
-    """Rows of table `name` as `cls`, optionally only those of one group."""
+def load_rows(cls, path: str | Path, group: str | None = None) -> tuple:
+    """Rows of the table at `path` as `cls`, optionally only those of one group.
+
+    The table needs a column per field of `cls`; one without them raises
+    ValueError naming the missing columns.
+    """
     fields = dataclasses.fields(cls)
     rows = tuple(cls(*(_CONVERTERS[f.type](r[f.name]) for f in fields))
-                 for r in read_table(_DIR / name, [f.name for f in fields]))
+                 for r in read_table(path, [f.name for f in fields]))
     if group is not None:
         rows = tuple(r for r in rows if r.group == group)
     return rows
 
 
 def load_effect_sizes(group: str | None = None) -> tuple[ReportedEffectSize, ...]:
-    return _load(ReportedEffectSize, "reported_effect_sizes.csv", group)
+    return load_rows(ReportedEffectSize, _DIR / "reported_effect_sizes.csv", group)
 
 
 def load_deltas(group: str | None = None) -> tuple[ReportedDelta, ...]:
-    return _load(ReportedDelta, "reported_deltas.csv", group)
+    return load_rows(ReportedDelta, _DIR / "reported_deltas.csv", group)
 
 
 def load_accuracies(group: str | None = None) -> tuple[ReportedAccuracy, ...]:
-    return _load(ReportedAccuracy, "reported_accuracies.csv", group)
+    return load_rows(ReportedAccuracy, _DIR / "reported_accuracies.csv", group)
 
 
 def load_summary_counts() -> tuple[ReportedCounts, ...]:
-    return _load(ReportedCounts, "reported_summary_counts.csv")
+    return load_rows(ReportedCounts, _DIR / "reported_summary_counts.csv")
 
 
 def load_summary_means() -> tuple[ReportedMeans, ...]:
-    return _load(ReportedMeans, "reported_summary_means.csv")
+    return load_rows(ReportedMeans, _DIR / "reported_summary_means.csv")
 
 
 def load_l2_norms(group: str | None = None) -> tuple[ReportedNorms, ...]:
-    return _load(ReportedNorms, "reported_l2_norms.csv", group)
+    return load_rows(ReportedNorms, _DIR / "reported_l2_norms.csv", group)

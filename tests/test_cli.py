@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line verbs via main(argv)."""
 
 import csv
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,7 +66,7 @@ def test_run_writes_run_dir_and_prints_summary(tmp_path, capsys):
 
 
 def test_run_seed_override_reseeds_derived_streams(tmp_path):
-    cfg = _tiny_config(seed=0, task_seed=3)
+    cfg = _tiny_config(seed=0)
     cfg_path = _write_yaml(tmp_path, cfg)
     out = tmp_path / "runs"
     # wider meta batch: tiny 2-task evals can tie exactly and starve the
@@ -74,9 +75,8 @@ def test_run_seed_override_reseeds_derived_streams(tmp_path):
                  "--seed", "5", "--meta-batch", "8"]) == 0
     record = RunRecord.load(out / "cli-tiny")
     assert record.config.seed == 5
-    # the pinned task_seed is dropped so everything re-derives from 5
-    assert record.config.task_seed == 5
-    assert record.config.init_seed == 5
+    # the meta-test episodes draw from the new seed
+    assert all(tid.startswith("test:5:") for tid in record.task_ids)
 
 
 def test_run_meta_batch_and_eval_steps_overrides(tmp_path):
@@ -268,13 +268,16 @@ def test_diversity_verb_rejects_single_task(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("verb", ["run", "suite", "reproduce-tables", "diversity", "report"])
-def test_an_out_path_naming_a_file_fails_at_a_stage(tmp_path, capsys, verb):
+def test_an_out_path_naming_a_file_fails_at_a_stage(tmp_path, capsys, monkeypatch, verb):
     cfg_dir = tmp_path / "configs"
     cfg_dir.mkdir()
     cfg = _tiny_config(diversity_tasks=0, histogram_tasks=0)
     cfg_path = _write_yaml(cfg_dir, cfg if verb != "diversity" else _tiny_config())
     if verb == "report":
         harness.run_suite([cfg], out_root=tmp_path / "runs")
+    # a bad --out is refused before any task is embedded
+    monkeypatch.setattr(harness, "measure_diversity", lambda *a, **kw: pytest.fail(
+        f"{verb} measured diversity before refusing its --out"))
     afile = tmp_path / "afile"
     afile.write_text("not a directory\n", encoding="utf-8")
     argv = {"run": ["run", str(cfg_path)],
@@ -312,9 +315,11 @@ def test_console_entry_point_runs_in_a_subprocess(tmp_path, child_env):
     ("pt", {"convergence_tol": float("nan")}, "convergence_tol"),
     ("maml", {"outer_lr": float("nan")}, "learning rates"),
     ("seed", -1, "seed=-1"),
-    ("init_seed", -2, "init_seed=-2"),
-    ("task_seed", -3, "task_seed=-3"),
-    ("diversity_seed", -1, "diversity_seed=-1"),
+    # a run has one seed; a config naming a removed seed key is refused
+    ("init_seed", 0, "unknown config keys: ['init_seed']"),
+    # a leg's range errors name the field and its value
+    ("pt", {"max_epochs": -1}, "pt leg: max_epochs must be nonnegative, got max_epochs=-1"),
+    ("maml", {"meta_batch": 0}, "maml leg: meta_batch must be positive, got meta_batch=0"),
     # counts and seeds that are not integers are refused, not truncated
     ("meta_batch", 3.5, "meta_batch"),
     ("k_shot", 2.5, "k_shot"),
@@ -338,10 +343,10 @@ def test_console_entry_point_runs_in_a_subprocess(tmp_path, child_env):
     ("histogram_tasks", 1, "histogram needs at least 2 tasks: histogram_tasks=1"),
 ])
 def test_run_refuses_a_bad_config_at_config_stage(tmp_path, capsys, key, value, named):
-    with pytest.raises(ValueError, match=named):
-        _tiny_config(**{key: BenchmarkSpec.from_dict(value) if key == "benchmark" else value})
     doc = _tiny_config().to_dict()
     doc[key] = value
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ExperimentConfig.from_dict(doc)
     cfg_path = tmp_path / "bad.yaml"
     cfg_path.write_text(yaml.safe_dump(doc, sort_keys=False), encoding="utf-8")
     out = tmp_path / "runs"

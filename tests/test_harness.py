@@ -72,21 +72,18 @@ def tiny_record() -> RunRecord:
 
 def test_source_spec_build_seeding_and_offset():
     spec = SourceSpec(num_classes=5, input_dim=3, mean_scale=1.0, class_spread=1.0)
-    built = spec.build(default_seed=42)
+    built = spec.build(42)
     assert np.array_equal(built.class_means, make_source(42, 5, 3, 1.0, 1.0).class_means)
-    pinned = SourceSpec(num_classes=5, input_dim=3, mean_scale=1.0,
-                        class_spread=1.0, seed=7)
-    assert np.array_equal(pinned.build(42).class_means,
-                          make_source(7, 5, 3, 1.0, 1.0).class_means)
     shifted = SourceSpec(num_classes=5, input_dim=3, mean_scale=1.0,
-                         class_spread=1.0, seed=7, offset=(1.0, 0.0, -1.0))
+                         class_spread=1.0, offset=(1.0, 0.0, -1.0))
     assert np.array_equal(shifted.build(42).class_means,
-                          pinned.build(42).class_means + np.array([1.0, 0.0, -1.0]))
+                          built.class_means + np.array([1.0, 0.0, -1.0]))
     with pytest.raises(ValueError):
         SourceSpec(num_classes=5, input_dim=3, mean_scale=1.0,
                    class_spread=1.0, offset=(1.0,))
-    with pytest.raises(ValueError, match="source seed"):
-        SourceSpec.from_dict({**pinned.to_dict(), "seed": -1})
+    # a source draws from the seed its benchmark gives it, and has none of its own
+    with pytest.raises(ValueError, match=r"unknown benchmark source keys: \['seed'\]"):
+        SourceSpec.from_dict({**spec.to_dict(), "seed": 7})
 
 
 def test_benchmark_spec_gives_unseeded_sources_distinct_streams():
@@ -110,9 +107,9 @@ def test_benchmark_spec_gives_unseeded_sources_distinct_streams():
 
 def test_experiment_config_seed_defaults_and_validation():
     cfg = _tiny_config(seed=9)
-    assert cfg.init_seed == 9 and cfg.task_seed == 9 and cfg.diversity_seed == 9
-    pinned = _tiny_config(seed=9, task_seed=4)
-    assert pinned.task_seed == 4 and pinned.init_seed == 9
+    # one seed keys every draw of the run: both legs and the probe train at it
+    assert cfg.pt_config().seed == cfg.maml_config().seed == 9
+    assert _tiny_config(seed=9, probe_hidden_dims=(4,)).probe_config().seed == 9
     with pytest.raises(ValueError):
         _tiny_config(maml_order="second")
     with pytest.raises(ValueError):
@@ -125,9 +122,11 @@ def test_experiment_config_seed_defaults_and_validation():
         _tiny_config(meta_batch=1)
     with pytest.raises(ValueError):
         _tiny_config(name="")
-    for attr in ("seed", "init_seed", "task_seed", "diversity_seed"):
-        with pytest.raises(ValueError, match=f"{attr}=-1"):
-            ExperimentConfig.from_dict({**cfg.to_dict(), attr: -1})
+    with pytest.raises(ValueError, match="seed=-1"):
+        ExperimentConfig.from_dict({**cfg.to_dict(), "seed": -1})
+    for attr in ("init_seed", "task_seed", "diversity_seed"):
+        with pytest.raises(ValueError, match=rf"unknown config keys: \['{attr}'\]"):
+            ExperimentConfig.from_dict({**cfg.to_dict(), attr: 9})
 
 
 def test_reserved_training_overrides_are_rejected():
@@ -230,7 +229,7 @@ def _shrunk_lowdiv(**overrides) -> ExperimentConfig:
     return low_diversity_preset(0, **base)
 
 
-def test_probe_is_the_pt_leg_exactly_when_it_has_the_legs_seed_and_widths():
+def test_probe_is_the_pt_leg_exactly_when_it_has_the_legs_widths():
     for shared in (
         low_diversity_preset(0),
         _shrunk_lowdiv(diversity_tasks=0, histogram_tasks=2),
@@ -239,18 +238,19 @@ def test_probe_is_the_pt_leg_exactly_when_it_has_the_legs_seed_and_widths():
         _shrunk_lowdiv(diversity_tasks=0),                  # no diversity stage
         _shrunk_lowdiv(pt={"max_epochs": 299}),
         _shrunk_lowdiv(pt={"max_epochs": 400, "outer_lr": 0.1}),
-        _shrunk_lowdiv(init_seed=1, diversity_seed=1),
+        dataclasses.replace(_shrunk_lowdiv(), seed=1),
     ):
         assert shared.probe_config() == shared.pt_config()
     for unshared in (
-        _shrunk_lowdiv(diversity_seed=1),
         _shrunk_lowdiv(probe_hidden_dims=(16,)),
+        dataclasses.replace(_shrunk_lowdiv(), seed=1, probe_hidden_dims=(16,)),
         high_diversity_preset(0),                           # probe (32,), PT leg (8,)
     ):
         assert unshared.probe_config() != unshared.pt_config()
-        # any other probe trains on TrainConfig defaults at its own seed and widths
+        # any other probe trains on TrainConfig defaults at the run's seed
+        # and its own widths
         assert unshared.probe_config() == TrainConfig(
-            method="pt", seed=unshared.diversity_seed,
+            method="pt", seed=unshared.seed,
             hidden_dims=unshared.probe_hidden_dims, n_way=unshared.n_way,
             k_shot=unshared.k_shot, q_query=unshared.q_query)
 

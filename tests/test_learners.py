@@ -163,7 +163,7 @@ def test_every_lowdiv_meta_test_refit_converges():
     body = train_pt(benchmark, config.pt_config()).model
     for i in range(config.meta_batch):
         task = sample_task(benchmark, "test", config.n_way, config.k_shot,
-                           config.q_query, (config.task_seed, i))
+                           config.q_query, (config.seed, i))
         w, b = fit_head(body, task.support).head()
         feats = body.body_features(task.support.inputs)
         assert _head_grad_maxabs(feats, task.support.labels, w, b, HEAD_L2) <= 1e-8, i

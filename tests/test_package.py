@@ -7,13 +7,24 @@ from pathlib import Path
 import pytest
 
 import metalab
-from metalab import harness
+from metalab import harness, refdata
 
 PACKAGE_DIR = Path(metalab.__file__).parent
-MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+MODULES = sorted(PACKAGE_DIR.rglob("*.py"))
 
 
-@pytest.mark.parametrize("module", [metalab, harness], ids=lambda m: m.__name__)
+def _module_id(path: Path) -> str:
+    """`path` relative to the package ("harness.py", "refdata/__init__.py")."""
+    return path.relative_to(PACKAGE_DIR).as_posix()
+
+
+def _module_name(path: Path) -> str:
+    """`path`'s dotted name under the package ("harness", "refdata")."""
+    parts = path.relative_to(PACKAGE_DIR).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+@pytest.mark.parametrize("module", [metalab, harness, refdata], ids=lambda m: m.__name__)
 def test_every_exported_name_resolves(module):
     assert len(set(module.__all__)) == len(module.__all__)
     for name in module.__all__:
@@ -43,7 +54,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
                   if name not in used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_module_imports_no_unused_name(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert _unused_imports(tree) == []
@@ -66,10 +77,10 @@ def _private_imports(tree: ast.Module, module: str) -> list[str]:
                   for alias in node.names if alias.name.startswith("_"))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_module_imports_no_private_name_of_another_module(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    assert _private_imports(tree, path.stem) == []
+    assert _private_imports(tree, _module_name(path)) == []
 
 
 def test_the_private_import_scan_sees_one():
