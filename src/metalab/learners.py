@@ -75,6 +75,9 @@ HEAD_TOL = 1e-8     # the head refit stops at max|grad J| <= HEAD_TOL
 HEAD_MAX_ITER = 100  # Newton rounds the head refit may take to reach HEAD_TOL
 ARMIJO = 1e-4       # sufficient-decrease fraction of the head line search
 MIN_STEP = 1e-10    # line-search step below which the head fit gives up
+# A Newton decrement below this fraction of |J| is within J's rounding:
+# there the line search cannot tell a decrease, and takes the full step
+J_FLOOR = 4.0 * np.finfo(np.float64).eps
 
 
 class TrainingError(RuntimeError):
@@ -371,7 +374,7 @@ def adapt(model: Model, support: Batch, steps: int, lr: float) -> Model:
 
 
 def _head_objective(xa: np.ndarray, labels: np.ndarray,
-                    wa: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+                    wa: np.ndarray) -> tuple[float, np.ndarray, tuple[np.ndarray, ...]]:
     """J = mean cross-entropy + (HEAD_L2/2)*||wa||^2 at `wa`, the softmax, and its picks."""
     probs = xa @ wa
     loss, picks = softmax_cross_entropy(probs, labels)
@@ -387,14 +390,19 @@ def _logistic_head_fit(features: np.ndarray, labels: np.ndarray,
     makes the Hessian positive definite, so the optimum is finite and
     unique and Newton converges to it quadratically. Each round builds the
     dense (f+1)*k Hessian, solves for the Newton direction and backtracks
-    (Armijo) on J, so every accepted step lowers J. The fit stops when
-    max|grad J| <= HEAD_TOL and returns W, b and J there; reaching
+    (Armijo) on J, so every accepted step lowers J, except once the Newton
+    decrement -<grad J, step> is within `J_FLOOR * |J|`: there two values
+    of J cannot be told apart, and the full step is taken. The fit stops
+    when max|grad J| <= HEAD_TOL and returns W, b and J there; reaching
     HEAD_MAX_ITER above it, or a line search that can no longer lower J,
     raises `NumericalError`. `labels` must lie in `[0, n_classes)`.
     """
     n, f = features.shape
     dim = (f + 1) * n_classes
-    xa = np.hstack([features, np.ones((n, 1))])
+    # row-major whatever the order of `features` (`body_features` hands out
+    # a transposed view), so the fit's sums do not depend on the caller
+    xa = np.ones((n, f + 1))
+    xa[:, :-1] = features
     outer = np.einsum("ra,rb->rab", xa, xa)
     wa = np.zeros((f + 1, n_classes))
     eye = np.eye(n_classes)
@@ -412,11 +420,12 @@ def _logistic_head_fit(features: np.ndarray, labels: np.ndarray,
         hess[diag, diag] += HEAD_L2
         step = -np.linalg.solve(hess, g.ravel()).reshape(wa.shape)
         slope = float(g.ravel() @ step.ravel())
+        at_floor = -slope <= J_FLOOR * abs(value)
         t = 1.0
         while t >= MIN_STEP:
             cand = wa + t * step
             cand_value, cand_probs, _ = _head_objective(xa, labels, cand)
-            if cand_value <= value + ARMIJO * t * slope:
+            if at_floor or cand_value <= value + ARMIJO * t * slope:
                 break
             t *= 0.5
         else:  # no step lowers J by the Armijo fraction: the solve has stalled

@@ -8,7 +8,10 @@ The layer structure is written down twice, once in numpy and once on the
 tape. `activations` is the one numpy forward pass, optionally stacked
 over batches of one shape. `forward` (logits), `learners.Model.body_features`,
 the Fisher information in `metalab.task2vec` and the training kernel all
-read from it, with `relu_masks` its rectifier pattern. The kernel is two
+read from it, with `relu_masks` its rectifier pattern. It stores each
+layer feature-major, as a C-contiguous `(..., width, n)` array, and hands
+out `(..., n, width)` transposed views, so the softmax's row reductions
+and the backward pass run along the long row axis. The kernel is two
 stateless functions: `cross_entropy_and_grad` (mean cross-entropy and its
 closed-form gradient) and `cross_entropy_hvp` (a Hessian-vector product by
 Pearlmutter's R-operator); every training and adaptation gradient runs on
@@ -227,25 +230,32 @@ def activations(spec: NetSpec, params: ParamVector | np.ndarray,
     shape (the episodes of a meta-batch). `params` is a `ParamVector`, or
     a flat array in `spec.layout()` order: `(P,)`, shared by every batch,
     or `(..., P)`, one vector per batch. Returns `inputs` (as float64),
-    then each layer's output in order: rectified (`np.maximum(z, 0)`)
-    below the top layer, raw logits at the top. So `[-1]` is the logits
-    and `[-2]` the features entering the head. Deterministic, pure numpy,
-    a fresh array per layer.
+    then each layer's output `(..., n, width)` in order: rectified
+    (`np.maximum(z, 0)`) below the top layer, raw logits at the top. So
+    `[-1]` is the logits and `[-2]` the features entering the head.
+    Deterministic, pure numpy. Each layer is stored feature-major, in a
+    fresh C-contiguous `(..., width, n)` array, and what is returned is
+    its transposed view: writing to it writes to that array.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    return _outputs(spec, _layers(spec, params, inputs.shape[:-2]), inputs)
+    return [np.swapaxes(h, -1, -2)
+            for h in _outputs(spec, _layers(spec, params, inputs.shape[:-2]), inputs)]
 
 
 def _outputs(spec: NetSpec, layers: list[tuple[np.ndarray, np.ndarray]],
              inputs: np.ndarray) -> list[np.ndarray]:
-    """The pass behind `activations`, over `_layers` views and float64 `inputs`."""
+    """The pass behind `activations`, over `_layers` views and float64 `inputs`.
+
+    Feature-major: the transposed view of `inputs`, then each layer as a
+    fresh C-contiguous `(..., width, n)` array.
+    """
     if inputs.ndim < 2 or inputs.shape[-1] != spec.input_dim:
         raise ShapeError(
             f"batch shape {inputs.shape} does not end in input_dim {spec.input_dim}")
-    out = [inputs]
+    out = [np.swapaxes(inputs, -1, -2)]
     for i, (w, b) in enumerate(layers):
-        h = out[-1] @ w
-        h += b[..., None, :]
+        h = np.swapaxes(w, -1, -2) @ out[-1]
+        h += b[..., :, None]
         if i < len(layers) - 1:
             np.maximum(h, 0.0, out=h)
         out.append(h)
@@ -253,7 +263,10 @@ def _outputs(spec: NetSpec, layers: list[tuple[np.ndarray, np.ndarray]],
 
 
 def relu_masks(acts: list[np.ndarray]) -> list[np.ndarray]:
-    """The rectifier's pattern `a > 0` of each hidden output of `activations`, as bools."""
+    """The rectifier's pattern `a > 0` of each hidden output of `activations`, as bools.
+
+    On the feature-major layers of `_outputs` it gives the masks in that order.
+    """
     return [a > 0.0 for a in acts[1:-1]]
 
 
@@ -268,33 +281,35 @@ def forward(spec: NetSpec, params: ParamVector | np.ndarray, inputs: np.ndarray)
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray | None = None
-                          ) -> tuple[np.ndarray, np.ndarray] | tuple[None, None]:
+                          ) -> tuple[np.ndarray, tuple[np.ndarray, ...]] | tuple[None, None]:
     """Per-batch mean cross-entropy of float64 `logits` `(..., n, k)`; leaves the softmax there.
 
-    Shift-stabilized: exp(z - max z), its row sums s, the softmax as their
-    quotient, log-sum-exp = log s + max z. With `labels` `(..., n)`, which
-    the caller keeps in `[0, k)`, returns the loss (shape `...`) and
-    `picks`, the flat indices of the true-class entries in the raveled
-    array, for `logit_signal`; a non-finite loss raises `NumericalError`.
-    Without labels it returns `(None, None)`, and the caller checks the
-    softmax.
+    Shift-stabilized: exp(z - max z), its row sums s, the softmax as that
+    times the reciprocal 1/s, log-sum-exp = log s + max z. `logits` may be
+    any strided view (the transposed views of `activations` are); the
+    softmax is written through it. With `labels` `(..., n)`, which the
+    caller keeps in `[0, k)`, returns the loss (shape `...`) and `picks`,
+    the index tuple of the true-class entries (`logits[picks]` has the
+    labels' shape), for `logit_signal`; a non-finite loss raises
+    `NumericalError`. Without labels it returns `(None, None)`, and the
+    caller checks the softmax.
     """
     if logits.ndim < 2:
         raise ShapeError(f"logits must be at least 2-d, got {logits.shape}")
-    n, k = logits.shape[-2:]
+    n = logits.shape[-2]
     if labels is not None:
         if labels.shape != logits.shape[:-1]:
             raise ShapeError(
                 f"labels of shape {labels.shape} do not match logits of shape {logits.shape}")
         if n == 0:
             raise ValueError("cross_entropy of an empty batch is undefined")
-        picks = np.arange(labels.size) * k + labels.reshape(-1)
-        picked = logits.reshape(-1)[picks].reshape(labels.shape)
+        picks = (*np.indices(labels.shape, sparse=True), labels)
+        picked = logits[picks]
     shift = logits.max(axis=-1, keepdims=True)
     logits -= shift
     np.exp(logits, out=logits)
     sumexp = logits.sum(axis=-1)
-    logits /= sumexp[..., None]
+    logits *= (1.0 / sumexp)[..., None]
     if labels is None:
         return None, None
     per_row = np.log(sumexp) + shift[..., 0] - picked
@@ -304,9 +319,14 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray | None = None
     return loss, picks
 
 
-def logit_signal(probs: np.ndarray, picks: np.ndarray) -> np.ndarray:
-    """d loss / d logits = (softmax - one-hot labels) / n, built in place of the softmax."""
-    probs.reshape(-1)[picks] -= 1.0
+def logit_signal(probs: np.ndarray, picks: tuple[np.ndarray, ...]) -> np.ndarray:
+    """d loss / d logits = (softmax - one-hot labels) / n, built in place of the softmax.
+
+    `picks` is the index tuple from `softmax_cross_entropy`, so the -1 at
+    each true class lands in `probs` whatever its memory order; 1/n is one
+    reciprocal multiply.
+    """
+    probs[picks] -= 1.0
     probs *= 1.0 / probs.shape[-2]
     return probs
 
@@ -352,16 +372,19 @@ def cross_entropy_and_grad(spec: NetSpec, flat: np.ndarray, inputs: np.ndarray,
     inputs, labels = _checked_batch(spec, inputs, labels)
     lead = inputs.shape[:-2]
     layers = _layers(spec, flat, lead)
+    # feature-major throughout: acts[i] and the signal are (..., width, n)
     acts = _outputs(spec, layers, inputs)
     masks = relu_masks(acts)
-    loss, picks = softmax_cross_entropy(acts[-1], labels)
-    signal = logit_signal(acts[-1], picks)
+    logits = np.swapaxes(acts[-1], -1, -2)
+    loss, picks = softmax_cross_entropy(logits, labels)
+    logit_signal(logits, picks)
+    signal = acts[-1]
     blocks = []
     for i in range(spec.num_layers - 1, -1, -1):
-        blocks += [np.sum(signal, axis=-2), np.swapaxes(acts[i], -1, -2) @ signal]
+        blocks += [np.sum(signal, axis=-1), acts[i] @ np.swapaxes(signal, -1, -2)]
         if i > 0:
             # the outputs below are spent: their array takes the signal
-            signal = np.matmul(signal, np.swapaxes(layers[i][0], -1, -2), out=acts[i])
+            signal = np.matmul(layers[i][0], signal, out=acts[i])
             signal *= masks[i - 1]
     return loss, _checked_output(spec, blocks, lead, "gradient")
 
@@ -389,17 +412,19 @@ def cross_entropy_hvp(spec: NetSpec, flat: np.ndarray, vec: np.ndarray, inputs: 
     lead = inputs.shape[:-2]
     layers = _layers(spec, flat, lead)
     dirs = _layers(spec, vec, lead)
+    # feature-major throughout, as in `cross_entropy_and_grad`
     acts = _outputs(spec, layers, inputs)
     masks = relu_masks(acts)
-    _, picks = softmax_cross_entropy(acts[-1], labels)
+    logits = np.swapaxes(acts[-1], -1, -2)
+    _, picks = softmax_cross_entropy(logits, labels)
     last = spec.num_layers - 1
     # r_acts[i] is R(z_i), masked below the top into R(a_{i+1})
     r_acts: list[np.ndarray] = []
     for i, (v, v_bias) in enumerate(dirs):
-        r_out = acts[i] @ v
-        r_out += v_bias[..., None, :]
+        r_out = np.swapaxes(v, -1, -2) @ acts[i]
+        r_out += v_bias[..., :, None]
         if i > 0:
-            r_out += r_acts[-1] @ layers[i][0]
+            r_out += np.swapaxes(layers[i][0], -1, -2) @ r_acts[-1]
         if i < last:
             r_out *= masks[i]
         r_acts.append(r_out)
@@ -407,22 +432,23 @@ def cross_entropy_hvp(spec: NetSpec, flat: np.ndarray, vec: np.ndarray, inputs: 
     # the softmax curvature turns R(logits) into R(delta_top)
     probs = acts[-1]
     r_signal = r_acts[last]
-    r_signal -= np.sum(probs * r_signal, axis=-1, keepdims=True)
+    r_signal -= np.sum(probs * r_signal, axis=-2, keepdims=True)
     r_signal *= probs
     r_signal *= 1.0 / inputs.shape[-2]
-    signal = logit_signal(probs, picks)
+    logit_signal(logits, picks)
+    signal = probs
     blocks = []
     for i in range(last, -1, -1):
-        w_out = np.swapaxes(acts[i], -1, -2) @ r_signal
-        blocks += [np.sum(r_signal, axis=-2), w_out]
+        w_out = acts[i] @ np.swapaxes(r_signal, -1, -2)
+        blocks += [np.sum(r_signal, axis=-1), w_out]
         if i > 0:
-            w_out += np.swapaxes(r_acts[i - 1], -1, -2) @ signal
+            w_out += r_acts[i - 1] @ np.swapaxes(signal, -1, -2)
             # R(a) and a below are spent: their arrays take R(delta) and delta
-            w_t = np.swapaxes(layers[i][0], -1, -2)
-            r_signal = np.matmul(r_signal, w_t, out=r_acts[i - 1])
-            r_signal += signal @ np.swapaxes(dirs[i][0], -1, -2)
+            w = layers[i][0]
+            r_signal = np.matmul(w, r_signal, out=r_acts[i - 1])
+            r_signal += dirs[i][0] @ signal
             r_signal *= masks[i - 1]
-            signal = np.matmul(signal, w_t, out=acts[i])
+            signal = np.matmul(w, signal, out=acts[i])
             signal *= masks[i - 1]
     return _checked_output(spec, blocks, lead, "Hessian-vector product")
 

@@ -209,23 +209,33 @@ def embed_task(probe: Probe, task: FewShotTask) -> TaskEmbedding:
                          source_ids=task.source_ids)
 
 
+def _norms(embeddings: Sequence[TaskEmbedding]) -> list[float]:
+    """Each embedding's Euclidean norm; unequal lengths or a zero norm raise ValueError."""
+    shapes = list(dict.fromkeys(e.fim_diag.shape for e in embeddings))
+    if len(shapes) > 1:
+        raise ValueError(f"embedding lengths differ: {shapes[0]} vs {shapes[1]}")
+    norms = [float(np.linalg.norm(e.fim_diag)) for e in embeddings]
+    if 0.0 in norms:
+        raise ValueError("cosine distance undefined for a zero embedding")
+    return norms
+
+
+def _cosine(a: TaskEmbedding, na: float, b: TaskEmbedding, nb: float) -> float:
+    """1 - (a @ b) / (na * nb), with the norms `_norms` took."""
+    return float(1.0 - float(a.fim_diag @ b.fim_diag) / (na * nb))
+
+
 def cosine_distance(a: TaskEmbedding, b: TaskEmbedding) -> float:
     """1 - cos(angle); lands in [0, 1] for nonnegative embeddings."""
-    va, vb = a.fim_diag, b.fim_diag
-    if va.shape != vb.shape:
-        raise ValueError(f"embedding lengths differ: {va.shape} vs {vb.shape}")
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine distance undefined for a zero embedding")
-    return float(1.0 - float(va @ vb) / (na * nb))
+    na, nb = _norms((a, b))
+    return _cosine(a, na, b, nb)
 
 
 def _pairwise_distances(embeddings: Sequence[TaskEmbedding]) -> list[tuple[int, int, float]]:
-    out = []
-    for i in range(len(embeddings)):
-        for j in range(i + 1, len(embeddings)):
-            out.append((i, j, cosine_distance(embeddings[i], embeddings[j])))
-    return out
+    """`cosine_distance` of every pair `i < j`, each embedding's norm taken once."""
+    norms = _norms(embeddings)
+    return [(i, j, _cosine(embeddings[i], norms[i], embeddings[j], norms[j]))
+            for i in range(len(embeddings)) for j in range(i + 1, len(embeddings))]
 
 
 def diversity_coefficient(probe: Probe, benchmark: Benchmark, num_tasks: int,

@@ -155,6 +155,36 @@ def test_fit_head_that_misses_tol_under_l2_is_loud(monkeypatch):
         fit_head(model, support)
 
 
+@pytest.mark.parametrize("seed", [4, 7, 12])
+def test_fit_head_takes_the_newton_step_where_j_cannot_tell(seed, monkeypatch):
+    # Near the optimum a Newton step lowers J by less than one ulp, so its
+    # computed J can round up however short the step. Simulated by
+    # rounding every such J 2 ulp above the best seen, under a tolerance
+    # tight enough that the fit reaches that regime: the line search
+    # cannot judge those steps, takes them whole, and still converges to
+    # the fit made without the rounding.
+    support = _overlapping_batch(seed)
+    model = Model(NetSpec(2, (), 2), NetSpec(2, (), 2).init(0))
+    monkeypatch.setattr(learners, "HEAD_TOL", 1e-13)
+    w_want, b_want = fit_head(model, support).head()
+    real, best, rounded = learners._head_objective, [], []
+
+    def rounded_up(xa, labels, wa):
+        value, probs, picks = real(xa, labels, wa)
+        if best and value > best[0] - np.spacing(best[0]):
+            rounded.append(value)
+            value = best[0] + 2 * np.spacing(best[0])
+        else:
+            best[:] = [value]
+        return value, probs, picks
+
+    monkeypatch.setattr(learners, "_head_objective", rounded_up)
+    w, b = fit_head(model, support).head()
+    assert rounded
+    np.testing.assert_allclose(w, w_want, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(b, b_want, rtol=0, atol=1e-10)
+
+
 def test_every_lowdiv_meta_test_refit_converges():
     # The lowdiv-fo benchmark workload's meta-test: PT body at seed 0, its
     # first 12 test episodes, each refitted at the default penalty.

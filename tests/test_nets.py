@@ -29,6 +29,7 @@ from metalab.nets import (
     finite_diff_grad,
     forward,
     forward_t,
+    logit_signal,
     loss_and_grad,
     loss_and_grad_through_updates,
     net_loss,
@@ -210,9 +211,42 @@ def test_cross_entropy_validation():
         softmax_cross_entropy(np.zeros((2, 2)), np.array([0]))
     with pytest.raises(ValueError):
         softmax_cross_entropy(np.zeros((0, 2)), np.array([], dtype=int))
-    # It reads labels as flat picks, unchecked: its callers refuse a label
-    # outside [0, k) (test_kernel_validates_shapes_and_labels and
-    # test_fit_head_refuses_a_label_outside_its_width).
+    # It reads labels as an index tuple of picks, unchecked: its callers
+    # refuse a label outside [0, k) (test_kernel_validates_shapes_and_labels
+    # and test_fit_head_refuses_a_label_outside_its_width).
+
+
+_LOGIT_ORDERS = {
+    "C": lambda z: np.array(z, order="C"),
+    "F": lambda z: np.array(z, order="F"),
+    "transposed-view": lambda z: np.array(z.T, order="C").T,
+}
+
+
+@pytest.mark.parametrize("order", [*_LOGIT_ORDERS, "stacked"])
+def test_softmax_and_signal_land_in_the_logits_whatever_their_order(order):
+    # The softmax and then the signal (softmax - one-hot)/n are written
+    # through the very array passed, so each signal row sums to 0 in every
+    # memory order, views of feature-major storage included.
+    gen = np.random.default_rng(5)
+    n, k = 6, 4
+    if order == "stacked":
+        z = gen.normal(scale=3.0, size=(3, n, k))
+        logits = z.copy()
+    else:
+        z = gen.normal(scale=3.0, size=(n, k))
+        logits = _LOGIT_ORDERS[order](z)
+    labels = gen.integers(0, k, size=z.shape[:-1])
+    loss, picks = softmax_cross_entropy(logits, labels)
+    want = [_scipy_ce(zb, lb) for zb, lb in zip(z.reshape(-1, n, k), labels.reshape(-1, n))]
+    np.testing.assert_allclose(np.reshape(loss, -1), want, rtol=1e-12)
+    np.testing.assert_allclose(logits, scipy.special.softmax(z, axis=-1), rtol=1e-12)
+    signal = logit_signal(logits, picks)
+    assert signal is logits
+    np.testing.assert_allclose(signal.sum(axis=-1), 0.0, atol=1e-15)
+    onehot = np.eye(k)[labels]
+    np.testing.assert_allclose(signal, (scipy.special.softmax(z, axis=-1) - onehot) / n,
+                               rtol=1e-12, atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +328,31 @@ def test_kernel_matches_autodiff_value_and_gradient(seed):
     for b in range(lead[0] if lead else 0):
         _assert_close_to_oracle(spec, flat if shared else flat[b], inputs[b], labels[b],
                                 value[b], g[b])
+
+
+@pytest.mark.parametrize("lead, shared", [((), True), ((3,), True), ((3,), False)])
+def test_layers_are_stored_feature_major(lead, shared):
+    # Every hidden and logit array `activations` returns is the transposed
+    # view of a C-contiguous (..., width, n) array, unstacked or stacked
+    # under one shared vector or one per batch; and the kernel gives the
+    # same loss, gradient and product for C- and F-ordered inputs.
+    gen = np.random.default_rng(len(lead) + shared)
+    spec = NetSpec(3, (5, 4), 3)
+    inputs = gen.normal(size=(*lead, 7, spec.input_dim))
+    labels = gen.integers(0, spec.output_dim, size=(*lead, 7))
+    flat = gen.normal(0.0, 0.7, size=(() if shared else lead) + (spec.param_count(),))
+    for a in activations(spec, flat, inputs)[1:]:
+        stored = np.swapaxes(a, -1, -2)
+        assert not a.flags.c_contiguous and stored.flags.c_contiguous
+        assert a.base is not None and a.base.shape == stored.shape
+    vec = gen.normal(size=flat.shape)
+    f_inputs = np.asfortranarray(inputs)
+    for got, want in zip(
+            (*cross_entropy_and_grad(spec, flat, f_inputs, labels),
+             cross_entropy_hvp(spec, flat, vec, f_inputs, labels)),
+            (*cross_entropy_and_grad(spec, flat, inputs, labels),
+             cross_entropy_hvp(spec, flat, vec, inputs, labels))):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_kernel_returns_fresh_gradients_and_repeats_its_bits():

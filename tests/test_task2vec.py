@@ -18,6 +18,7 @@ from metalab.task2vec import (
     Probe,
     TaskEmbedding,
     _fim_diag_body,
+    _pairwise_distances,
     build_probe,
     cosine_distance,
     distance_histogram,
@@ -228,6 +229,20 @@ def test_cosine_distance_hand_values():
         cosine_distance(_emb([0.0, 0.0]), _emb([1.0, 0.0]))
     with pytest.raises(ValueError):
         cosine_distance(_emb([1.0]), _emb([1.0, 0.0]))
+
+
+def test_pairwise_distances_are_cosine_distance_bitwise():
+    # Each embedding's norm is taken once, not once per pair: every pair
+    # still equals `cosine_distance` bit for bit, and its errors hold.
+    gen = np.random.default_rng(0)
+    embs = [_emb(gen.random(7)) for _ in range(6)]
+    pairs = _pairwise_distances(embs)
+    assert [(i, j) for i, j, _ in pairs] == [(i, j) for i in range(6) for j in range(i + 1, 6)]
+    assert all(d == cosine_distance(embs[i], embs[j]) for i, j, d in pairs)
+    with pytest.raises(ValueError, match="zero embedding"):
+        _pairwise_distances([*embs, _emb(np.zeros(7))])
+    with pytest.raises(ValueError, match="lengths differ"):
+        _pairwise_distances([*embs, _emb(np.ones(3))])
 
 
 # ---------------------------------------------------------------------------
