@@ -17,7 +17,7 @@ from metalab.learners import (
     train_maml,
     train_pt,
 )
-from metalab.stats import decide_es
+from metalab.stats import decide_all
 from metalab.tasks import benchmark_from_sources, make_source, sample_task
 
 bench = benchmark_from_sources([make_source(seed=0, num_classes=20,
@@ -45,10 +45,11 @@ for steps in (5, 10):
                    lr=maml_cfg.inner_lr)
     print(f"maml {steps:2d}-step adapt: {ev.mean:.4f} +/- {ev.ci95_halfwidth:.4f}")
 
-    decision = decide_es(pt_eval.per_task_accuracy, ev.per_task_accuracy,
-                         maml_variant=f"maml{steps}")
-    print(f"  effect size {decision.effect_size:+.3f} vs threshold "
-          f"{decision.delta:.3f} -> {decision.verdict}")
+    es, ci, ci_1pct = decide_all(pt_eval.per_task_accuracy, ev.per_task_accuracy,
+                                 f"maml{steps}")
+    print(f"  effect size {es.effect_size:+.3f} vs threshold {es.delta:.3f} "
+          f"-> {es.verdict}; CI overlap -> {ci.verdict}, "
+          f"with 1% allowance -> {ci_1pct.verdict}")
 
 print("\n(positive effect size favors PT; the verdict is H0 when the "
       "standardized gap is inside the 1% threshold)")

@@ -50,9 +50,10 @@ for r in edge:
     print(f"  boundary cell {r.dataset}/{r.variant}: es {r.es} vs "
           f"delta {r.delta} -> {r.computed_verdict}")
 
-# --- rebuild the verdict-count and bucket-mean summaries ------------------------
+# --- rebuild the verdict-count, bucket-mean and pooled-H1 summaries -------------
 print(f"\n{'setting':14s} {'n':>3s} {'H0':>3s} {'PT':>3s} {'MAML':>4s}"
-      f" {'mean(H0)':>9s} {'mean(PT)':>9s} {'mean(MAML)':>10s}")
+      f" {'mean(H0)':>9s} {'mean(PT)':>9s} {'mean(MAML)':>10s}"
+      f"  pooled H1 (95% CI)")
 for counts in refdata.load_summary_counts():
     cells = [(r.es, r.verdict) for r in refdata.load_effect_sizes(counts.setting)]
     g = summarize_cells(cells, group=counts.setting)
@@ -61,7 +62,8 @@ for counts in refdata.load_summary_counts():
     print(f"{counts.setting:14s} {g.total:3d} {g.counts[H0]:3d} "
           f"{g.counts[H1_PT]:3d} {g.counts[H1_MAML]:4d} "
           f"{fmt(g.bucket_means[H0])} {fmt(g.bucket_means[H1_PT])} "
-          f"{fmt(g.bucket_means[H1_MAML])}")
+          f"{fmt(g.bucket_means[H1_MAML])}  "
+          f"{g.h1_pooled_mean:+.4f} +/- {g.h1_pooled_ci95:.4f}")
 
 # --- effect sizes from accuracy tables alone -------------------------------------
 print("\nrebuilding effect sizes from accuracy means and CI halfwidths (n=300):")

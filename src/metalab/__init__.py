@@ -24,7 +24,9 @@ Module map:
 - ``task2vec``: FIM-diagonal task embeddings, cosine distances, diversity
   coefficient, distance histograms.
 - ``stats``: ``SampleStats`` and the pooled std, Cohen's d and 1% threshold
-  computed from them, decision rules, summaries, the table format.
+  computed from them, the decision rules (``decide_all`` applies all three
+  to one comparison), group summaries with the pooled H1 effect size, the
+  table format.
 - ``harness``: experiment configs, end-to-end comparison runs, table
   reproduction, report emission.
 - ``refdata``: frozen reference statistics from large-scale comparison
@@ -77,8 +79,8 @@ from metalab.stats import (
     Decision,
     GroupSummary,
     SampleStats,
-    SummaryReport,
     confidence_interval,
+    decide_all,
     decide_ci,
     decide_es,
     decide_from_es,
@@ -119,7 +121,6 @@ __all__ = [
     "SampleStats",
     "Source",
     "SourceSpec",
-    "SummaryReport",
     "TaskEmbedding",
     "TrainConfig",
     "TrainResult",
@@ -128,6 +129,7 @@ __all__ = [
     "build_probe",
     "confidence_interval",
     "cosine_distance",
+    "decide_all",
     "decide_ci",
     "decide_es",
     "decide_from_es",

@@ -141,7 +141,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 def _cmd_diversity(args: argparse.Namespace) -> int:
     config = _load_config(args.config, args)
     if not config.diversity_tasks:
-        raise HarnessError("config", "diversity needs at least 2 tasks")
+        raise HarnessError("config", "diversity needs at least 3 tasks")
     table = None if args.out is None else Path(args.out) / "diversity.csv"
     with harness._stage("build-benchmark"):
         benchmark = config.benchmark.build()

@@ -3,16 +3,17 @@
 One experiment compares union pre-training against episodic meta-learning
 on a synthetic Gaussian benchmark: both models start from the same seeded
 initialization, both are evaluated on the identical meta-test episode
-list, the benchmark's diversity is measured with a frozen probe, and the
-three decision rules (effect size, CI overlap, CI overlap with a 1%
-allowance) adjudicate each adaptation-depth variant. `run_comparison`
-executes that pipeline and persists a `RunRecord`; `emit_report` renders
-any number of records into decision tables, grouped summaries, histogram
-files, and a plain-text digest (`run_lines` is one run's block of it,
-which `metalab run` prints); `reproduce_decisions` replays the effect-size
-rule over externally reported tables and flags mismatches. Tables are
-written through `stats.write_table`; reported tables are read through
-`refdata.load_rows`.
+list, the benchmark's diversity is measured with a frozen probe, and
+`stats.decide_all` adjudicates each adaptation-depth variant by the three
+decision rules (effect size, CI overlap, CI overlap with a 1% allowance).
+`run_comparison` executes that pipeline and persists a `RunRecord`;
+`emit_report` renders any number of records into decision tables, the
+grouped summaries `stats.summarize` computes, histogram files, and a
+plain-text digest (`run_lines` is one run's block of it, which `metalab
+run` prints); `reproduce_decisions` replays the effect-size rule over
+externally reported tables and flags mismatches. This module decides and
+averages nothing itself. Tables are written through `stats.write_table`;
+reported tables are read through `refdata.load_rows`.
 
 The pipeline's stages, in order: persist (a run directory that already
 holds record.json is refused before any training), build-benchmark,
@@ -35,7 +36,7 @@ Configuration document (YAML) schema, with defaults:
     q_query: 15
     meta_batch: 300        # meta-test episodes
     eval_steps: [5, 10]    # adaptation depths evaluated for the meta-learner
-    diversity_tasks: 150   # episodes embedded for the coefficient; 0 disables, else >= 2
+    diversity_tasks: 150   # episodes embedded for the coefficient; 0 disables, else >= 3
     probe_method: pt       # pt | random
     probe_hidden_dims: [32]
     histogram_tasks: 0     # source-pure episodes for the histogram; 0 disables, else >= 2
@@ -93,7 +94,7 @@ from metalab.learners import (
     train_pt,
 )
 from metalab.rng import integer
-from metalab.stats import Decision, decide_ci, decide_es, sig6
+from metalab.stats import Decision, decide_all, sig6
 from metalab.task2vec import (
     DistanceHistogram,
     DiversityReport,
@@ -321,10 +322,12 @@ class ExperimentConfig:
             raise ValueError("probe_hidden_dims needs a hidden layer to embed tasks with")
         if self.histogram_bins < 1:
             raise ValueError("histogram_bins must be positive")
-        for attr, what in (("diversity_tasks", "diversity"), ("histogram_tasks", "histogram")):
+        # the coefficient's CI needs at least 2 pairs, so 3 tasks; a histogram 1 pair
+        for attr, what, least in (("diversity_tasks", "diversity", 3),
+                                  ("histogram_tasks", "histogram", 2)):
             count = getattr(self, attr)
-            if count != 0 and count < 2:
-                raise ValueError(f"{what} needs at least 2 tasks: {attr}={count} "
+            if count != 0 and count < least:
+                raise ValueError(f"{what} needs at least {least} tasks: {attr}={count} "
                                  "(0 disables it)")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got seed={self.seed}")
@@ -584,13 +587,7 @@ def run_comparison(config: ExperimentConfig,
         decision_ids: list[str] = []
         for steps in config.eval_steps:
             label = _variant_label(steps)
-            variant = label if label in ("maml5", "maml10") else "other"
-            maml_accs = evals[label].per_task_accuracy
-            for decision in (
-                decide_es(pt_accs, maml_accs, maml_variant=variant),
-                decide_ci(pt_accs, maml_accs, overlap_threshold=0.0, maml_variant=variant),
-                decide_ci(pt_accs, maml_accs, overlap_threshold=0.01, maml_variant=variant),
-            ):
+            for decision in decide_all(pt_accs, evals[label].per_task_accuracy, label):
                 decisions.append(decision)
                 decision_ids.append(f"{label}/{decision.rule}")
 
@@ -754,18 +751,6 @@ def _check_unique_names(names: Sequence[str]) -> None:
         raise ValueError(f"run names must be unique as file names: {clash}")
 
 
-def _pooled_h1(decisions: Sequence[Decision]) -> tuple[float | None, float | None]:
-    """Mean and 95% CI half-width of the H1 verdicts' effect sizes."""
-    values = [d.effect_size for d in decisions
-              if d.verdict in (stats.H1_PT, stats.H1_MAML)]
-    if not values:
-        return None, None
-    mean = float(np.mean(values))
-    if len(values) < 2:
-        return mean, None
-    return mean, stats.ci95_halfwidth(values)
-
-
 def _fmt(x: float | None, na: str = "no-data") -> str:
     return na if x is None else sig6(x)
 
@@ -831,8 +816,6 @@ def emit_report(records: Sequence[RunRecord], out_dir: str | Path) -> Path:
     es_decisions = [(f"{rec.config.regime}_{rec.config.maml_order}", d)
                     for rec in records for d in rec.decisions if d.rule == "es"]
     summary = stats.summarize([d for _, d in es_decisions], [g for g, _ in es_decisions])
-    pooled = {gs.group: _pooled_h1([d for g, d in es_decisions if g == gs.group])
-              for gs in summary.groups}
 
     stats.write_table(
         out_dir / "summary.csv",
@@ -841,9 +824,9 @@ def emit_report(records: Sequence[RunRecord], out_dir: str | Path) -> Path:
         [(gs.group, gs.total)
          + tuple(gs.counts[v] for v in stats.VERDICTS)
          + tuple(gs.bucket_means[v] for v in stats.VERDICTS)
-         + pooled[gs.group] for gs in summary.groups])
+         + (gs.h1_pooled_mean, gs.h1_pooled_ci95) for gs in summary.values()])
 
-    digest_lines = _digest(records, summary, pooled)
+    digest_lines = _digest(records, summary.values())
     with open(out_dir / "digest.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(digest_lines) + "\n")
     return out_dir
@@ -880,15 +863,15 @@ def run_lines(rec: RunRecord) -> list[str]:
     return lines
 
 
-def _digest(records: Sequence[RunRecord], summary: stats.SummaryReport,
-            pooled: Mapping[str, tuple[float | None, float | None]]) -> list[str]:
+def _digest(records: Sequence[RunRecord],
+            groups: Iterable[stats.GroupSummary]) -> list[str]:
     lines = ["comparison digest", "=" * 17, f"runs: {len(records)}", ""]
     for rec in records:
         lines.extend(run_lines(rec))
         lines.append("")
     lines.append("grouped summary (effect-size rule)")
     lines.append("-" * 34)
-    for gs in summary.groups:
+    for gs in groups:
         lines.append(f"{gs.group}: n={gs.total} "
                      f"H0={gs.counts[stats.H0]} "
                      f"H1_pt={gs.counts[stats.H1_PT]} "
@@ -896,9 +879,8 @@ def _digest(records: Sequence[RunRecord], summary: stats.SummaryReport,
         lines.append(f"  bucket means: H0 {_fmt(gs.bucket_means[stats.H0])}, "
                      f"H1_pt {_fmt(gs.bucket_means[stats.H1_PT])}, "
                      f"H1_maml {_fmt(gs.bucket_means[stats.H1_MAML])}")
-        pooled_mean, pooled_ci = pooled[gs.group]
-        lines.append(f"  mean H1 effect size: {_fmt(pooled_mean)} "
-                     f"+/- {_fmt(pooled_ci, 'n/a')} (95% CI)")
+        lines.append(f"  mean H1 effect size: {_fmt(gs.h1_pooled_mean)} "
+                     f"+/- {_fmt(gs.h1_pooled_ci95, 'n/a')} (95% CI)")
     return lines
 
 

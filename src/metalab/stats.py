@@ -7,8 +7,11 @@ delta = 0.01 / pooled sd (`*_from_stats`). The two are mapped to a
 three-way verdict: no practical difference (H0), first sample
 wins (H1_pt), second sample wins (H1_maml). The boundary belongs to H0
 (closed interval). Confidence-interval variants decide by CI overlap
-instead; `summarize` aggregates verdicts and bucket-mean effect sizes
-across many experiments.
+instead. `decide_all` applies the paper's three rules to one PT-vs-MAML
+comparison, and `summarize` / `summarize_cells` reduce many verdicts to
+per-group counts, bucket-mean effect sizes and the pooled H1 effect size
+with its 95% CI. No other module spells a CI threshold, a MAML variant
+name or the pooled-H1 average.
 
 It also owns the table format: the package writes every CSV through
 `write_table` and reads it through `read_table`, one rule rendering each
@@ -35,6 +38,7 @@ H1_MAML = "H1_maml"
 VERDICTS = (H0, H1_PT, H1_MAML)
 
 Z95 = 1.96  # two-sided 95% normal quantile behind every CI in the package
+MAML_VARIANTS = ("maml5", "maml10")  # reported depths; any other is "other"
 
 
 class DegenerateSampleError(ValueError):
@@ -67,6 +71,11 @@ class SampleStats:
         """Invert mean +/- Z95 sd / sqrt(n) back to the sample sd."""
         return cls(n=n, mean=mean, sd=float(halfwidth * np.sqrt(n) / Z95))
 
+    def ci95(self) -> tuple[float, float]:
+        """Normal-approximation 95% interval mean +/- Z95 sd / sqrt(n)."""
+        half = Z95 * self.sd / math.sqrt(self.n)
+        return self.mean - half, self.mean + half
+
 
 @dataclass(frozen=True)
 class Decision:
@@ -89,7 +98,7 @@ class Decision:
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
-        if self.maml_variant not in ("maml5", "maml10", "other"):
+        if self.maml_variant not in MAML_VARIANTS + ("other",):
             raise ValueError(f"unknown maml variant {self.maml_variant!r}")
         if self.rule == "es" and self.verdict != decide_from_es(self.effect_size, self.delta):
             raise ValueError("verdict inconsistent with the effect-size rule")
@@ -149,10 +158,8 @@ def ci95_halfwidth(values: Sequence[float]) -> float:
 
 
 def confidence_interval(a: Sequence[float]) -> tuple[float, float]:
-    """Normal-approximation 95% interval mean +/- Z95 sd / sqrt(n)."""
-    arr = np.asarray(a, dtype=np.float64)
-    half = ci95_halfwidth(arr)  # raises for n < 2
-    return float(arr.mean() - half), float(arr.mean() + half)
+    """Normal-approximation 95% interval of one sample (`SampleStats.ci95`)."""
+    return SampleStats.from_sample(a).ci95()
 
 
 def ci_overlap(ci_a: tuple[float, float], ci_b: tuple[float, float]) -> float:
@@ -180,7 +187,7 @@ def decide_ci(a: Sequence[float], b: Sequence[float],
         raise ValueError(f"overlap_threshold must be one of {sorted(_CI_RULES)}, "
                          f"got {overlap_threshold!r}")
     sa, sb = SampleStats.from_sample(a), SampleStats.from_sample(b)
-    overlap = ci_overlap(confidence_interval(a), confidence_interval(b))
+    overlap = ci_overlap(sa.ci95(), sb.ci95())
     try:
         es = cohens_d_from_stats(sa, sb)
         delta = delta_threshold_from_stats(sa, sb)
@@ -194,40 +201,44 @@ def decide_ci(a: Sequence[float], b: Sequence[float],
                     maml_variant=maml_variant, rule=rule)
 
 
+def decide_all(pt: Sequence[float], maml: Sequence[float],
+               label: str) -> tuple[Decision, Decision, Decision]:
+    """The paper's three rules on one PT-vs-MAML comparison: es, ci, ci_1pct.
+
+    `label` names the MAML leg ("maml5", "maml10", ...); a label outside
+    MAML_VARIANTS is recorded as variant "other".
+    """
+    variant = label if label in MAML_VARIANTS else "other"
+    return (decide_es(pt, maml, maml_variant=variant),
+            *(decide_ci(pt, maml, overlap_threshold=t, maml_variant=variant)
+              for t in _CI_RULES))
+
+
 @dataclass(frozen=True)
 class GroupSummary:
-    """Verdict counts and per-bucket mean effect sizes for one group."""
+    """Verdict counts, per-bucket mean effect sizes and pooled H1 for one group.
+
+    `h1_pooled_mean` averages the effect sizes of every H1 verdict, either
+    side's, and `h1_pooled_ci95` is its 95% CI half-width. The mean is None
+    without an H1 cell, the half-width with fewer than two.
+    """
 
     group: str
     counts: dict[str, int]
     bucket_means: dict[str, float | None]
     total: int
-
-
-@dataclass(frozen=True)
-class SummaryReport:
-    """Per-group summaries; groups appear in first-seen order."""
-
-    groups: tuple[GroupSummary, ...]
-
-    def group(self, name: str) -> GroupSummary:
-        for g in self.groups:
-            if g.group == name:
-                return g
-        raise KeyError(name)
-
-    @property
-    def total(self) -> int:
-        return sum(g.total for g in self.groups)
+    h1_pooled_mean: float | None
+    h1_pooled_ci95: float | None
 
 
 def summarize(decisions: Sequence[Decision],
-              groups: Sequence[str] | None = None) -> SummaryReport:
+              groups: Sequence[str] | None = None) -> dict[str, GroupSummary]:
     """Count verdicts and average effect sizes per verdict bucket.
 
     `groups` optionally assigns each decision a group label (parallel
-    sequence); by default everything lands in one group "all". An empty
-    verdict bucket gets a None mean (rendered as "no data" downstream).
+    sequence); by default everything lands in one group "all". Groups are
+    keyed in first-seen order. An empty verdict bucket gets a None mean
+    (rendered as "no data" downstream).
     """
     if not decisions:
         raise ValueError("summarize needs at least one decision")
@@ -238,9 +249,8 @@ def summarize(decisions: Sequence[Decision],
     by_group: dict[str, list[Decision]] = {}  # first-seen group order
     for g, d in zip(groups, decisions):
         by_group.setdefault(g, []).append(d)
-    return SummaryReport(groups=tuple(
-        summarize_cells([(d.effect_size, d.verdict) for d in ds], group=g)
-        for g, ds in by_group.items()))
+    return {g: summarize_cells([(d.effect_size, d.verdict) for d in ds], group=g)
+            for g, ds in by_group.items()}
 
 
 def summarize_cells(cells: Sequence[tuple[float, str]],
@@ -262,8 +272,11 @@ def summarize_cells(cells: Sequence[tuple[float, str]],
     for v in VERDICTS:
         bucket = [es for es, w in cells if w == v]
         means[v] = float(np.mean(bucket)) if bucket else None
+    h1 = [es for es, w in cells if w != H0]
     return GroupSummary(group=group, counts=counts, bucket_means=means,
-                        total=len(cells))
+                        total=len(cells),
+                        h1_pooled_mean=float(np.mean(h1)) if h1 else None,
+                        h1_pooled_ci95=ci95_halfwidth(h1) if len(h1) >= 2 else None)
 
 
 # ---------------------------------------------------------------------------

@@ -242,15 +242,14 @@ def diversity_coefficient(probe: Probe, benchmark: Benchmark, num_tasks: int,
                           seed: int, n_way: int = 5, k_shot: int = 5,
                           q_query: int = 15) -> DiversityReport:
     """Expected cosine distance between embeddings of sampled test-split task pairs."""
-    if num_tasks < 2:
-        raise ValueError("diversity needs at least 2 tasks")
+    if num_tasks < 3:
+        raise ValueError("diversity needs at least 3 tasks (a CI needs 2 pairs)")
     tasks = [sample_task(benchmark, "test", n_way, k_shot, q_query, (seed, i))
              for i in range(num_tasks)]
     embeddings = [embed_task(probe, t) for t in tasks]
     dists = np.array([d for _, _, d in _pairwise_distances(embeddings)])
-    half = ci95_halfwidth(dists) if dists.size >= 2 else 0.0
     return DiversityReport(coefficient=float(dists.mean()),
-                           ci95_halfwidth=half,
+                           ci95_halfwidth=ci95_halfwidth(dists),
                            num_tasks=num_tasks, num_pairs=int(dists.size),
                            probe_provenance=probe.provenance)
 

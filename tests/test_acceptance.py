@@ -172,6 +172,16 @@ def test_criterion_02_summary_reproduction():
     assert time.monotonic() - t0 < 1.0
 
 
+def test_criterion_02_pooled_h1_per_published_group():
+    # the paper's headline statistic, summarized the way the lab's own is
+    want = {"lowdiv_fo": (0.2118, 0.3152), "lowdiv_ho": (-0.0244, 0.3605),
+            "highdiv_all": (-0.1000, 0.0696), "highdiv_5cnn": (-0.1091, 0.0846)}
+    for setting, (mean, ci95) in want.items():
+        got = summarize_cells(_cells_for(setting), group=setting)
+        assert got.h1_pooled_mean == pytest.approx(mean, abs=1e-4), setting
+        assert got.h1_pooled_ci95 == pytest.approx(ci95, abs=1e-4), setting
+
+
 _UNREACHABLE_MEANS = [
     pytest.param("highdiv_5cnn", H1_MAML, -0.192, 0.001, id="5cnn-maml-bucket"),
     pytest.param("pooled_lowdiv", H1_PT, 0.727, 0.002, id="lowdiv-pooled-pt"),

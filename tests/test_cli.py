@@ -263,7 +263,7 @@ def test_diversity_table_keeps_a_pt_probe_provenance_in_one_cell(tmp_path, capsy
 def test_diversity_verb_rejects_single_task(tmp_path, capsys):
     cfg_path = _write_yaml(tmp_path, _tiny_config())
     assert main(["diversity", str(cfg_path), "--meta-batch", "1"]) == 1
-    assert ("failed at stage 'config': diversity needs at least 2 tasks"
+    assert ("failed at stage 'config': diversity needs at least 3 tasks"
             in capsys.readouterr().err)
 
 
@@ -336,9 +336,10 @@ def test_console_entry_point_runs_in_a_subprocess(tmp_path, child_env):
     ("pt", {"inner_steps_train": 7}, "pt leg never reads inner_steps_train"),
     ("pt", {"meta_batch": 99}, "pt leg never reads meta_batch"),
     ("maml", {"examples_per_class": 999}, "maml leg never reads examples_per_class"),
-    # a task count is 0 (disabled) or at least 2
-    ("diversity_tasks", -3, "diversity needs at least 2 tasks: diversity_tasks=-3"),
-    ("diversity_tasks", 1, "diversity needs at least 2 tasks: diversity_tasks=1"),
+    # a task count is 0 (disabled) or at least 3 for diversity, 2 for a histogram
+    ("diversity_tasks", -3, "diversity needs at least 3 tasks: diversity_tasks=-3"),
+    ("diversity_tasks", 1, "diversity needs at least 3 tasks: diversity_tasks=1"),
+    ("diversity_tasks", 2, "diversity needs at least 3 tasks: diversity_tasks=2"),
     ("histogram_tasks", -1, "histogram needs at least 2 tasks: histogram_tasks=-1"),
     ("histogram_tasks", 1, "histogram needs at least 2 tasks: histogram_tasks=1"),
 ])

@@ -12,6 +12,7 @@ from metalab.stats import (
     H0,
     H1_MAML,
     H1_PT,
+    Z95,
     Decision,
     DegenerateSampleError,
     SampleStats,
@@ -19,6 +20,7 @@ from metalab.stats import (
     ci_overlap,
     cohens_d_from_stats,
     confidence_interval,
+    decide_all,
     decide_ci,
     decide_es,
     decide_from_es,
@@ -123,6 +125,16 @@ def test_ci95_halfwidth_is_bitwise_the_formula_each_caller_spelled_out(a):
     assert ci95_halfwidth(a) == float(1.96 * np.std(a, ddof=1) / math.sqrt(len(a)))
 
 
+@given(a=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=400))
+@settings(max_examples=80, deadline=None)
+def test_sample_ci95_is_bitwise_the_normal_interval(a):
+    arr = np.asarray(a, dtype=np.float64)
+    half = Z95 * arr.std(ddof=1) / math.sqrt(arr.size)
+    expected = (float(arr.mean() - half), float(arr.mean() + half))
+    assert SampleStats.from_sample(a).ci95() == expected
+    assert confidence_interval(a) == expected
+
+
 # ---------------------------------------------------------------------------
 # decision rules
 # ---------------------------------------------------------------------------
@@ -204,6 +216,19 @@ def test_decide_ci_labels_only_the_two_published_thresholds():
             decide_ci(a, b, threshold)
 
 
+@pytest.mark.parametrize(("label", "variant"), [("maml5", "maml5"), ("maml10", "maml10"),
+                                                ("maml7", "other")])
+def test_decide_all_is_the_three_rules_in_report_order(label, variant):
+    pt = [0.80, 0.84, 0.79, 0.86, 0.82]
+    maml = [0.78, 0.83, 0.80, 0.81, 0.79]
+    assert decide_all(pt, maml, label) == (
+        decide_es(pt, maml, maml_variant=variant),
+        decide_ci(pt, maml, overlap_threshold=0.0, maml_variant=variant),
+        decide_ci(pt, maml, overlap_threshold=0.01, maml_variant=variant),
+    )
+    assert [d.rule for d in decide_all(pt, maml, label)] == ["es", "ci", "ci_1pct"]
+
+
 def test_decide_ci_disjoint_and_contained():
     low = [0.50, 0.52, 0.51, 0.53]
     high = [0.90, 0.92, 0.91, 0.93]
@@ -232,26 +257,26 @@ def test_summarize_counts_and_bucket_means():
         _ci_decision(0.01, H0),
     ]
     report = summarize(decisions)
-    g = report.group("all")
+    g = report["all"]
     assert g.counts == {H0: 1, H1_PT: 2, H1_MAML: 1}
     assert g.total == 4
     assert g.bucket_means[H1_PT] == pytest.approx(0.6)
     assert g.bucket_means[H1_MAML] == pytest.approx(-0.4)
     assert g.bucket_means[H0] == pytest.approx(0.01)
-    assert report.total == 4
+    assert sum(gs.total for gs in report.values()) == 4
     with pytest.raises(KeyError):
-        report.group("missing")
+        report["missing"]
 
 
 def test_summarize_groups_keep_first_seen_order_and_none_for_empty():
     decisions = [_ci_decision(0.5, H1_PT), _ci_decision(-0.2, H1_MAML),
                  _ci_decision(0.3, H1_PT)]
     report = summarize(decisions, groups=["low", "high", "low"])
-    assert [g.group for g in report.groups] == ["low", "high"]
-    low = report.group("low")
+    assert [g.group for g in report.values()] == ["low", "high"]
+    low = report["low"]
     assert low.counts[H1_PT] == 2 and low.counts[H0] == 0
     assert low.bucket_means[H0] is None
-    high = report.group("high")
+    high = report["high"]
     assert high.bucket_means[H1_MAML] == pytest.approx(-0.2)
     with pytest.raises(ValueError):
         summarize([])
@@ -259,10 +284,20 @@ def test_summarize_groups_keep_first_seen_order_and_none_for_empty():
         summarize(decisions, groups=["low"])
 
 
+def test_group_summary_pools_the_h1_effect_sizes():
+    g = summarize_cells([(0.5, H1_PT), (0.7, H1_PT), (-0.4, H1_MAML), (0.01, H0)])
+    assert g.h1_pooled_mean == pytest.approx(0.8 / 3)  # H0's 0.01 is left out
+    assert g.h1_pooled_ci95 == ci95_halfwidth([0.5, 0.7, -0.4])
+    one = summarize_cells([(0.5, H1_PT), (0.01, H0)])
+    assert one.h1_pooled_mean == 0.5 and one.h1_pooled_ci95 is None
+    none = summarize_cells([(0.01, H0), (-0.02, H0)])
+    assert none.h1_pooled_mean is None and none.h1_pooled_ci95 is None
+
+
 def test_summarize_cells_agrees_with_summarize():
     cells = [(0.5, H1_PT), (0.7, H1_PT), (-0.4, H1_MAML), (0.01, H0)]
     from_cells = summarize_cells(cells, group="g")
-    from_decisions = summarize([_ci_decision(es, v) for es, v in cells]).group("all")
+    from_decisions = summarize([_ci_decision(es, v) for es, v in cells])["all"]
     assert from_cells.counts == from_decisions.counts
     assert from_cells.total == from_decisions.total
     for verdict in (H0, H1_PT, H1_MAML):

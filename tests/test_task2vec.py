@@ -272,6 +272,14 @@ def test_diversity_coefficient_accounting_and_determinism():
                         num_pairs=14, probe_provenance="p")
 
 
+def test_diversity_coefficient_refuses_two_tasks():
+    # two tasks give one distance, and one distance has no CI
+    probe, bench = _probe_and_benchmark()
+    with pytest.raises(ValueError, match="at least 3 tasks"):
+        diversity_coefficient(probe, bench, num_tasks=2, seed=0,
+                              n_way=2, k_shot=3, q_query=3)
+
+
 def test_distance_histogram_partitions_single_source():
     probe, bench = _probe_and_benchmark()
     hist = distance_histogram(probe, bench, num_tasks=5, bins=6, seed=1,
