@@ -59,6 +59,7 @@ from metalab.learners import (
     adapt,
     episodic_vs_union_loss,
     fit_head,
+    fit_heads,
     meta_test,
     model_l2_norm,
     train_maml,
@@ -140,6 +141,7 @@ __all__ = [
     "episodic_vs_union_loss",
     "finite_diff_grad",
     "fit_head",
+    "fit_heads",
     "forward",
     "ground_truth_divergence",
     "high_diversity_preset",

@@ -9,11 +9,14 @@ Two training regimes share one architecture and one initialization stream:
   (higher-order) or around (first-order) the inner updates.
 
 Both evaluate at meta-test through `meta_test`: pre-trained bodies are
-frozen and get a freshly fitted per-task head (`fit_head`); meta-learned
-models take a few full-parameter descent steps on the support set, every
-episode's support stacked into one descent (`adapt` is that descent on
-one episode). Both train through one loop, `_train` (fixed-rate gradient
-descent, windowed-plateau stop), so runs are reproducible to the bit.
+frozen and get a freshly fitted per-task head, every episode's head in
+one stacked fit (`fit_heads`; `fit_head` is that fit on one support);
+meta-learned models take a few full-parameter descent steps on the
+support set, every episode's support stacked into one descent (`adapt`
+is that descent on one episode). The episodes share one shape, and there
+are at least two of them, since the reported CI needs two. Both train
+through one loop, `_train` (fixed-rate gradient descent, windowed-plateau
+stop), so runs are reproducible to the bit.
 
 Every gradient runs on the stateless numpy kernel `nets.cross_entropy_and_grad`:
 `train_pt` (one full-batch call per epoch), `train_maml`, `adapt` and
@@ -34,7 +37,12 @@ it minimizes mean cross-entropy + (HEAD_L2/2)*||[W; b]||^2, bias included,
 by damped Newton from zero until max|grad| <= HEAD_TOL. The penalty makes
 the optimum finite and unique even on separable 5-shot supports, so every
 refit is trained to convergence, and one that is not raises
-`NumericalError`. It is the only head fit here.
+`NumericalError`. It is the only head fit here. Same-shape supports are
+fitted together, HEAD_STACK to a Newton loop, and each fit runs in its
+design's row span times the sum-zero class subspace, where the optimum
+lies: a min(n, f+1)*(k-1) system instead of (f+1)*k, 100 wide instead of
+165 on a 25-row support of 32 features and 5 classes
+(`_logistic_head_fit`). Each fit in a stack is bitwise its solo fit.
 
 `episodic_vs_union_loss` is the executable form of the bound that the best
 union model upper-bounds episodic performance. Both sides are that fit's
@@ -78,6 +86,13 @@ MIN_STEP = 1e-10    # line-search step below which the head fit gives up
 # A Newton decrement below this fraction of |J| is within J's rounding:
 # there the line search cannot tell a decrease, and takes the full step
 J_FLOOR = 4.0 * np.finfo(np.float64).eps
+# Head refits per Newton loop. A stack spreads numpy's per-call cost over
+# many small systems, and memory grows with it. On a trained lowdiv body
+# (one core), a 25-row support took 3.2 ms a fit alone, 1.37 in stacks of
+# 16 and 1.34 in 64, and a 75-row task 5.0, 2.9 and 3.3 ms, while the
+# traced peak of fitting 96 tasks was 0.9, 5.8 and 21 MB. Fitting
+# HEAD_STACK at a time bounds that memory whatever the caller's count.
+HEAD_STACK = 16
 
 
 class TrainingError(RuntimeError):
@@ -212,10 +227,10 @@ class EvalResult:
     @classmethod
     def from_accuracies(cls, accs: Sequence[float]) -> "EvalResult":
         accs = tuple(float(a) for a in accs)
-        n = len(accs)
-        mean = float(np.mean(accs))
-        half = ci95_halfwidth(accs) if n >= 2 else 0.0
-        return cls(per_task_accuracy=accs, mean=mean, ci95_halfwidth=half, meta_batch=n)
+        if len(accs) < 2:
+            raise ValueError(f"a CI needs two episodes, got {len(accs)}")
+        return cls(per_task_accuracy=accs, mean=float(np.mean(accs)),
+                   ci95_halfwidth=ci95_halfwidth(accs), meta_batch=len(accs))
 
 
 def _plateaued(curve: list[float], tol: float) -> bool:
@@ -370,81 +385,166 @@ def adapt(model: Model, support: Batch, steps: int, lr: float) -> Model:
     bit-for-bit. A non-finite loss or gradient on the way raises
     `NumericalError`.
     """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
     return _adapted_models(model, [support], steps, lr)[0]
 
 
 def _head_objective(xa: np.ndarray, labels: np.ndarray,
-                    wa: np.ndarray) -> tuple[float, np.ndarray, tuple[np.ndarray, ...]]:
-    """J = mean cross-entropy + (HEAD_L2/2)*||wa||^2 at `wa`, the softmax, and its picks."""
+                    wa: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """J = mean cross-entropy + (HEAD_L2/2)*||wa||^2 per fit, the softmax, and its picks.
+
+    Stacked: a design `xa` `(B, n, m)`, `labels` `(B, n)` and heads `wa`
+    `(B, m, k)` in the design's coordinates give J `(B,)`.
+    """
     probs = xa @ wa
     loss, picks = softmax_cross_entropy(probs, labels)
-    return float(loss) + 0.5 * HEAD_L2 * float(np.sum(wa * wa)), probs, picks
+    return loss + 0.5 * HEAD_L2 * np.sum(wa * wa, axis=(-2, -1)), probs, picks
 
 
-def _logistic_head_fit(features: np.ndarray, labels: np.ndarray,
-                       n_classes: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """Damped Newton descent on L2-penalized multinomial logistic regression.
+def _sum_zero_basis(k: int) -> np.ndarray:
+    """An orthonormal basis `(k, k-1)` of the class vectors that sum to 0.
 
-    Minimizes J(wa) = mean cross-entropy + (HEAD_L2/2)*||wa||^2 over the
-    stacked head wa = [W; b], bias row included, from wa = 0. The penalty
-    makes the Hessian positive definite, so the optimum is finite and
-    unique and Newton converges to it quadratically. Each round builds the
-    dense (f+1)*k Hessian, solves for the Newton direction and backtracks
-    (Armijo) on J, so every accepted step lowers J, except once the Newton
-    decrement -<grad J, step> is within `J_FLOOR * |J|`: there two values
-    of J cannot be told apart, and the full step is taken. The fit stops
-    when max|grad J| <= HEAD_TOL and returns W, b and J there; reaching
-    HEAD_MAX_ITER above it, or a line search that can no longer lower J,
-    raises `NumericalError`. `labels` must lie in `[0, n_classes)`.
+    The QR factor of k-1 columns of the centering matrix I - 1/k, which
+    span that subspace.
     """
-    n, f = features.shape
-    dim = (f + 1) * n_classes
+    return np.linalg.qr((np.eye(k) - 1.0 / k)[:, :-1])[0]
+
+
+def _head_hessian(phi: np.ndarray, probs: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The Hessian of J `(B, r*m, r*m)` in class-major coefficients `(B, r, m)`.
+
+    Row i's cross-entropy curvature is (diag p_i - p_i p_i^T)/n; in the
+    sum-zero basis `q` `(k, r)` its (j, l) entry is the row weight
+    w_jl(i) = (sum_c p_ic q_cj q_cl - (p_i q)_j (p_i q)_l) / n, so block
+    (j, l) is the weighted Gram phi^T diag(w_jl) phi, one per class pair
+    j <= l. No `(B, m^2, n)` outer-product tensor is built.
+    """
+    b, n, m = phi.shape
+    r = q.shape[1]
+    pq = probs @ q
+    phi_t = phi.swapaxes(-1, -2)
+    hess = np.empty((b, r * m, r * m))
+    for j in range(r):
+        for l in range(j, r):
+            weight = (probs @ (q[:, j] * q[:, l]) - pq[..., j] * pq[..., l]) * (1.0 / n)
+            gram = phi_t @ (weight[..., None] * phi)
+            hess[:, j * m:(j + 1) * m, l * m:(l + 1) * m] = gram
+            if l != j:
+                hess[:, l * m:(l + 1) * m, j * m:(j + 1) * m] = gram.swapaxes(-1, -2)
+    diag = np.arange(r * m)
+    hess[:, diag, diag] += HEAD_L2
+    return hess
+
+
+def _missed(fit: int, rounds: int, gmax: float) -> NumericalError:
+    return NumericalError(f"head fit {fit} stopped after {rounds} Newton iterations with "
+                          f"max|grad J| = {gmax:.3g} above tol {HEAD_TOL:g}")
+
+
+def _logistic_head_fit(features: np.ndarray, labels: np.ndarray, n_classes: int,
+                       first: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Damped Newton descent on L2-penalized multinomial logistic regression, stacked.
+
+    For each of the B fits in `features` `(B, n, f)` and `labels` `(B, n)`,
+    minimizes J(wa) = mean cross-entropy + (HEAD_L2/2)*||wa||^2 over the
+    head wa = [W; b] `(f+1, k)`, bias row included, from wa = 0, and
+    returns W `(B, f, k)`, b `(B, k)` and J `(B,)`. The penalty makes the
+    Hessian positive definite, so the optimum is finite and unique and
+    Newton converges to it quadratically.
+
+    Coordinates. With the design xa = [features, 1] = U S V^T (thin SVD)
+    and Q `(k, k-1)` an orthonormal basis of the sum-zero class vectors,
+    every iterate is wa = V C Q^T: grad J = xa^T signal + HEAD_L2 * wa lies
+    in V's span, and each softmax signal row sums to 0 over classes, so
+    Newton from 0 never leaves it. In C the problem is the same penalized
+    fit on phi = U S, a system min(n, f+1)*(k-1) wide instead of
+    (f+1)*k, with ||wa|| = ||C||. All min(n, f+1) directions are kept, no
+    rank cut: a direction with a zero singular value has Hessian HEAD_L2
+    and gradient HEAD_L2 * C there, so its coordinate stays 0. The stop is
+    checked on max|grad_wa J| with grad_wa J = V grad_C J Q^T, so HEAD_TOL
+    means what it says of the returned head, whatever the coordinates.
+
+    Each round builds the Hessian as weighted Grams (`_head_hessian`),
+    solves for the Newton direction and backtracks (Armijo) on J, so every
+    accepted step lowers J, except once the Newton decrement -<grad J,
+    step> is within `J_FLOOR * |J|`: there two values of J cannot be told
+    apart, and the full step is taken. Every rule holds per fit: its own
+    stop, line search, `J_FLOOR` rule, `MIN_STEP` stall and HEAD_MAX_ITER
+    cap. A fit that has converged stops updating at its own iterate, so
+    each fit in a stack is bitwise its solo fit. A fit that reaches
+    HEAD_MAX_ITER above HEAD_TOL, or whose line search can no longer lower
+    J, raises `NumericalError` naming its index, counted from `first`.
+    `labels` must lie in `[0, n_classes)`.
+    """
+    b, n, f = features.shape
     # row-major whatever the order of `features` (`body_features` hands out
     # a transposed view), so the fit's sums do not depend on the caller
-    xa = np.ones((n, f + 1))
-    xa[:, :-1] = features
-    outer = np.einsum("ra,rb->rab", xa, xa)
-    wa = np.zeros((f + 1, n_classes))
-    eye = np.eye(n_classes)
-    value, probs, picks = _head_objective(xa, labels, wa)
-    diag = np.arange(dim)
-    iterations = 0
+    xa = np.ones((b, n, f + 1))
+    xa[..., :-1] = features
+    phi, s, vh = np.linalg.svd(xa, full_matrices=False)
+    phi *= s[..., None, :]
+    q = _sum_zero_basis(n_classes)
+    coef = np.zeros((b, q.shape[1], phi.shape[-1]))
+    value, probs, _ = _head_objective(phi, labels, coef.swapaxes(-1, -2) @ q.T)
+    rounds = np.zeros(b, dtype=np.int64)
+    live = np.arange(b)  # the fits still above HEAD_TOL
     while True:
-        g = xa.T @ logit_signal(probs.copy(), picks) + HEAD_L2 * wa
-        gmax = float(np.abs(g).max())
-        if gmax <= HEAD_TOL or iterations == HEAD_MAX_ITER:
+        p, ys, c = phi[live], labels[live], coef[live]
+        signal = logit_signal(probs[live], (*np.indices(ys.shape, sparse=True), ys))
+        grad = q.T @ signal.swapaxes(-1, -2) @ p + HEAD_L2 * c
+        gmax = np.abs(q @ grad @ vh[live]).max(axis=(-2, -1))  # of grad J in wa
+        going = gmax > HEAD_TOL
+        capped = np.flatnonzero(going & (rounds[live] == HEAD_MAX_ITER))
+        if capped.size:
+            raise _missed(first + live[capped[0]], HEAD_MAX_ITER, gmax[capped[0]])
+        if not going.any():
             break
-        curvature = probs[:, :, None] * (eye[None] - probs[:, None, :])
-        hess = np.tensordot(outer, curvature, axes=(0, 0)).transpose(0, 2, 1, 3)
-        hess = hess.reshape(dim, dim) / n
-        hess[diag, diag] += HEAD_L2
-        step = -np.linalg.solve(hess, g.ravel()).reshape(wa.shape)
-        slope = float(g.ravel() @ step.ravel())
-        at_floor = -slope <= J_FLOOR * abs(value)
-        t = 1.0
-        while t >= MIN_STEP:
-            cand = wa + t * step
-            cand_value, cand_probs, _ = _head_objective(xa, labels, cand)
-            if at_floor or cand_value <= value + ARMIJO * t * slope:
-                break
-            t *= 0.5
-        else:  # no step lowers J by the Armijo fraction: the solve has stalled
-            break
-        wa, value, probs = cand, cand_value, cand_probs
-        iterations += 1
-    if gmax > HEAD_TOL:
-        raise NumericalError(
-            f"head fit stopped after {iterations} Newton iterations with "
-            f"max|grad J| = {gmax:.3g} above tol {HEAD_TOL:g}")
-    return wa[:-1], wa[-1], value
+        live, p, ys, c, grad, gmax = (a[going] for a in (live, p, ys, c, grad, gmax))
+        step = -np.linalg.solve(_head_hessian(p, probs[live], q),
+                                grad.reshape(len(live), -1, 1)).reshape(c.shape)
+        slope = np.sum(grad * step, axis=(-2, -1))
+        at_floor = -slope <= J_FLOOR * np.abs(value[live])
+        t = np.ones(len(live))
+        search = np.arange(len(live))  # positions in `live` still backtracking
+        while search.size:
+            cand = c[search] + t[search, None, None] * step[search]
+            cand_value, cand_probs, _ = _head_objective(
+                p[search], ys[search], cand.swapaxes(-1, -2) @ q.T)
+            took = at_floor[search] | (
+                cand_value <= value[live[search]] + ARMIJO * t[search] * slope[search])
+            done = live[search[took]]
+            coef[done], value[done], probs[done] = cand[took], cand_value[took], cand_probs[took]
+            rounds[done] += 1
+            search = search[~took]
+            t[search] *= 0.5
+            stalled = search[t[search] < MIN_STEP]
+            if stalled.size:  # no step lowers J by the Armijo fraction
+                i = stalled[0]
+                raise _missed(first + live[i], rounds[live[i]], gmax[i])
+    wa = (q @ coef @ vh).swapaxes(-1, -2)
+    return wa[:, :-1], wa[:, -1], value
 
 
-def _refit_head(model: Model, support: Batch,
-                n_classes: int | None) -> tuple[Model, float]:
-    """`fit_head`'s model, and the objective J its head stopped at."""
-    if len(support) == 0:
-        raise ValueError("fit_head needs a nonempty support set")
-    labels = support.labels
+def _one_shape(supports: Sequence[Batch], caller: str) -> None:
+    shapes = sorted({support.inputs.shape for support in supports})
+    if len(shapes) > 1:
+        raise ValueError(f"{caller} needs supports of one shape, got {shapes}")
+
+
+def _refit_heads(model: Model, supports: Sequence[Batch],
+                 n_classes: int | None) -> tuple[list[Model], np.ndarray]:
+    """`fit_heads`' models, and the objective J `(B,)` each head stopped at.
+
+    The supports are fitted HEAD_STACK at a time, body features included,
+    so memory does not grow with their count.
+    """
+    if not supports:
+        raise ValueError("fit_heads needs at least one support")
+    _one_shape(supports, "fit_heads")
+    if len(supports[0]) == 0:
+        raise ValueError("fit_heads needs nonempty supports")
+    labels = np.concatenate([support.labels for support in supports])
     top = int(labels.max())  # a Batch's labels are nonnegative
     width = top + 1 if n_classes is None else int(n_classes)
     if width < 2:
@@ -452,26 +552,46 @@ def _refit_head(model: Model, support: Batch,
     if top >= width:
         raise ValueError(f"support labels {sorted(set(labels[labels >= width].tolist()))} "
                          f"lie outside [0, {width})")
-    features = model.body_features(support.inputs)
-    w, b, value = _logistic_head_fit(features, labels, width)
     new_spec = NetSpec(model.spec.input_dim, model.spec.hidden_dims, width)
-    flat = np.concatenate([model.body_values(), w.ravel(), b])
-    return Model(new_spec, ParamVector(flat, new_spec.layout())), value
+    body = model.body_values()
+    models: list[Model] = []
+    values = np.empty(len(supports))
+    for first in range(0, len(supports), HEAD_STACK):
+        inputs, stack_labels = _stacked(supports[first:first + HEAD_STACK])
+        w, b, values[first:first + HEAD_STACK] = _logistic_head_fit(
+            model.body_features(inputs), stack_labels, width, first)
+        models += [Model(new_spec, ParamVector(np.concatenate([body, wi.ravel(), bi]),
+                                               new_spec.layout()))
+                   for wi, bi in zip(w, b)]
+    return models, values
+
+
+def fit_heads(model: Model, supports: Sequence[Batch],
+              n_classes: int | None = None) -> list[Model]:
+    """Freeze the body and refit a fresh L2-penalized logistic head on each support.
+
+    Each head minimizes mean support cross-entropy + (HEAD_L2/2)*||[W; b]||^2
+    on the body's features, solved from zero by damped Newton until
+    max|grad| <= HEAD_TOL (`_logistic_head_fit`). The penalty makes the
+    optimum finite and unique even on separable supports. The supports
+    must share one shape; their fits run in stacks of HEAD_STACK, each
+    bitwise the fit of its support alone (`fit_head`). A fit that does not
+    reach HEAD_TOL within HEAD_MAX_ITER Newton rounds raises
+    `NumericalError` naming its support's index. The head width defaults
+    to one more than the largest label in `supports`; a support label
+    outside `[0, n_classes)` raises ValueError naming it, before any
+    fitting.
+    """
+    return _refit_heads(model, supports, n_classes)[0]
 
 
 def fit_head(model: Model, support: Batch, n_classes: int | None = None) -> Model:
-    """Freeze the body and refit a fresh L2-penalized logistic-regression head.
+    """`fit_heads` on one support: the body frozen, a fresh penalized head fitted.
 
-    The head minimizes mean support cross-entropy + (HEAD_L2/2)*||[W; b]||^2
-    on the body's features, solved from zero by damped Newton until
-    max|grad| <= HEAD_TOL (`_logistic_head_fit`). The penalty makes the
-    optimum finite and unique even on separable supports, and a fit that
-    does not reach HEAD_TOL within HEAD_MAX_ITER Newton rounds raises
-    `NumericalError`. The head width defaults to the number of label
-    values in `support`; a support label outside `[0, n_classes)` raises
-    ValueError naming it, before any fitting.
+    The head width defaults to one more than the largest label in
+    `support`.
     """
-    return _refit_head(model, support, n_classes)[0]
+    return fit_heads(model, [support], n_classes)[0]
 
 
 def _accuracy(model: Model, batch: Batch) -> float:
@@ -485,31 +605,34 @@ def meta_test(model: Model, method: str, tasks: Sequence[FewShotTask],
 
     `method` is "pt_head_refit" (freeze body, refit head on support) or
     "maml_adapt" (`steps` full-parameter descent steps at `lr` on support).
-    "maml_adapt" stacks the supports, which must share one shape, into one
-    descent: `steps` gradient calls in all, each episode's iterate bitwise
-    that of `adapt` on it alone. Results are order-independent per task,
-    so the accuracy vector permutes with `tasks`.
+    Both stack the supports, which must share one shape (checked before
+    either runs): "pt_head_refit" is one `fit_heads` call, and
+    "maml_adapt" one descent, `steps` gradient calls in all. Each
+    episode's head or iterate is bitwise that of `fit_head` or `adapt` on
+    it alone. At least 2 tasks are needed, since the CI needs two
+    episodes. Results are order-independent per task, so the accuracy
+    vector permutes with `tasks`.
     """
-    if not tasks:
-        raise ValueError("meta_test needs at least one task")
-    if method == "pt_head_refit":
-        adapted = [fit_head(model, task.support) for task in tasks]
-    elif method == "maml_adapt":
-        adapted = _adapted_models(model, [task.support for task in tasks], steps, lr)
-    else:
+    if method not in ("pt_head_refit", "maml_adapt"):
         raise ValueError(f"unknown meta_test method {method!r}")
+    if method == "maml_adapt" and steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if len(tasks) < 2:
+        raise ValueError(f"meta_test needs at least 2 tasks (a CI needs two episodes), "
+                         f"got {len(tasks)}")
+    supports = [task.support for task in tasks]
+    _one_shape(supports, "meta_test")
+    if method == "pt_head_refit":
+        adapted = fit_heads(model, supports)
+    else:
+        adapted = _adapted_models(model, supports, steps, lr)
     return EvalResult.from_accuracies(
         [_accuracy(m, task.query) for m, task in zip(adapted, tasks)])
 
 
 def _adapted_models(model: Model, supports: Sequence[Batch], steps: int,
                     lr: float) -> list[Model]:
-    """`model` after `steps` descent steps on each support, all in one stacked descent."""
-    shapes = sorted({support.inputs.shape for support in supports})
-    if len(shapes) > 1:
-        raise ValueError(f"stacked adaptation needs supports of one shape, got {shapes}")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    """`model` after `steps` >= 0 descent steps on each support of one shape, in one descent."""
     if steps == 0:
         return [model] * len(supports)
     inputs, labels = _stacked(supports)
@@ -556,6 +679,11 @@ def episodic_vs_union_loss(model: Model, benchmark: Benchmark,
         np.concatenate([t.query.inputs for t in tasks]),
         np.concatenate([np.asarray(t.class_ids, dtype=np.int64)[t.query.labels]
                         for t in tasks]))
-    union = _refit_head(model, pooled, benchmark.total_classes)[1]
-    episodic = [_refit_head(model, t.query, t.n_way)[1] for t in tasks]
+    union = float(_refit_heads(model, [pooled], benchmark.total_classes)[1][0])
+    groups: dict[tuple, list[int]] = {}  # the tasks whose per-task fits stack
+    for i, t in enumerate(tasks):
+        groups.setdefault((t.query.inputs.shape, t.n_way), []).append(i)
+    episodic = np.empty(len(tasks))
+    for (_, n_way), members in groups.items():
+        episodic[members] = _refit_heads(model, [tasks[i].query for i in members], n_way)[1]
     return float(np.average(episodic, weights=[len(t.query) for t in tasks])), union

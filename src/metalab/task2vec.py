@@ -18,7 +18,9 @@ Implementation choices that matter for comparing numbers:
 - the refitted head is `fit_head`'s, the L2-penalized multinomial
   logistic regression (penalty `learners.HEAD_L2`, bias included) solved
   to max|grad| <= `learners.HEAD_TOL`, so the posterior weighting the FIM
-  is that of the converged head.
+  is that of the converged head. `diversity_coefficient` and
+  `distance_histogram` refit all their tasks' heads in one `fit_heads`
+  call, each head bitwise its task's `fit_head`.
 
 The in-module FIM is a closed-form layer-by-layer computation (squared
 backprop signals over the outputs of `nets.activations`, the posterior
@@ -33,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from metalab.learners import Model, TrainConfig, TrainResult, fit_head, train_pt
+from metalab.learners import Model, TrainConfig, TrainResult, fit_heads, train_pt
 from metalab.nets import Batch, NetSpec, activations, relu_masks, softmax_cross_entropy
 from metalab.stats import ci95_halfwidth
 from metalab.tasks import Benchmark, FewShotTask, sample_task
@@ -195,18 +197,28 @@ def _fim_diag_body(model: Model, batch: Batch) -> np.ndarray:
     return flat
 
 
+def _embed_tasks(probe: Probe, tasks: Sequence[FewShotTask]) -> list[TaskEmbedding]:
+    """`embed_task` of each task, every head refit in one `fit_heads` stack.
+
+    The tasks share one shape and one `n_way`, as every caller draws them.
+    """
+    data = [_task_data(task) for task in tasks]
+    fitted = fit_heads(probe.model, data, n_classes=tasks[0].n_way)
+    return [TaskEmbedding(fim_diag=_fim_diag_body(model, batch), task_id=task.task_id,
+                          source_ids=task.source_ids)
+            for model, batch, task in zip(fitted, data, tasks)]
+
+
 def embed_task(probe: Probe, task: FewShotTask) -> TaskEmbedding:
     """Fingerprint a task: refit the probe's head, then take the FIM diagonal.
 
     The probe's body is untouched; a fresh n_way head is fitted on the
     task's pooled data, and the embedding is the exact posterior-weighted
-    FIM diagonal restricted to body parameters.
+    FIM diagonal restricted to body parameters. It is `_embed_tasks` of
+    one task, which `diversity_coefficient` and `distance_histogram` run
+    on all of theirs.
     """
-    data = _task_data(task)
-    fitted = fit_head(probe.model, data, n_classes=task.n_way)
-    diag = _fim_diag_body(fitted, data)
-    return TaskEmbedding(fim_diag=diag, task_id=task.task_id,
-                         source_ids=task.source_ids)
+    return _embed_tasks(probe, [task])[0]
 
 
 def _norms(embeddings: Sequence[TaskEmbedding]) -> list[float]:
@@ -246,7 +258,7 @@ def diversity_coefficient(probe: Probe, benchmark: Benchmark, num_tasks: int,
         raise ValueError("diversity needs at least 3 tasks (a CI needs 2 pairs)")
     tasks = [sample_task(benchmark, "test", n_way, k_shot, q_query, (seed, i))
              for i in range(num_tasks)]
-    embeddings = [embed_task(probe, t) for t in tasks]
+    embeddings = _embed_tasks(probe, tasks)
     dists = np.array([d for _, _, d in _pairwise_distances(embeddings)])
     return DiversityReport(coefficient=float(dists.mean()),
                            ci95_halfwidth=ci95_halfwidth(dists),
@@ -280,7 +292,7 @@ def distance_histogram(probe: Probe, benchmark: Benchmark, num_tasks: int,
         si = usable[i % len(usable)]
         tasks.append(sample_task(benchmark, "test", n_way, k_shot, q_query,
                                  (seed, i), class_pool=per_source[si]))
-    embeddings = [embed_task(probe, t) for t in tasks]
+    embeddings = _embed_tasks(probe, tasks)
     task_source = [usable[i % len(usable)] for i in range(num_tasks)]
     partitions: dict[str, list[float]] = {}
     for i, j, d in _pairwise_distances(embeddings):

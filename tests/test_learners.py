@@ -18,9 +18,10 @@ import pytest
 import scipy.optimize
 import scipy.special
 
-from metalab import harness, learners
+from metalab import harness, learners, task2vec
 from metalab.learners import (
     HEAD_L2,
+    HEAD_STACK,
     EvalResult,
     Model,
     TrainConfig,
@@ -31,6 +32,7 @@ from metalab.learners import (
     adapt,
     episodic_vs_union_loss,
     fit_head,
+    fit_heads,
     meta_test,
     model_l2_norm,
     train_maml,
@@ -199,6 +201,42 @@ def test_every_lowdiv_meta_test_refit_converges():
         assert _head_grad_maxabs(feats, task.support.labels, w, b, HEAD_L2) <= 1e-8, i
 
 
+def test_a_stack_of_fits_is_each_support_fitted_alone_bitwise():
+    # HEAD_STACK + 1 supports make two stacks, so the boundary between
+    # them is covered too.
+    spec = NetSpec(8, (32,), 5)
+    model = Model(spec, spec.init(4))
+    supports = [task.support for task in _lowdiv_episodes(HEAD_STACK + 1)]
+    stacked = fit_heads(model, supports)
+    assert len(stacked) == HEAD_STACK + 1
+    for support, many in zip(supports, stacked):
+        assert np.array_equal(fit_head(model, support).params.values, many.params.values)
+
+
+def test_pt_meta_test_refits_every_episode_in_one_stacked_fit(monkeypatch):
+    spec = NetSpec(8, (32,), 5)
+    model = Model(spec, spec.init(4))
+    calls = []
+    original = learners._logistic_head_fit
+    monkeypatch.setattr(learners, "_logistic_head_fit",
+                        lambda features, *rest: calls.append(features.shape)
+                        or original(features, *rest))
+    meta_test(model, "pt_head_refit", _lowdiv_episodes(12))
+    assert calls == [(12, 25, 32)]
+
+
+def test_a_stacked_fit_that_misses_tol_raises_naming_it(monkeypatch):
+    # Within 5 Newton rounds the supports of seeds 0 and 1 reach HEAD_TOL
+    # and that of seed 2 does not, so only fit 1 of the stack misses.
+    model = Model(NetSpec(2, (), 2), NetSpec(2, (), 2).init(0))
+    supports = [_overlapping_batch(seed) for seed in (0, 2, 1)]
+    monkeypatch.setattr(learners, "HEAD_MAX_ITER", 5)
+    fit_head(model, supports[0])
+    fit_head(model, supports[2])
+    with pytest.raises(NumericalError, match=r"head fit 1 stopped after 5 Newton iterations .*grad"):
+        fit_heads(model, supports)
+
+
 def test_head_refit_and_embedding_leave_scipy_optimize_unimported(child_env):
     # Importing scipy.optimize after metalab costs about 0.56 s and 43 MB of
     # resident memory (34 MB -> 78 MB), which the benchmark's setup and
@@ -215,6 +253,9 @@ def test_head_refit_and_embedding_leave_scipy_optimize_unimported(child_env):
         task = sample_task(bench, "test", 2, 3, 3, (0, 0))
         metalab.fit_head(probe.model, task.support)
         embed_task(probe, task)
+        pair = [task, sample_task(bench, "test", 2, 3, 3, (0, 1))]
+        metalab.meta_test(probe.model, "pt_head_refit", pair)
+        metalab.diversity_coefficient(probe, bench, 3, 0, n_way=2, k_shot=3, q_query=3)
         print("scipy.optimize" in sys.modules)
     """)
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,
@@ -369,7 +410,8 @@ def test_stacked_maml_meta_test_refuses_supports_of_different_shapes():
     for steps in (0, 2):
         with pytest.raises(ValueError, match="one shape"):
             meta_test(model, "maml_adapt", tasks, steps=steps, lr=0.1)
-    assert meta_test(model, "pt_head_refit", tasks).meta_batch == 2  # refits one at a time
+    with pytest.raises(ValueError, match="one shape"):  # the refits stack too
+        meta_test(model, "pt_head_refit", tasks)
 
 
 def test_stacked_maml_meta_test_keeps_the_adaptation_error():
@@ -385,7 +427,8 @@ def test_eval_result_accounting():
     assert r.mean == pytest.approx(0.75)
     assert r.ci95_halfwidth == pytest.approx(1.96 * np.std([1, 0, 1, 1], ddof=1) / 2.0)
     assert r.meta_batch == 4
-    assert EvalResult.from_accuracies([0.6]).ci95_halfwidth == 0.0
+    with pytest.raises(ValueError, match="a CI needs two episodes"):
+        EvalResult.from_accuracies([0.6])
     with pytest.raises(ValueError):
         EvalResult(per_task_accuracy=(1.0, 0.0), mean=0.9, ci95_halfwidth=0.0, meta_batch=2)
     with pytest.raises(ValueError):
@@ -582,15 +625,16 @@ def test_no_training_path_runs_the_tape(monkeypatch):
 
     bench = _bench()
     model = _tiny_model()
-    _, task = _tiny_task()
+    tiny_bench, task = _tiny_task()
+    pair = [task, sample_task(tiny_bench, "test", 4, 3, 5, rng_seed=1)]
     small = dict(hidden_dims=(8,), max_epochs=3, meta_batch=2, n_way=3, k_shot=2,
                  q_query=3, seed=1)
     runs = {
         "train_pt": lambda: train_pt(bench, TrainConfig(method="pt", **small)),
         "fo train_maml": lambda: train_maml(bench, TrainConfig(method="fo_maml", **small)),
         "adapt": lambda: adapt(model, task.support, 3, 0.1),
-        "meta_test maml_adapt": lambda: meta_test(model, "maml_adapt", [task], steps=2),
-        "meta_test pt_head_refit": lambda: meta_test(model, "pt_head_refit", [task]),
+        "meta_test maml_adapt": lambda: meta_test(model, "maml_adapt", pair, steps=2),
+        "meta_test pt_head_refit": lambda: meta_test(model, "pt_head_refit", pair),
         "fit_head": lambda: fit_head(model, task.support),
         "embed_task": lambda: embed_task(
             build_probe(bench, small["seed"], config=TrainConfig(method="pt", **small)),
@@ -639,18 +683,28 @@ def test_tracing_the_benchmark_spans_leaves_ho_training_bit_identical(monkeypatc
 
 def test_tracing_the_benchmark_spans_leaves_a_comparison_record_unchanged(
         monkeypatch, tmp_path):
-    # The benchmark traces whole `run_comparison` units, whose wrappers read
-    # more of the library than training does: the `fit_head` wrapper checks
-    # the returned head (`spans.head_gradient_max` reads `body_features` and
-    # `head()`), and `RunRecord.save` is a traced method. A traced unit must
-    # still run and write the untraced record.
+    # The benchmark traces whole `run_comparison` units, and `RunRecord.save`
+    # is a traced method. A traced unit must still run and write the
+    # untraced record. The pipeline refits its heads and embeds its tasks in
+    # stacks, so the one-support wrappers are run directly: the `fit_head`
+    # wrapper checks the returned head (`spans.head_gradient_max` reads
+    # `body_features` and `head()`), and a traced call must return the
+    # untraced result.
     config = low_diversity_preset(0, meta_batch=4, eval_steps=(1,), diversity_tasks=4,
                                   histogram_tasks=4, maml={"max_epochs": 2})
     untraced = harness.run_comparison(config, out_dir=tmp_path / "untraced")
+    task = sample_task(config.benchmark.build(), "test", 5, 5, 15, (0, 0))
+    spec = NetSpec(8, (32,), 5)
+    probe = task2vec.Probe(Model(spec, spec.init(0)), "random(seed=0)")
+    head = fit_head(probe.model, task.support)
+    embedding = task2vec.embed_task(probe, task)
     tracer = _benchmark_tracer(monkeypatch)
     tracer.install()
     try:
         traced = harness.run_comparison(config, out_dir=tmp_path / "traced")
+        pipeline = {span[3] for span in tracer.spans}
+        traced_head = learners.fit_head(probe.model, task.support)
+        traced_embedding = task2vec.embed_task(probe, task)
     finally:
         tracer.uninstall()
 
@@ -658,9 +712,11 @@ def test_tracing_the_benchmark_spans_leaves_a_comparison_record_unchanged(
         return {k: v for k, v in record.to_dict().items() if k != "wall_clock_seconds"}
 
     assert plain(traced) == plain(untraced)
-    names = {span[3] for span in tracer.spans}
-    assert {"learners.fit_head", "learners.meta_test.pt", "learners.meta_test.maml",
-            "task2vec.embed_task", "harness.persist"} <= names
+    assert {"learners.meta_test.pt", "learners.meta_test.maml",
+            "task2vec.diversity_coefficient", "harness.persist"} <= pipeline
+    assert np.array_equal(traced_head.params.values, head.params.values)
+    assert np.array_equal(traced_embedding.fim_diag, embedding.fim_diag)
+    assert {"learners.fit_head", "task2vec.embed_task"} <= {span[3] for span in tracer.spans}
 
 
 def test_plateau_detector_window_semantics():
