@@ -28,8 +28,8 @@ call each, and the higher-order method adds a reverse sweep of
 same way, one call per adaptation step. Every forward pass is
 `nets.activations`. The head refit, which `episodic_vs_union_loss` also
 runs, is its own Newton solve on the kernel's `nets.softmax_cross_entropy`
-and `nets.logit_signal`. No path here runs the autodiff tape; it is the
-oracle the tests check these paths against.
+(the plain softmax, unscaled) and `nets.logit_signal`. No path here runs
+the autodiff tape; it is the oracle the tests check these paths against.
 
 The head refit is the L2-penalized logistic-regression head of Tian et
 al. 2020 ("Rethinking Few-Shot Image Classification", arXiv 2003.11539):

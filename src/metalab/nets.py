@@ -9,17 +9,30 @@ tape. `activations` is the one numpy forward pass, optionally stacked
 over batches of one shape. `forward` (logits), `learners.Model.body_features`,
 the Fisher information in `metalab.task2vec` and the training kernel all
 read from it, with `relu_masks` its rectifier pattern. It stores each
-layer feature-major, as a C-contiguous `(..., width, n)` array, and hands
-out `(..., n, width)` transposed views, so the softmax's row reductions
-and the backward pass run along the long row axis. The kernel is two
-stateless functions: `cross_entropy_and_grad` (mean cross-entropy and its
-closed-form gradient) and `cross_entropy_hvp` (a Hessian-vector product by
-Pearlmutter's R-operator); every training and adaptation gradient runs on
-them. `forward_t` is the traced pass on the autodiff tape
+layer feature-major and augmented: the inputs and every hidden layer as a
+C-contiguous `(..., width + 1, n)` array whose last row is ones, the
+logits as `(..., k, n)`. It hands out the inputs, then each layer's
+first `width` rows as a transposed `(..., n, width)` view, so the
+softmax's row reductions and the backward pass run along the long row
+axis. The layout stores each `W{i}` immediately followed by `b{i}`, so
+one flat slice is `[W; b]` `(d_in + 1, d_out)`, and each layer is one
+GEMM `[W; b]^T @ [a; 1]` with no separate bias add; the slices are
+computed once per spec. The kernel is two stateless functions:
+`cross_entropy_and_grad` (mean cross-entropy and its closed-form
+gradient) and `cross_entropy_hvp` (a Hessian-vector product by
+Pearlmutter's R-operator); every training and adaptation gradient runs
+on them. Each writes a layer's `[gW; gb]` as one GEMM
+`[a; 1] @ signal^T` straight into its slice of one fresh `(..., P)`
+array. `forward_t` is the traced pass on the autodiff tape
 (`metalab.autodiff`), the oracle both are tested against; demo 01 shows it.
 The kernel, the head refit and the Fisher posterior share the one softmax
 cross-entropy outside the tape, `softmax_cross_entropy` (with
-`logit_signal`, its gradient at the logits).
+`logit_signal`, its gradient at the logits). `cross_entropy_and_grad`
+has the softmax written already scaled by 1/n and then takes 1/n off at
+each true class, so its top signal (p - onehot)/n is one pass over the
+logits where `logit_signal` after the plain softmax makes two. The head
+refit, the Fisher posterior and the Hessian-vector product, which need
+p itself, keep the plain softmax.
 
 Losses for the tape are callables over a dict of named parameter
 `Tensor`s; `net_loss` builds the standard cross-entropy objective from a
@@ -34,6 +47,7 @@ All arithmetic is float64; finite-difference tolerances need the headroom.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -199,27 +213,52 @@ class Batch:
         return self.inputs.shape[0]
 
 
+@functools.cache
+def _folds(spec: NetSpec) -> tuple[Layout, int, tuple[tuple[slice, int, int], ...]]:
+    """`spec.layout()`, its size P, and each layer's `[W; b]` flat slice and 2-d shape.
+
+    The layout stores each `W{i}` `(d_in, d_out)` immediately followed by
+    `b{i}`, so the one slice from W's start to b's stop, reshaped to
+    `(d_in + 1, d_out)`, is `[W; b]`, the bias its last row. Computed once
+    per spec: every kernel call reads it.
+    """
+    layout = spec.layout()
+    segs = layout_slices(layout)
+    folds = tuple((slice(w.start, b.stop), shape[0] + 1, shape[1])
+                  for (_, w, shape), (_, b, _) in zip(segs[0::2], segs[1::2]))
+    return layout, segs[-1][1].stop, folds
+
+
+def _split(flat: np.ndarray, folds: tuple[tuple[slice, int, int], ...]) -> list[np.ndarray]:
+    """Each layer's `[W; b]` `(..., d_in + 1, d_out)` as a view of `flat` `(..., P)`."""
+    return [flat[..., part].reshape(*flat.shape[:-1], rows, cols) for part, rows, cols in folds]
+
+
+def _fresh_blocks(spec: NetSpec, lead: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A fresh `(*lead, P)` array and its `_split` views, one per layer, for a kernel to fill."""
+    _, size, folds = _folds(spec)
+    out = np.empty((*lead, size))
+    return out, _split(out, folds)
+
+
 def _layers(spec: NetSpec, params: ParamVector | np.ndarray,
-            lead: tuple[int, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each layer's weight `(..., d_in, d_out)` and bias `(..., d_out)`: views of `params`.
+            lead: tuple[int, ...]) -> list[np.ndarray]:
+    """Each layer's `[W; b]` `(..., d_in + 1, d_out)`, bias as last row: views of `params`.
 
     `params` is as in `activations`, with `lead` the inputs' leading shape.
     """
-    layout = spec.layout()
+    layout, size, folds = _folds(spec)
     if isinstance(params, ParamVector):
         if params.layout != layout:
             raise ShapeError(
                 f"parameter layout {params.layout} does not match spec layout {layout}")
         params = params.values
     flat = np.asarray(params, dtype=np.float64)
-    slices = layout_slices(layout)
-    size = slices[-1][1].stop
     if flat.shape[-1:] != (size,) or flat.shape[:-1] not in ((), lead):
         raise ShapeError(
             f"parameters of shape {flat.shape} do not fit {size} per batch "
             f"over leading shape {lead}")
-    segs = [flat[..., part].reshape(*flat.shape[:-1], *shape) for _, part, shape in slices]
-    return list(zip(segs[0::2], segs[1::2]))
+    return _split(flat, folds)
 
 
 def activations(spec: NetSpec, params: ParamVector | np.ndarray,
@@ -234,39 +273,44 @@ def activations(spec: NetSpec, params: ParamVector | np.ndarray,
     (`np.maximum(z, 0)`) below the top layer, raw logits at the top. So
     `[-1]` is the logits and `[-2]` the features entering the head.
     Deterministic, pure numpy. Each layer is stored feature-major, in a
-    fresh C-contiguous `(..., width, n)` array, and what is returned is
-    its transposed view: writing to it writes to that array.
+    fresh C-contiguous array as `_outputs` lays it out, and what is
+    returned is the transposed view of its first `width` rows: writing to
+    it writes to that array.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
-    return [np.swapaxes(h, -1, -2)
-            for h in _outputs(spec, _layers(spec, params, inputs.shape[:-2]), inputs)]
+    outs = _outputs(spec, _layers(spec, params, inputs.shape[:-2]), inputs)
+    return [inputs] + [np.swapaxes(h[..., :width, :], -1, -2)
+                       for h, width in zip(outs[1:], spec.dims[1:])]
 
 
-def _outputs(spec: NetSpec, layers: list[tuple[np.ndarray, np.ndarray]],
-             inputs: np.ndarray) -> list[np.ndarray]:
+def _outputs(spec: NetSpec, layers: list[np.ndarray], inputs: np.ndarray) -> list[np.ndarray]:
     """The pass behind `activations`, over `_layers` views and float64 `inputs`.
 
-    Feature-major: the transposed view of `inputs`, then each layer as a
-    fresh C-contiguous `(..., width, n)` array.
+    Feature-major and augmented: `inputs` and each hidden layer as a fresh
+    C-contiguous `(..., width + 1, n)` array whose last row is ones, so each
+    layer is the one GEMM `[W; b]^T @ [a; 1]`, bias included, and the
+    logits as a fresh `(..., output_dim, n)` array with no extra row.
     """
     if inputs.ndim < 2 or inputs.shape[-1] != spec.input_dim:
         raise ShapeError(
             f"batch shape {inputs.shape} does not end in input_dim {spec.input_dim}")
-    out = [np.swapaxes(inputs, -1, -2)]
-    for i, (w, b) in enumerate(layers):
-        h = np.swapaxes(w, -1, -2) @ out[-1]
-        h += b[..., :, None]
-        if i < len(layers) - 1:
-            np.maximum(h, 0.0, out=h)
+    lead, n = inputs.shape[:-2], inputs.shape[-2]
+    a = np.empty((*lead, spec.input_dim + 1, n))
+    a[..., :-1, :] = np.swapaxes(inputs, -1, -2)
+    a[..., -1, :] = 1.0
+    out = [a]
+    for wb in layers[:-1]:
+        h = np.empty((*lead, wb.shape[-1] + 1, n))
+        np.matmul(np.swapaxes(wb, -1, -2), out[-1], out=h[..., :-1, :])
+        h[..., -1, :] = 1.0
+        np.maximum(h, 0.0, out=h)  # the ones row stays
         out.append(h)
+    out.append(np.swapaxes(layers[-1], -1, -2) @ out[-1])
     return out
 
 
 def relu_masks(acts: list[np.ndarray]) -> list[np.ndarray]:
-    """The rectifier's pattern `a > 0` of each hidden output of `activations`, as bools.
-
-    On the feature-major layers of `_outputs` it gives the masks in that order.
-    """
+    """The rectifier's pattern `a > 0` of each hidden output of `activations`, as bools."""
     return [a > 0.0 for a in acts[1:-1]]
 
 
@@ -280,19 +324,21 @@ def forward(spec: NetSpec, params: ParamVector | np.ndarray, inputs: np.ndarray)
 # ---------------------------------------------------------------------------
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray | None = None
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray | None = None,
+                          scale: float = 1.0
                           ) -> tuple[np.ndarray, tuple[np.ndarray, ...]] | tuple[None, None]:
     """Per-batch mean cross-entropy of float64 `logits` `(..., n, k)`; leaves the softmax there.
 
     Shift-stabilized: exp(z - max z), its row sums s, the softmax as that
-    times the reciprocal 1/s, log-sum-exp = log s + max z. `logits` may be
-    any strided view (the transposed views of `activations` are); the
-    softmax is written through it. With `labels` `(..., n)`, which the
-    caller keeps in `[0, k)`, returns the loss (shape `...`) and `picks`,
-    the index tuple of the true-class entries (`logits[picks]` has the
-    labels' shape), for `logit_signal`; a non-finite loss raises
-    `NumericalError`. Without labels it returns `(None, None)`, and the
-    caller checks the softmax.
+    times the reciprocal 1/s, log-sum-exp = log s + max z. With `scale`,
+    what is written is the softmax times `scale`, in the same one pass
+    (times (1/s)*scale). `logits` may be any strided view (the transposed
+    views of `activations` are); the softmax is written through it. With
+    `labels` `(..., n)`, which the caller keeps in `[0, k)`, returns the
+    loss (shape `...`) and `picks`, the index tuple of the true-class
+    entries (`logits[picks]` has the labels' shape), for `logit_signal`;
+    a non-finite loss raises `NumericalError`. Without labels it returns
+    `(None, None)`, and the caller checks the softmax.
     """
     if logits.ndim < 2:
         raise ShapeError(f"logits must be at least 2-d, got {logits.shape}")
@@ -309,7 +355,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray | None = None
     logits -= shift
     np.exp(logits, out=logits)
     sumexp = logits.sum(axis=-1)
-    logits *= (1.0 / sumexp)[..., None]
+    logits *= ((1.0 / sumexp) * scale)[..., None]
     if labels is None:
         return None, None
     per_row = np.log(sumexp) + shift[..., 0] - picked
@@ -324,7 +370,8 @@ def logit_signal(probs: np.ndarray, picks: tuple[np.ndarray, ...]) -> np.ndarray
 
     `picks` is the index tuple from `softmax_cross_entropy`, so the -1 at
     each true class lands in `probs` whatever its memory order; 1/n is one
-    reciprocal multiply.
+    reciprocal multiply. The training kernel writes the same signal in one
+    pass instead, from a softmax already scaled by 1/n.
     """
     probs[picks] -= 1.0
     probs *= 1.0 / probs.shape[-2]
@@ -333,27 +380,32 @@ def logit_signal(probs: np.ndarray, picks: tuple[np.ndarray, ...]) -> np.ndarray
 
 def _checked_batch(spec: NetSpec, inputs: np.ndarray,
                    labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`inputs` and `labels` as float64/int64; a label outside `[0, output_dim)` raises."""
+    """`inputs` and `labels` as float64/int64.
+
+    An empty batch or a label outside `[0, output_dim)` raises ValueError.
+    """
     inputs = np.asarray(inputs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    if inputs.ndim >= 2 and inputs.shape[-2] == 0:
+        raise ValueError("cross_entropy of an empty batch is undefined")
     if labels.size and (labels.min() < 0 or labels.max() >= spec.output_dim):
         raise ValueError(
             f"labels outside [0, {spec.output_dim}) for logits width {spec.output_dim}")
     return inputs, labels
 
 
-def _checked_output(spec: NetSpec, blocks: list[np.ndarray], lead: tuple[int, ...],
-                    what: str) -> np.ndarray:
-    """Segment blocks in reverse layout order as one fresh `(*lead, P)` array.
-
-    Raises `NumericalError` naming the first non-finite segment.
-    """
-    out = np.concatenate([b.reshape(*lead, -1) for b in reversed(blocks)], axis=-1)
+def _checked(spec: NetSpec, out: np.ndarray, what: str) -> np.ndarray:
+    """`out` `(..., P)` if finite; else `NumericalError` naming its first non-finite segment."""
     if not np.all(np.isfinite(out)):
         for name, part, _ in layout_slices(spec.layout()):
             if not np.all(np.isfinite(out[..., part])):
                 raise NumericalError(f"non-finite {what} in segment {name}")
     return out
+
+
+def _hidden_masks(acts: list[np.ndarray]) -> list[np.ndarray]:
+    """`relu_masks` of the augmented layers of `_outputs`: each hidden layer but its ones row."""
+    return [a[..., :-1, :] > 0.0 for a in acts[1:-1]]
 
 
 def cross_entropy_and_grad(spec: NetSpec, flat: np.ndarray, inputs: np.ndarray,
@@ -365,28 +417,32 @@ def cross_entropy_and_grad(spec: NetSpec, flat: np.ndarray, inputs: np.ndarray,
     `activations`. Returns the loss with shape `...` (0-d when unstacked)
     and a fresh gradient `(..., P)`. The arithmetic is that of `net_loss`
     under `loss_and_grad`: the same stabilized log-sum-exp, the rectifier's
-    derivative as a multiplication by `relu_masks`, and the mean as a sum
+    derivative as a multiplication by its mask, and the mean as a sum
     times 1/n. A non-finite loss or gradient segment raises
     `NumericalError`.
     """
     inputs, labels = _checked_batch(spec, inputs, labels)
     lead = inputs.shape[:-2]
     layers = _layers(spec, flat, lead)
-    # feature-major throughout: acts[i] and the signal are (..., width, n)
+    # feature-major throughout: acts[i] is [a_i; 1] (..., width + 1, n)
     acts = _outputs(spec, layers, inputs)
-    masks = relu_masks(acts)
+    masks = _hidden_masks(acts)
+    inv_n = 1.0 / inputs.shape[-2]
     logits = np.swapaxes(acts[-1], -1, -2)
-    loss, picks = softmax_cross_entropy(logits, labels)
-    logit_signal(logits, picks)
+    # the top signal (softmax - one-hot)/n: the softmax written already
+    # scaled by 1/n, then 1/n off at each true class
+    loss, picks = softmax_cross_entropy(logits, labels, scale=inv_n)
+    logits[picks] -= inv_n
     signal = acts[-1]
-    blocks = []
+    grad, blocks = _fresh_blocks(spec, lead)
     for i in range(spec.num_layers - 1, -1, -1):
-        blocks += [np.sum(signal, axis=-1), acts[i] @ np.swapaxes(signal, -1, -2)]
+        # [gW; gb] = [a; 1] signal^T, straight into the gradient's slice
+        np.matmul(acts[i], np.swapaxes(signal, -1, -2), out=blocks[i])
         if i > 0:
             # the outputs below are spent: their array takes the signal
-            signal = np.matmul(layers[i][0], signal, out=acts[i])
+            signal = np.matmul(layers[i][..., :-1, :], signal, out=acts[i][..., :-1, :])
             signal *= masks[i - 1]
-    return loss, _checked_output(spec, blocks, lead, "gradient")
+    return loss, _checked(spec, grad, "gradient")
 
 
 def cross_entropy_hvp(spec: NetSpec, flat: np.ndarray, vec: np.ndarray, inputs: np.ndarray,
@@ -412,19 +468,18 @@ def cross_entropy_hvp(spec: NetSpec, flat: np.ndarray, vec: np.ndarray, inputs: 
     lead = inputs.shape[:-2]
     layers = _layers(spec, flat, lead)
     dirs = _layers(spec, vec, lead)
-    # feature-major throughout, as in `cross_entropy_and_grad`
+    # feature-major and augmented throughout, as in `cross_entropy_and_grad`
     acts = _outputs(spec, layers, inputs)
-    masks = relu_masks(acts)
+    masks = _hidden_masks(acts)
     logits = np.swapaxes(acts[-1], -1, -2)
     _, picks = softmax_cross_entropy(logits, labels)
     last = spec.num_layers - 1
     # r_acts[i] is R(z_i), masked below the top into R(a_{i+1})
     r_acts: list[np.ndarray] = []
-    for i, (v, v_bias) in enumerate(dirs):
+    for i, v in enumerate(dirs):
         r_out = np.swapaxes(v, -1, -2) @ acts[i]
-        r_out += v_bias[..., :, None]
         if i > 0:
-            r_out += np.swapaxes(layers[i][0], -1, -2) @ r_acts[-1]
+            r_out += np.swapaxes(layers[i][..., :-1, :], -1, -2) @ r_acts[-1]
         if i < last:
             r_out *= masks[i]
         r_acts.append(r_out)
@@ -437,20 +492,19 @@ def cross_entropy_hvp(spec: NetSpec, flat: np.ndarray, vec: np.ndarray, inputs: 
     r_signal *= 1.0 / inputs.shape[-2]
     logit_signal(logits, picks)
     signal = probs
-    blocks = []
+    out, blocks = _fresh_blocks(spec, lead)
     for i in range(last, -1, -1):
-        w_out = acts[i] @ np.swapaxes(r_signal, -1, -2)
-        blocks += [np.sum(r_signal, axis=-1), w_out]
+        np.matmul(acts[i], np.swapaxes(r_signal, -1, -2), out=blocks[i])
         if i > 0:
-            w_out += r_acts[i - 1] @ np.swapaxes(signal, -1, -2)
+            blocks[i][..., :-1, :] += r_acts[i - 1] @ np.swapaxes(signal, -1, -2)
             # R(a) and a below are spent: their arrays take R(delta) and delta
-            w = layers[i][0]
+            w = layers[i][..., :-1, :]
             r_signal = np.matmul(w, r_signal, out=r_acts[i - 1])
-            r_signal += dirs[i][0] @ signal
+            r_signal += dirs[i][..., :-1, :] @ signal
             r_signal *= masks[i - 1]
-            signal = np.matmul(w, signal, out=acts[i])
+            signal = np.matmul(w, signal, out=acts[i][..., :-1, :])
             signal *= masks[i - 1]
-    return _checked_output(spec, blocks, lead, "Hessian-vector product")
+    return _checked(spec, out, "Hessian-vector product")
 
 # ---------------------------------------------------------------------------
 # differentiable path

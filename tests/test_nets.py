@@ -29,6 +29,7 @@ from metalab.nets import (
     finite_diff_grad,
     forward,
     forward_t,
+    layout_slices,
     logit_signal,
     loss_and_grad,
     loss_and_grad_through_updates,
@@ -36,6 +37,7 @@ from metalab.nets import (
     params_to_leaves,
     softmax_cross_entropy,
 )
+from metalab.nets import _layers
 
 
 def _random_params(spec: NetSpec, seed: int) -> ParamVector:
@@ -332,19 +334,30 @@ def test_kernel_matches_autodiff_value_and_gradient(seed):
 
 @pytest.mark.parametrize("lead, shared", [((), True), ((3,), True), ((3,), False)])
 def test_layers_are_stored_feature_major(lead, shared):
-    # Every hidden and logit array `activations` returns is the transposed
-    # view of a C-contiguous (..., width, n) array, unstacked or stacked
-    # under one shared vector or one per batch; and the kernel gives the
-    # same loss, gradient and product for C- and F-ordered inputs.
+    # Every hidden array `activations` returns is the transposed view of the
+    # first `width` rows of a C-contiguous (..., width + 1, n) array whose
+    # last row is exactly 1.0, and the logits that of a (..., k, n) array
+    # with no extra row, unstacked or stacked under one shared vector or one
+    # per batch; and the kernel gives the same loss, gradient and product
+    # for C- and F-ordered inputs.
     gen = np.random.default_rng(len(lead) + shared)
     spec = NetSpec(3, (5, 4), 3)
-    inputs = gen.normal(size=(*lead, 7, spec.input_dim))
-    labels = gen.integers(0, spec.output_dim, size=(*lead, 7))
+    n = 7
+    inputs = gen.normal(size=(*lead, n, spec.input_dim))
+    labels = gen.integers(0, spec.output_dim, size=(*lead, n))
     flat = gen.normal(0.0, 0.7, size=(() if shared else lead) + (spec.param_count(),))
-    for a in activations(spec, flat, inputs)[1:]:
-        stored = np.swapaxes(a, -1, -2)
-        assert not a.flags.c_contiguous and stored.flags.c_contiguous
-        assert a.base is not None and a.base.shape == stored.shape
+    acts = activations(spec, flat, inputs)
+    for i, (a, width) in enumerate(zip(acts[1:], spec.dims[1:]), start=1):
+        base = a.base
+        assert a.shape == (*lead, n, width) and not a.flags.c_contiguous
+        assert base is not None and base.flags.c_contiguous
+        if i < spec.num_layers:
+            assert base.shape == (*lead, width + 1, n)
+            assert np.all(base[..., -1, :] == 1.0)
+        else:
+            assert base.shape == (*lead, width, n)
+        rows = np.swapaxes(base[..., :width, :], -1, -2)
+        assert a.strides == rows.strides and np.array_equal(a, rows)
     vec = gen.normal(size=flat.shape)
     f_inputs = np.asfortranarray(inputs)
     for got, want in zip(
@@ -353,6 +366,67 @@ def test_layers_are_stored_feature_major(lead, shared):
             (*cross_entropy_and_grad(spec, flat, inputs, labels),
              cross_entropy_hvp(spec, flat, vec, inputs, labels))):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("hidden", [(), (5,), (4, 3)])
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_each_layer_folds_into_one_weight_and_bias_view(hidden, lead):
+    # The layout stores W{i} immediately followed by b{i}, so one flat slice
+    # reshaped to (d_in + 1, d_out) is [W_i; b_i] with no copy: the kernel's
+    # one GEMM per layer, bias included, rests on this.
+    spec = NetSpec(3, hidden, 4)
+    slices = {name: (part, shape) for name, part, shape in layout_slices(spec.layout())}
+    flat = np.random.default_rng(len(hidden)).normal(size=(*lead, spec.param_count()))
+    folded = _layers(spec, flat, lead)
+    assert len(folded) == spec.num_layers
+    for i, wb in enumerate(folded):
+        (w_part, (d_in, d_out)), (b_part, _) = slices[f"W{i}"], slices[f"b{i}"]
+        assert w_part.stop == b_part.start
+        assert wb.shape == (*lead, d_in + 1, d_out)
+        assert wb.base is flat and np.shares_memory(wb, flat[..., w_part])
+        ws = flat[..., w_part].reshape(-1, d_in, d_out)
+        bs = flat[..., b_part].reshape(-1, d_out)
+        for one, w, b in zip(wb.reshape(-1, d_in + 1, d_out), ws, bs):
+            assert np.array_equal(one, np.vstack([w, b]))
+
+
+@pytest.mark.parametrize("stack", ["unstacked", "shared", "per-batch"])
+def test_kernel_reads_the_one_forward_pass(stack):
+    # The kernel's loss is, bit for bit, the softmax cross-entropy of the
+    # logits `forward` returns: one forward pass, one loss arithmetic.
+    gen = np.random.default_rng(7)
+    spec = NetSpec(3, (5, 4), 3)
+    lead = () if stack == "unstacked" else (4,)
+    inputs = gen.normal(size=(*lead, 9, spec.input_dim))
+    labels = gen.integers(0, spec.output_dim, size=(*lead, 9))
+    flat = gen.normal(0.0, 0.7, size=(lead if stack == "per-batch" else ())
+                      + (spec.param_count(),))
+    loss, _ = cross_entropy_and_grad(spec, flat, inputs, labels)
+    want, _ = softmax_cross_entropy(forward(spec, flat, inputs).copy(), labels)
+    assert loss.shape == lead and loss.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(6,), (6, 5)])
+@pytest.mark.parametrize("shared", [True, False])
+def test_kernel_matches_autodiff_with_most_classes_absent(hidden, shared):
+    # Pre-training's regime: a wide head over a batch in which most classes
+    # never occur (12 logits, labels drawn from 7 of them), stacked under one
+    # shared vector or one per batch. Gradient and product against the tape.
+    gen = np.random.default_rng(len(hidden) + 2 * shared)
+    spec = NetSpec(4, hidden, 12)
+    lead, n = (3,), 30
+    present = gen.choice(spec.output_dim, size=7, replace=False)
+    inputs = gen.normal(size=(*lead, n, spec.input_dim))
+    labels = present[gen.integers(0, 7, size=(*lead, n))]
+    flat = gen.normal(0.0, 0.7, size=(() if shared else lead) + (spec.param_count(),))
+    vec = gen.normal(size=flat.shape)
+    value, g = cross_entropy_and_grad(spec, flat, inputs, labels)
+    hv = cross_entropy_hvp(spec, flat, vec, inputs, labels)
+    for b in range(lead[0]):
+        f, v = (flat, vec) if shared else (flat[b], vec[b])
+        _assert_close_to_oracle(spec, f, inputs[b], labels[b], value[b], g[b])
+        want = _tape_hvp(spec, f, v, Batch(inputs[b], labels[b]))
+        assert np.abs(hv[b] - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_kernel_returns_fresh_gradients_and_repeats_its_bits():
