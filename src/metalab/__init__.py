@@ -12,17 +12,17 @@ Module map:
 - ``autodiff``: reverse-mode engine over numpy arrays with second-order
   support (gradients of gradients); the test oracle.
 - ``nets``: parameter layouts, MLP forward pass, the one softmax
-  cross-entropy, the numpy gradient and Hessian-vector kernel on it, and
-  the tape-based oracle entry points (``loss_and_grad``,
-  ``loss_and_grad_through_updates`` for differentiating through
-  inner-loop updates, ``finite_diff_grad``).
+  cross-entropy, the numpy kernel on it (gradient, Hessian-vector
+  product, body Fisher diagonal), and the tape-based oracle entry points
+  (``loss_and_grad``, ``loss_and_grad_through_updates`` for
+  differentiating through inner-loop updates, ``finite_diff_grad``).
 - ``rng``: the named, splittable random-stream scheme used everywhere.
 - ``tasks``: synthetic Gaussian sources, benchmarks built from their
   sources alone (``Benchmark(sources)``), episode sampling.
 - ``learners``: MAML / pre-training loops, adaptation, head refits,
   meta-test evaluation.
-- ``task2vec``: FIM-diagonal task embeddings, cosine distances, diversity
-  coefficient, distance histograms.
+- ``task2vec``: FIM-diagonal task embeddings on the kernel's Fisher
+  diagonal, cosine distances, diversity coefficient, distance histograms.
 - ``stats``: ``SampleStats`` and the pooled std, Cohen's d and 1% threshold
   computed from them, the decision rules (``decide_all`` applies all three
   to one comparison), group summaries with the pooled H1 effect size, the

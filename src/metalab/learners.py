@@ -147,7 +147,7 @@ class TrainConfig:
     5-way 5-shot with 15 queries. Hidden widths, the episode shape, every
     count, the seed, the rates and the tolerance are checked here, so a
     bad one fails before training; a count or seed that is not an integer
-    (a float or a bool) is refused, not truncated.
+    (a float or a bool) is refused, not truncated, as is a bool rate or tolerance.
     """
 
     method: str
@@ -172,6 +172,9 @@ class TrainConfig:
             object.__setattr__(self, name, integer(getattr(self, name), name))
         object.__setattr__(self, "hidden_dims", tuple(
             integer(h, "hidden_dims") for h in self.hidden_dims))
+        for name in ("outer_lr", "inner_lr", "convergence_tol"):
+            if isinstance(getattr(self, name), bool):  # YAML reads `yes` as True
+                raise ValueError(f"{name} must be a number, not the bool {getattr(self, name)}")
         if not all(math.isfinite(lr) and lr > 0 for lr in (self.outer_lr, self.inner_lr)):
             raise ValueError("learning rates must be finite and positive")
         if not (math.isfinite(self.convergence_tol) and self.convergence_tol >= 0):

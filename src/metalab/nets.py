@@ -6,41 +6,36 @@ A network is described by a `NetSpec` (dims; relu throughout) and a flat
 
 The layer structure is written down twice, once in numpy and once on the
 tape. `activations` is the one numpy forward pass, optionally stacked
-over batches of one shape. `forward` (logits), `learners.Model.body_features`,
-the Fisher information in `metalab.task2vec` and the training kernel all
-read from it, with `relu_masks` its rectifier pattern. It stores each
-layer feature-major and augmented: the inputs and every hidden layer as a
-C-contiguous `(..., width + 1, n)` array whose last row is ones, the
-logits as `(..., k, n)`. It hands out the inputs, then each layer's
-first `width` rows as a transposed `(..., n, width)` view, so the
-softmax's row reductions and the backward pass run along the long row
-axis. The layout stores each `W{i}` immediately followed by `b{i}`, so
-one flat slice is `[W; b]` `(d_in + 1, d_out)`, and each layer is one
-GEMM `[W; b]^T @ [a; 1]` with no separate bias add; the slices are
-computed once per spec. The kernel is two stateless functions:
-`cross_entropy_and_grad` (mean cross-entropy and its closed-form
-gradient) and `cross_entropy_hvp` (a Hessian-vector product by
-Pearlmutter's R-operator); every training and adaptation gradient runs
-on them. Each writes a layer's `[gW; gb]` as one GEMM
-`[a; 1] @ signal^T` straight into its slice of one fresh `(..., P)`
-array. `forward_t` is the traced pass on the autodiff tape
-(`metalab.autodiff`), the oracle both are tested against; demo 01 shows it.
-The kernel, the head refit and the Fisher posterior share the one softmax
-cross-entropy outside the tape, `softmax_cross_entropy` (with
-`logit_signal`, its gradient at the logits). `cross_entropy_and_grad`
-has the softmax written already scaled by 1/n and then takes 1/n off at
-each true class, so its top signal (p - onehot)/n is one pass over the
-logits where `logit_signal` after the plain softmax makes two. The head
-refit, the Fisher posterior and the Hessian-vector product, which need
-p itself, keep the plain softmax.
+over batches of one shape; `forward` (logits), `learners.Model.body_features`
+and the kernel read from it. It stores each layer feature-major and
+augmented: the inputs and every hidden layer as a C-contiguous
+`(..., width + 1, n)` array whose last row is ones, the logits as
+`(..., k, n)`, and hands out `(..., n, width)` transposed views, so the
+softmax's row reductions and the backward walks run along the long row
+axis. The layout stores each `W{i}` just before `b{i}`, so one flat
+slice, computed once per spec, is `[W; b]` `(d_in + 1, d_out)` and each
+layer is one GEMM `[W; b]^T @ [a; 1]`. Only this module names segments.
+
+The kernel is three stateless functions, each one backward walk down
+that pass writing each layer's block as one GEMM `[a; 1] @ signal^T`
+into its slice of one fresh flat array: `cross_entropy_and_grad` (mean
+cross-entropy and its gradient) and `cross_entropy_hvp` (a
+Hessian-vector product by Pearlmutter's R-operator) behind every
+training and adaptation gradient, `fisher_body_diagonal` (the body's
+posterior-weighted Fisher diagonal) behind every task embedding.
+`forward_t` is the traced pass on the autodiff tape (`metalab.autodiff`),
+the oracle they are tested against; demo 01 shows it. The kernel and the
+head refit share the one softmax, `softmax_cross_entropy` (with
+`logit_signal`, its gradient at the logits); `cross_entropy_and_grad`
+writes it already scaled by 1/n, its top signal (p - onehot)/n in one
+pass, while the others need p itself.
 
 Losses for the tape are callables over a dict of named parameter
 `Tensor`s; `net_loss` builds the standard cross-entropy objective from a
 spec and a batch. `loss_and_grad` runs one reverse pass,
 `loss_and_grad_through_updates` differentiates through a chain of inner
 gradient descent updates, and `finite_diff_grad` is the central-difference
-oracle used to certify both.
-No library path calls the tape.
+oracle used to certify both. No library path calls the tape.
 
 All arithmetic is float64; finite-difference tolerances need the headroom.
 """
@@ -217,10 +212,8 @@ class Batch:
 def _folds(spec: NetSpec) -> tuple[Layout, int, tuple[tuple[slice, int, int], ...]]:
     """`spec.layout()`, its size P, and each layer's `[W; b]` flat slice and 2-d shape.
 
-    The layout stores each `W{i}` `(d_in, d_out)` immediately followed by
-    `b{i}`, so the one slice from W's start to b's stop, reshaped to
-    `(d_in + 1, d_out)`, is `[W; b]`, the bias its last row. Computed once
-    per spec: every kernel call reads it.
+    The slice runs from `W{i}`'s start to `b{i}`'s stop, `(d_in + 1, d_out)`
+    with the bias its last row. Computed once per spec: every kernel call reads it.
     """
     layout = spec.layout()
     segs = layout_slices(layout)
@@ -234,10 +227,10 @@ def _split(flat: np.ndarray, folds: tuple[tuple[slice, int, int], ...]) -> list[
     return [flat[..., part].reshape(*flat.shape[:-1], rows, cols) for part, rows, cols in folds]
 
 
-def _fresh_blocks(spec: NetSpec, lead: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A fresh `(*lead, P)` array and its `_split` views, one per layer, for a kernel to fill."""
-    _, size, folds = _folds(spec)
-    out = np.empty((*lead, size))
+def _fresh_blocks(folds: tuple[tuple[slice, int, int], ...],
+                  lead: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A fresh `(*lead, end)` array, `end` the last fold's stop, and its `_split` views."""
+    out = np.empty((*lead, folds[-1][0].stop))
     return out, _split(out, folds)
 
 
@@ -271,11 +264,9 @@ def activations(spec: NetSpec, params: ParamVector | np.ndarray,
     or `(..., P)`, one vector per batch. Returns `inputs` (as float64),
     then each layer's output `(..., n, width)` in order: rectified
     (`np.maximum(z, 0)`) below the top layer, raw logits at the top. So
-    `[-1]` is the logits and `[-2]` the features entering the head.
-    Deterministic, pure numpy. Each layer is stored feature-major, in a
-    fresh C-contiguous array as `_outputs` lays it out, and what is
-    returned is the transposed view of its first `width` rows: writing to
-    it writes to that array.
+    `[-1]` is the logits and `[-2]` the features entering the head. Each
+    layer is a transposed view of `_outputs`' fresh feature-major array:
+    writing to it writes there.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     outs = _outputs(spec, _layers(spec, params, inputs.shape[:-2]), inputs)
@@ -307,11 +298,6 @@ def _outputs(spec: NetSpec, layers: list[np.ndarray], inputs: np.ndarray) -> lis
         out.append(h)
     out.append(np.swapaxes(layers[-1], -1, -2) @ out[-1])
     return out
-
-
-def relu_masks(acts: list[np.ndarray]) -> list[np.ndarray]:
-    """The rectifier's pattern `a > 0` of each hidden output of `activations`, as bools."""
-    return [a > 0.0 for a in acts[1:-1]]
 
 
 def forward(spec: NetSpec, params: ParamVector | np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -404,7 +390,7 @@ def _checked(spec: NetSpec, out: np.ndarray, what: str) -> np.ndarray:
 
 
 def _hidden_masks(acts: list[np.ndarray]) -> list[np.ndarray]:
-    """`relu_masks` of the augmented layers of `_outputs`: each hidden layer but its ones row."""
+    """The rectifier's pattern `a > 0` of each hidden layer of `_outputs`, ones row left out."""
     return [a[..., :-1, :] > 0.0 for a in acts[1:-1]]
 
 
@@ -434,7 +420,7 @@ def cross_entropy_and_grad(spec: NetSpec, flat: np.ndarray, inputs: np.ndarray,
     loss, picks = softmax_cross_entropy(logits, labels, scale=inv_n)
     logits[picks] -= inv_n
     signal = acts[-1]
-    grad, blocks = _fresh_blocks(spec, lead)
+    grad, blocks = _fresh_blocks(_folds(spec)[2], lead)
     for i in range(spec.num_layers - 1, -1, -1):
         # [gW; gb] = [a; 1] signal^T, straight into the gradient's slice
         np.matmul(acts[i], np.swapaxes(signal, -1, -2), out=blocks[i])
@@ -492,7 +478,7 @@ def cross_entropy_hvp(spec: NetSpec, flat: np.ndarray, vec: np.ndarray, inputs: 
     r_signal *= 1.0 / inputs.shape[-2]
     logit_signal(logits, picks)
     signal = probs
-    out, blocks = _fresh_blocks(spec, lead)
+    out, blocks = _fresh_blocks(_folds(spec)[2], lead)
     for i in range(last, -1, -1):
         np.matmul(acts[i], np.swapaxes(r_signal, -1, -2), out=blocks[i])
         if i > 0:
@@ -505,6 +491,48 @@ def cross_entropy_hvp(spec: NetSpec, flat: np.ndarray, vec: np.ndarray, inputs: 
             signal = np.matmul(w, signal, out=acts[i][..., :-1, :])
             signal *= masks[i - 1]
     return _checked(spec, out, "Hessian-vector product")
+
+
+def fisher_body_diagonal(spec: NetSpec, flat: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """The body's exact posterior-weighted Fisher information diagonal, per batch.
+
+    Task2Vec's (Achille et al. 2019, arXiv 1902.03545): the batch mean of
+    sum_c p_c g_c^2 over the posterior p, g_c = d log p(c | x) / d theta,
+    in closed form. With W the head's weights `(h, k)`, the class-indexed
+    signal at the head input is s_c = (W^T[c] - W p) * mask `(..., k, h, n)`;
+    each body layer's `[W; b]` block is the one GEMM
+    `[a; 1]^2 @ (sum_c p_c s_c^2)^T / n`; the signal goes down a layer as
+    `W @ s` times the mask below.
+
+    `flat` and `inputs` are as in `activations`; no labels enter. Returns a
+    fresh `(..., head start)` array of the body's entries in layout order.
+    A spec with no hidden layer raises ValueError; a non-finite posterior
+    or entry raises `NumericalError`.
+    """
+    if spec.num_layers < 2:
+        raise ValueError("the body's Fisher information needs at least one hidden layer")
+    inputs = np.asarray(inputs, dtype=np.float64)
+    lead = inputs.shape[:-2]
+    layers = _layers(spec, flat, lead)
+    acts = _outputs(spec, layers, inputs)
+    masks = _hidden_masks(acts)
+    probs = acts[-1]
+    softmax_cross_entropy(np.swapaxes(probs, -1, -2))  # the logits become the posterior
+    if not np.all(np.isfinite(probs)):
+        raise NumericalError("non-finite posterior")
+    out, blocks = _fresh_blocks(_folds(spec)[2][:-1], lead)  # every layer but the head
+    w = layers[-1][..., :-1, :]
+    signal = np.swapaxes(w, -1, -2)[..., None] - (w @ probs)[..., None, :, :]
+    for i in range(spec.num_layers - 2, -1, -1):
+        # the signal at layer i's output; its 0/1 mask goes on the sum of squares
+        weighted = np.einsum("...chn,...chn,...cn->...hn", signal, signal, probs)
+        weighted *= masks[i]
+        np.matmul(acts[i] * acts[i], np.swapaxes(weighted, -1, -2), out=blocks[i])
+        blocks[i] /= inputs.shape[-2]
+        if i > 0:
+            signal *= masks[i][..., None, :, :]
+            signal = layers[i][..., None, :-1, :] @ signal
+    return _checked(spec, out, "Fisher information")
 
 # ---------------------------------------------------------------------------
 # differentiable path

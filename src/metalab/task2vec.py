@@ -20,12 +20,12 @@ Implementation choices that matter for comparing numbers:
   to max|grad| <= `learners.HEAD_TOL`, so the posterior weighting the FIM
   is that of the converged head. `diversity_coefficient` and
   `distance_histogram` refit all their tasks' heads in one `fit_heads`
-  call, each head bitwise its task's `fit_head`.
+  call, each head bitwise its task's `fit_head`, and take the FIM of
+  HEAD_STACK tasks in each `nets.fisher_body_diagonal` call.
 
-The in-module FIM is a closed-form layer-by-layer computation (squared
-backprop signals over the outputs of `nets.activations`, the posterior
-from `nets.softmax_cross_entropy`); the test suite certifies it against a
-brute-force autodiff loop over (example, class) pairs.
+The FIM is that closed-form kernel function, which the test suite
+certifies against a brute-force autodiff loop over (example, class)
+pairs; this module knows nothing of the network's layers.
 """
 
 from __future__ import annotations
@@ -35,8 +35,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from metalab.learners import Model, TrainConfig, TrainResult, fit_heads, train_pt
-from metalab.nets import Batch, NetSpec, activations, relu_masks, softmax_cross_entropy
+from metalab.learners import HEAD_STACK, Model, TrainConfig, TrainResult, fit_heads, train_pt
+from metalab.nets import Batch, NetSpec, NumericalError, fisher_body_diagonal
+from metalab.rng import integer
 from metalab.stats import ci95_halfwidth
 from metalab.tasks import Benchmark, FewShotTask, sample_task
 
@@ -147,66 +148,34 @@ def build_probe(pretext_benchmark: Benchmark, seed: int, config: TrainConfig,
     return Probe(model=model, provenance=provenance)
 
 
-def _task_data(task: FewShotTask) -> Batch:
-    """Support and query concatenated under the shared local labels."""
-    return Batch(np.concatenate([task.support.inputs, task.query.inputs]),
-                 np.concatenate([task.support.labels, task.query.labels]))
-
-
-def _fim_diag_body(model: Model, batch: Batch) -> np.ndarray:
-    """Exact posterior-weighted FIM diagonal over body parameters.
-
-    For each example x with head posterior p, the label expectation of the
-    squared score is computed in closed form: the class-c backprop signal
-    at the head input is (e_c - p) W_head^T masked by the rectifier
-    pattern, and propagating the full class-indexed signal down the body
-    gives every squared gradient entry as an einsum. Entries are sums of
-    squares, hence nonnegative by construction.
-    """
-    spec = model.spec
-    segs = model.params.views()
-    n_layers = spec.num_layers
-    if n_layers < 2:
-        raise ValueError("a probe needs at least one hidden layer to embed with")
-    n = batch.inputs.shape[0]
-    acts = activations(spec, model.params, batch.inputs)
-    masks = relu_masks(acts)
-    w_head = segs[f"W{n_layers - 1}"]
-    probs = acts[-1]
-    softmax_cross_entropy(probs)  # the logits become the posterior in place
-    if not np.all(np.isfinite(probs)):
-        bad = int(np.argwhere(~np.isfinite(probs).all(axis=1))[0][0])
-        raise EmbeddingError(f"non-finite posterior at example {bad}")
-    n_class = probs.shape[1]
-    # signal[i, c, :] = d log p(c | x_i) / d (head input), all classes at once
-    eye = np.eye(n_class)
-    dlogits = eye[None, :, :] - probs[:, None, :]
-    signal = np.einsum("ncd,hd->nch", dlogits, w_head) * masks[-1][:, None, :]
-    fim_segments: dict[str, np.ndarray] = {}
-    for i in range(n_layers - 2, -1, -1):
-        weighted_sq = np.einsum("nc,nch->nh", probs, signal ** 2)
-        fim_segments[f"W{i}"] = np.einsum("nj,nh->jh", acts[i] ** 2, weighted_sq) / n
-        fim_segments[f"b{i}"] = weighted_sq.sum(axis=0) / n
-        if i > 0:
-            signal = np.einsum("nch,jh->ncj", signal, segs[f"W{i}"]) * masks[i - 1][:, None, :]
-    body_names = [name for name, _ in model.params.layout
-                  if name not in model.spec.head_names()]
-    flat = np.concatenate([fim_segments[name].ravel() for name in body_names])
-    if not np.all(np.isfinite(flat)):
-        raise EmbeddingError("non-finite Fisher information entry")
-    return flat
-
-
 def _embed_tasks(probe: Probe, tasks: Sequence[FewShotTask]) -> list[TaskEmbedding]:
-    """`embed_task` of each task, every head refit in one `fit_heads` stack.
+    """`embed_task` of each task: the head refits in one `fit_heads` call, the
+    Fisher diagonals in one `fisher_body_diagonal` call per HEAD_STACK tasks.
 
     The tasks share one shape and one `n_way`, as every caller draws them.
+    Each embedding is bitwise that of its task alone. A non-finite
+    posterior or Fisher entry raises `EmbeddingError` naming the task.
     """
-    data = [_task_data(task) for task in tasks]
+    # support and query concatenated under the shared local labels
+    data = [Batch(np.concatenate([t.support.inputs, t.query.inputs]),
+                  np.concatenate([t.support.labels, t.query.labels])) for t in tasks]
     fitted = fit_heads(probe.model, data, n_classes=tasks[0].n_way)
-    return [TaskEmbedding(fim_diag=_fim_diag_body(model, batch), task_id=task.task_id,
-                          source_ids=task.source_ids)
-            for model, batch, task in zip(fitted, data, tasks)]
+    spec = fitted[0].spec
+    diags: list[np.ndarray] = []
+    for first in range(0, len(tasks), HEAD_STACK):
+        flats = np.stack([model.params.values for model in fitted[first:first + HEAD_STACK]])
+        inputs = np.stack([batch.inputs for batch in data[first:first + HEAD_STACK]])
+        try:
+            diags += list(fisher_body_diagonal(spec, flats, inputs))
+        except NumericalError:  # each row is bitwise its solo call: the first to fail names it
+            for i, (flat, x) in enumerate(zip(flats, inputs), first):
+                try:
+                    fisher_body_diagonal(spec, flat, x)
+                except NumericalError as err:
+                    raise EmbeddingError(f"task {i} ({tasks[i].task_id}): {err}") from err
+            raise
+    return [TaskEmbedding(fim_diag=diag, task_id=task.task_id, source_ids=task.source_ids)
+            for diag, task in zip(diags, tasks)]
 
 
 def embed_task(probe: Probe, task: FewShotTask) -> TaskEmbedding:
@@ -253,7 +222,11 @@ def _pairwise_distances(embeddings: Sequence[TaskEmbedding]) -> list[tuple[int, 
 def diversity_coefficient(probe: Probe, benchmark: Benchmark, num_tasks: int,
                           seed: int, n_way: int = 5, k_shot: int = 5,
                           q_query: int = 15) -> DiversityReport:
-    """Expected cosine distance between embeddings of sampled test-split task pairs."""
+    """Expected cosine distance between embeddings of sampled test-split task pairs.
+
+    A `num_tasks` that is not an integer (a float or a bool) raises ValueError.
+    """
+    num_tasks = integer(num_tasks, "num_tasks")
     if num_tasks < 3:
         raise ValueError("diversity needs at least 3 tasks (a CI needs 2 pairs)")
     tasks = [sample_task(benchmark, "test", n_way, k_shot, q_query, (seed, i))
@@ -276,36 +249,31 @@ def distance_histogram(probe: Probe, benchmark: Benchmark, num_tasks: int,
     "within-<source>" or "cross". With well-separated sources the cross
     partition sits to the right of every within partition, the multi-mode
     picture. Tasks come from the `test` split; sources whose test pool
-    cannot seat n_way classes are skipped.
+    cannot seat n_way classes are skipped. A `num_tasks` or `bins` that is
+    not an integer (a float or a bool) raises ValueError.
     """
+    num_tasks = integer(num_tasks, "num_tasks")
+    bins = integer(bins, "bins")
     if num_tasks < 2:
         raise ValueError("histogram needs at least 2 tasks")
-    pool = benchmark.split_pool("test")
     per_source: dict[int, list[int]] = {}
-    for g in pool:
+    for g in benchmark.split_pool("test"):
         per_source.setdefault(benchmark.source_of(g), []).append(g)
     usable = [si for si, gs in sorted(per_source.items()) if len(gs) >= n_way]
     if not usable:
         raise ValueError(f"no source has {n_way} classes in the test split")
-    tasks = []
-    for i in range(num_tasks):
-        si = usable[i % len(usable)]
-        tasks.append(sample_task(benchmark, "test", n_way, k_shot, q_query,
-                                 (seed, i), class_pool=per_source[si]))
-    embeddings = _embed_tasks(probe, tasks)
     task_source = [usable[i % len(usable)] for i in range(num_tasks)]
+    tasks = [sample_task(benchmark, "test", n_way, k_shot, q_query, (seed, i),
+                         class_pool=per_source[si]) for i, si in enumerate(task_source)]
     partitions: dict[str, list[float]] = {}
-    for i, j, d in _pairwise_distances(embeddings):
-        if task_source[i] == task_source[j]:
-            key = f"within-{benchmark.sources[task_source[i]].name}"
-        else:
-            key = "cross"
+    for i, j, d in _pairwise_distances(_embed_tasks(probe, tasks)):
+        key = (f"within-{benchmark.sources[task_source[i]].name}"
+               if task_source[i] == task_source[j] else "cross")
         partitions.setdefault(key, []).append(d)
-    all_d = np.concatenate([np.asarray(v) for v in partitions.values()])
+    dists = {k: np.asarray(v) for k, v in partitions.items()}
+    all_d = np.concatenate(list(dists.values()))
     edges = np.histogram_bin_edges(all_d, bins=bins)
-    counts = {k: np.histogram(np.asarray(v), bins=edges)[0] for k, v in partitions.items()}
-    means = {k: float(np.mean(v)) for k, v in partitions.items()}
     return DistanceHistogram(
-        bin_edges=edges, counts=counts, partition_means=means,
-        distances={k: np.asarray(v) for k, v in partitions.items()},
+        bin_edges=edges, counts={k: np.histogram(v, bins=edges)[0] for k, v in dists.items()},
+        partition_means={k: float(np.mean(v)) for k, v in dists.items()}, distances=dists,
         num_tasks=num_tasks, num_pairs=int(all_d.size))

@@ -36,9 +36,9 @@ SPLIT_FRACTIONS = (0.64, 0.16, 0.20)
 class Source:
     """A named cloud of Gaussian class-conditionals.
 
-    `class_means` has one row per class; every class shares the isotropic
-    `class_spread`. Spread zero is admitted as a degenerate case (samples
-    collapse onto the means), which some tests rely on.
+    `class_means` has one row per class; every class shares the isotropic,
+    finite `class_spread`. Spread zero is admitted as a degenerate case
+    (samples collapse onto the means), which some tests rely on.
     """
 
     name: str
@@ -55,8 +55,8 @@ class Source:
                 f"class_means width {means.shape[1]} != input_dim {self.input_dim}")
         if not np.all(np.isfinite(means)):
             raise ValueError("class means must be finite")
-        if self.class_spread < 0:
-            raise ValueError("class_spread must be nonnegative")
+        if not (np.isfinite(self.class_spread) and self.class_spread >= 0):
+            raise ValueError(f"class_spread must be finite and nonnegative, got {self.class_spread}")
         object.__setattr__(self, "class_means", means)
 
     @property

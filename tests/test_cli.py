@@ -357,6 +357,24 @@ def test_run_refuses_a_bad_config_at_config_stage(tmp_path, capsys, key, value, 
     assert not out.exists()  # refused before any run directory was made
 
 
+@pytest.mark.parametrize("leg, field", [("pt", "outer_lr"), ("maml", "inner_lr"),
+                                        ("pt", "convergence_tol")])
+def test_run_refuses_a_yaml_bool_rate_at_config_stage(tmp_path, capsys, leg, field):
+    # YAML reads `yes` as True, which a float field would take as 1.0
+    cfg_path = _write_yaml(tmp_path, _tiny_config())
+    text = cfg_path.read_text(encoding="utf-8")
+    assert f"\n{leg}:\n  max_epochs:" in text
+    cfg_path.write_text(text.replace(f"\n{leg}:\n", f"\n{leg}:\n  {field}: yes\n"),
+                        encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{leg} leg: {field} must be a number, not the bool"):
+        ExperimentConfig.from_yaml(cfg_path)
+    out = tmp_path / "runs"
+    assert main(["run", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "failed at stage 'config'" in err and f"{field} must be a number" in err
+    assert not out.exists()
+
+
 def test_run_refuses_a_negative_seed_flag_at_config_stage(tmp_path, capsys):
     cfg_path = _write_yaml(tmp_path, _tiny_config())
     out = tmp_path / "runs"

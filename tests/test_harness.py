@@ -327,6 +327,14 @@ def test_saved_files_reproduce_the_golden_bytes(tmp_path):
     assert (tmp_path / "config.yaml").read_bytes() == (GOLDEN / "config.yaml").read_bytes()
 
 
+def test_a_non_finite_spread_fails_at_build_benchmark(tmp_path):
+    spec = BenchmarkSpec(sources=(SourceSpec(num_classes=10, input_dim=3, mean_scale=2.0,
+                                             class_spread=float("nan"), name="cloud"),))
+    with pytest.raises(HarnessError, match="class_spread") as err:
+        run_comparison(_tiny_config(name="nan-spread", benchmark=spec), out_dir=tmp_path / "r")
+    assert err.value.stage == "build-benchmark"
+
+
 def test_failed_stage_leaves_a_marker(tmp_path):
     # n_way larger than the single source's 2-class test pool
     bad = _tiny_config(name="bad", n_way=5, k_shot=1, q_query=1)

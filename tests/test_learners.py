@@ -505,6 +505,14 @@ def test_training_method_cross_checks():
             TrainConfig(method="pt", **bad)
 
 
+@pytest.mark.parametrize("name", ["outer_lr", "inner_lr", "convergence_tol"])
+def test_train_config_refuses_a_bool_rate_or_tolerance(name):
+    # a bool is an int to Python: True would train at rate 1.0, False stop at tol 0
+    for value in (True, False):
+        with pytest.raises(ValueError, match=f"{name} must be a number, not the bool {value}"):
+            TrainConfig(method="fo_maml", **{name: value})
+
+
 def test_divergent_runs_raise_training_error():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingError):

@@ -2,6 +2,7 @@
 or another metalab module's private name."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -87,3 +88,31 @@ def test_the_private_import_scan_sees_one():
     tree = ast.parse("from metalab.nets import forward, _layers\n"
                      "from metalab.learners import _train\nfrom os import _exit\n")
     assert _private_imports(tree, "learners") == ["metalab.nets._layers (line 1)"]
+
+
+def _segment_name_builds(tree: ast.Module) -> list[str]:
+    """f-strings that build a parameter segment name, `W{...}` or `b{...}`.
+
+    Only `nets` knows how the layout names its segments; any other module
+    reads them through `nets`' functions.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            for part, nxt in zip(node.values, node.values[1:]):
+                if (isinstance(part, ast.Constant) and isinstance(nxt, ast.FormattedValue)
+                        and re.search(r"(?<![\w])[Wb]$", part.value)):
+                    found.append((node.lineno, ast.unparse(node)))
+    return [f"{text} (line {line})" for line, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if _module_name(p) != "nets"],
+                         ids=_module_id)
+def test_only_nets_builds_parameter_segment_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert _segment_name_builds(tree) == []
+
+
+def test_the_segment_name_scan_sees_one():
+    tree = ast.parse('w = segs[f"W{i}"]\nb = f"b{i - 1}"\nok = f"sub{i}", f"{n}b", f"W"\n')
+    assert _segment_name_builds(tree) == ["f'W{i}' (line 1)", "f'b{i - 1}' (line 2)"]

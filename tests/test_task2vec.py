@@ -1,23 +1,26 @@
 """Fisher-information task embeddings and benchmark diversity.
 
-The closed-form layerwise FIM diagonal is certified two independent ways:
-a brute-force reverse-mode loop over every (example, class) pair, and a
-fully hand-derived formula for a one-hidden-unit network.
+The closed-form layerwise FIM diagonal, `nets.fisher_body_diagonal`, is
+certified two independent ways: a brute-force reverse-mode loop over every
+(example, class) pair, and a fully hand-derived formula for a
+one-hidden-unit network.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from fim_oracle import brute_fim_body
-from metalab.learners import Model, TrainConfig, fit_head, train_pt
-from metalab.nets import Batch, NetSpec, ParamVector
+from metalab.learners import HEAD_STACK, Model, TrainConfig, fit_head, train_pt
+from metalab.nets import Batch, NetSpec, NumericalError, ParamVector, fisher_body_diagonal
 from metalab.task2vec import (
     DistanceHistogram,
     DiversityReport,
     EmbeddingError,
     Probe,
     TaskEmbedding,
-    _fim_diag_body,
+    _embed_tasks,
     _pairwise_distances,
     build_probe,
     cosine_distance,
@@ -39,6 +42,10 @@ def _random_model(spec: NetSpec, seed: int) -> Model:
                                    spec.layout()))
 
 
+def _fim(model: Model, batch: Batch) -> np.ndarray:
+    return fisher_body_diagonal(model.spec, model.params.values, batch.inputs)
+
+
 # ---------------------------------------------------------------------------
 # FIM diagonal oracles
 # ---------------------------------------------------------------------------
@@ -51,7 +58,7 @@ def test_fim_diag_matches_brute_force_autodiff(hidden, seed):
     model = _random_model(spec, seed)
     gen = np.random.default_rng(100 + seed)
     batch = Batch(gen.normal(size=(7, 3)), gen.integers(0, 4, size=7))
-    got = _fim_diag_body(model, batch)
+    got = _fim(model, batch)
     want = brute_fim_body(model, batch)
     assert got.shape == want.shape == (model.head_boundary,)
     np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-14)
@@ -79,7 +86,7 @@ def test_fim_diag_one_hidden_unit_hand_formula():
     want_w0 = np.mean(x ** 2 * per_example)
     want_b0 = np.mean(per_example)
 
-    got = _fim_diag_body(model, batch)
+    got = _fim(model, batch)
     np.testing.assert_allclose(got, [want_w0, want_b0], rtol=1e-12)
 
 
@@ -92,7 +99,7 @@ def test_fim_entries_for_dead_inputs_are_zero():
     inputs = gen.normal(size=(8, 3))
     inputs[:, 1] = 0.0
     batch = Batch(inputs, gen.integers(0, 2, size=8))
-    diag = _fim_diag_body(model, batch)
+    diag = _fim(model, batch)
     w0_fim = diag[: 3 * 4].reshape(3, 4)
     assert np.array_equal(w0_fim[1], np.zeros(4))
     assert np.all(w0_fim[0] > 0) and np.all(diag >= 0)
@@ -102,12 +109,46 @@ def test_fim_diag_requires_a_hidden_layer_and_finite_activations():
     headless = _random_model(NetSpec(3, (), 2), 0)
     batch = Batch(np.zeros((2, 3)), np.zeros(2, dtype=int))
     with pytest.raises(ValueError):
-        _fim_diag_body(headless, batch)
+        _fim(headless, batch)
     model = _random_model(NetSpec(3, (4,), 2), 0)
     poisoned = Batch(np.array([[np.inf, 0.0, 0.0]]), np.zeros(1, dtype=int))
     with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(EmbeddingError):
-            _fim_diag_body(model, poisoned)
+        with pytest.raises(NumericalError, match="non-finite posterior"):
+            _fim(model, poisoned)
+
+
+def _stack_of_problems(spec: NetSpec, lead: tuple[int, ...], n: int = 7):
+    """Random models and batches of one shape, `lead` of them, with their flats and inputs."""
+    count = int(np.prod(lead))
+    models = [_random_model(spec, 30 + b) for b in range(count)]
+    gen = np.random.default_rng(40)
+    batches = [Batch(gen.normal(size=(n, spec.input_dim)),
+                     gen.integers(0, spec.output_dim, size=n)) for _ in range(count)]
+    flats = np.stack([m.params.values for m in models]).reshape(*lead, -1)
+    inputs = np.stack([b.inputs for b in batches]).reshape(*lead, n, spec.input_dim)
+    return models, batches, flats, inputs
+
+
+@pytest.mark.parametrize("lead", [(3,), (2, 3)])
+def test_stacked_fim_rows_are_their_solo_calls_bitwise(lead):
+    spec = NetSpec(3, (6, 4), 5)
+    models, batches, flats, inputs = _stack_of_problems(spec, lead)
+    got = fisher_body_diagonal(spec, flats, inputs).reshape(len(models), -1)
+    for row, model, batch in zip(got, models, batches):
+        assert np.array_equal(row, _fim(model, batch))
+    # one vector shared by every batch gives each batch's solo call too
+    shared = fisher_body_diagonal(spec, flats.reshape(-1, flats.shape[-1])[0], inputs)
+    for row, batch in zip(shared.reshape(len(models), -1), batches):
+        assert np.array_equal(row, _fim(models[0], batch))
+
+
+def test_stacked_fim_matches_brute_force_autodiff():
+    spec = NetSpec(3, (6, 4), 4)
+    models, batches, flats, inputs = _stack_of_problems(spec, (3,))
+    got = fisher_body_diagonal(spec, flats, inputs)
+    assert got.shape == (3, models[0].head_boundary)
+    for row, model, batch in zip(got, models, batches):
+        np.testing.assert_allclose(row, brute_fim_body(model, batch), rtol=1e-10, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +200,48 @@ def test_embedding_matches_head_refit_plus_fim_composition():
     data = Batch(np.concatenate([task.support.inputs, task.query.inputs]),
                  np.concatenate([task.support.labels, task.query.labels]))
     fitted = fit_head(probe.model, data, n_classes=2)
-    want = _fim_diag_body(fitted, data)
+    want = _fim(fitted, data)
     assert np.array_equal(embed_task(probe, task).fim_diag, want)
+
+
+def test_embedding_many_tasks_is_each_task_alone(monkeypatch):
+    # the Fisher diagonals run HEAD_STACK tasks to a call, each row its task's own
+    probe, bench = _probe_and_benchmark()
+    tasks = [sample_task(bench, "test", 2, 3, 3, rng_seed=(4, i))
+             for i in range(HEAD_STACK + 2)]
+    calls = []
+
+    def counted(spec, flat, inputs):
+        calls.append(inputs.shape)
+        return fisher_body_diagonal(spec, flat, inputs)
+
+    monkeypatch.setattr("metalab.task2vec.fisher_body_diagonal", counted)
+    embeddings = _embed_tasks(probe, tasks)
+    assert [shape[0] for shape in calls] == [HEAD_STACK, 2]
+    for emb, task in zip(embeddings, tasks):
+        assert emb.task_id == task.task_id
+        assert np.array_equal(emb.fim_diag, embed_task(probe, task).fim_diag)
+
+
+def test_embedding_error_names_the_task():
+    # inputs this far out kill every hidden unit, so the head fits on zero
+    # features; the squared inputs overflow, and inf * 0 poisons W0's entries
+    spec = NetSpec(2, (3,), 2)
+    params = ParamVector.from_segments(spec.layout(), {
+        "W0": np.ones((2, 3)), "b0": np.zeros(3),
+        "W1": np.array([[0.5, -0.5], [1.0, 0.2], [-0.3, 0.7]]), "b1": np.zeros(2)})
+    probe = Probe(Model(spec, params), "hand")
+    bench = benchmark_from_sources([make_source(0, 10, 2, 2.0, 1.0)])
+    tasks = [sample_task(bench, "test", 2, 3, 3, rng_seed=(5, i)) for i in range(3)]
+    far = [Batch(-1e200 * (1.0 + np.abs(b.inputs)), b.labels)
+           for b in (tasks[1].support, tasks[1].query)]
+    tasks[1] = dataclasses.replace(tasks[1], support=far[0], query=far[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EmbeddingError, match="task 1 ") as err:
+            _embed_tasks(probe, tasks)
+    assert tasks[1].task_id in str(err.value)
+    assert "non-finite Fisher information in segment W0" in str(err.value)
+    assert isinstance(err.value.__cause__, NumericalError)
 
 
 def test_task_embedding_validation():
@@ -267,6 +348,12 @@ def test_diversity_coefficient_accounting_and_determinism():
     assert other.coefficient != report.coefficient
     with pytest.raises(ValueError):
         diversity_coefficient(probe, bench, num_tasks=1, seed=0)
+    for bad in (4.0, True, np.float64(6.0)):
+        with pytest.raises(ValueError, match="num_tasks must be an integer"):
+            diversity_coefficient(probe, bench, num_tasks=bad, seed=2,
+                                  n_way=2, k_shot=3, q_query=3)
+    assert diversity_coefficient(probe, bench, num_tasks=np.int64(6), seed=2, n_way=2,
+                                 k_shot=3, q_query=3).coefficient == report.coefficient
     with pytest.raises(ValueError):
         DiversityReport(coefficient=0.5, ci95_halfwidth=0.0, num_tasks=6,
                         num_pairs=14, probe_provenance="p")
@@ -308,6 +395,12 @@ def test_distance_histogram_partitions_two_sources():
 
 def test_distance_histogram_validation_and_thin_sources():
     probe, bench = _probe_and_benchmark()
+    # counts that are not integers are refused, not passed on to range or numpy
+    for bad, named in (({"num_tasks": 4.0}, "num_tasks"), ({"num_tasks": True}, "num_tasks"),
+                       ({"bins": 4.0}, "bins"), ({"bins": True}, "bins")):
+        with pytest.raises(ValueError, match=f"{named} must be an integer"):
+            distance_histogram(probe, bench, **{"num_tasks": 4, "bins": 4, **bad}, seed=0,
+                               n_way=2, k_shot=3, q_query=3)
     with pytest.raises(ValueError):
         distance_histogram(probe, bench, num_tasks=1, bins=4, seed=0)
     with pytest.raises(ValueError):

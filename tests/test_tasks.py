@@ -73,6 +73,12 @@ def test_source_validation():
         Source("s", np.array([[np.inf, 0.0]]), 1.0, 2)
     with pytest.raises(ValueError):
         Source("s", np.zeros((3, 2)), -0.1, 2)
+    # a non-finite spread would draw non-finite samples and fail only in training
+    for spread in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="class_spread"):
+            Source("s", np.zeros((3, 2)), spread, 2)
+        with pytest.raises(ValueError, match="class_spread"):
+            make_source(0, 5, 3, 1.0, spread)
     assert Source("s", np.zeros((3, 2)), 0.0, 2).num_classes == 3
 
 
